@@ -7,6 +7,11 @@ and the dual minimum distance exceed k; both distances are always recomputed
 by codeword enumeration before a state is issued -- externally supplied
 distances are never trusted for certificates.
 
+Every enumeration (codewords, min_distance, state_from_code) runs through
+one block generator in a single thread, for GF(p) and GF(p^r) alike; there
+is no thread pool, and the workers arguments are accepted but have no
+effect.
+
 Extension-field codes enter through concatenation: a trace-orthogonal basis
 turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
 code, weight-scaled expansion for its dual), and the two expansions are dual
@@ -15,12 +20,12 @@ to each other over F_p.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GF, TraceOrthBasis, get_field, null_space_over_field, rref_over_field
+from .modular import digits, from_digits
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_CODEWORDS = 2**24
@@ -79,9 +84,14 @@ class LinearCode:
         return f"LinearCode([{self.n}, {self.m}] over {self.field})"
 
 
-def codewords(code: LinearCode, max_codewords: int = DEFAULT_MAX_CODEWORDS):
-    """Iterate all q^m codewords as integer-encoded numpy rows."""
-    f = code.field
+def _word_blocks(code: LinearCode, max_codewords: int):
+    """All q^m codewords as int64 blocks of rows, first message symbol most significant.
+
+    Over GF(p) a block is msgs @ G mod p.  Over GF(p^r), r > 1, products go
+    through the field's log/exp tables and sums add the r base-p digits of
+    each element mod p.
+    """
+    f, g = code.field, code.generator
     total = f.q**code.m
     if total > max_codewords:
         raise TooLargeError(
@@ -89,28 +99,26 @@ def codewords(code: LinearCode, max_codewords: int = DEFAULT_MAX_CODEWORDS):
             estimate=total,
             ceiling=max_codewords,
         )
-    if code.m == 0:
-        yield np.zeros(code.n, dtype=np.int64)
-        return
-    if f.r == 1:
-        g = code.generator
-        chunk = 1 << 14
-        idx = np.arange(total, dtype=np.int64)
-        for s in range(0, total, chunk):
-            block = idx[s : s + chunk]
-            msgs = np.empty((block.size, code.m), dtype=np.int64)
-            for t in range(code.m):
-                msgs[:, t] = (block // f.p ** (code.m - 1 - t)) % f.p
-            words = (msgs @ g) % f.p
-            yield from words
-    else:
-        for msg in itertools.product(range(f.q), repeat=code.m):
-            word = np.zeros(code.n, dtype=np.int64)
-            for c, row in zip(msg, code.generator):
-                if c:
-                    for t in range(code.n):
-                        word[t] = f.add(int(word[t]), f.mul(c, int(row[t])))
-            yield word
+    if f.r > 1:
+        exp, log = np.array(f._exp), np.array(f._log)
+    chunk = max(1, (1 << 18) // max(1, code.n * f.r))  # bounds each block's memory
+    for s in range(0, total, chunk):
+        msgs = digits(np.arange(s, min(s + chunk, total)), f.q, code.m)
+        if f.r == 1:
+            yield (msgs @ g) % f.p
+            continue
+        acc = np.zeros((msgs.shape[0], code.n, f.r), dtype=np.int64)
+        for c, row in zip(msgs.T, g):
+            prod = exp[(log[c][:, None] + log[row]) % (f.q - 1)]
+            prod[(c == 0)[:, None] | (row == 0)] = 0
+            acc += digits(prod, f.p, f.r).reshape(acc.shape)
+        yield from_digits(acc % f.p, f.p)
+
+
+def codewords(code: LinearCode, max_codewords: int = DEFAULT_MAX_CODEWORDS):
+    """Iterate all q^m codewords as integer-encoded numpy rows."""
+    for block in _word_blocks(code, max_codewords):
+        yield from block
 
 
 def min_distance(
@@ -119,56 +127,20 @@ def min_distance(
     """Minimum Hamming weight over nonzero codewords, by full enumeration.
 
     Stops early only when a weight-1 codeword appears (no weight can be
-    lower).  With workers > 1 the message space is split into index ranges
-    whose minima are folded together, so the result does not depend on the
-    worker count.  Raises on the zero code, which has no nonzero codeword.
+    lower).  workers is accepted and has no effect: one vectorized pass over
+    the codeword blocks measured faster than a thread pool over index
+    ranges.  Raises on the zero code, which has no nonzero codeword.
     """
     if code.m == 0:
         raise ValueError("the zero code has no minimum distance")
-    f = code.field
-    total = f.q**code.m
-    if workers > 1 and f.r == 1 and total > 1 << 12:
-        if total > max_codewords:
-            raise TooLargeError(
-                f"{total} codewords exceed the enumeration budget {max_codewords}",
-                estimate=total,
-                ceiling=max_codewords,
-            )
-        from concurrent.futures import ThreadPoolExecutor
-
-        block = -(-total // workers)
-        spans = [(s, min(block, total - s)) for s in range(0, total, block)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            minima = list(pool.map(lambda sp: _range_min_weight(code, *sp), spans))
-        return min(m for m in minima if m is not None)
     best = None
-    for word in codewords(code, max_codewords):
-        w = int(np.count_nonzero(word))
-        if w == 0:
-            continue
-        if best is None or w < best:
-            best = w
+    for block in _word_blocks(code, max_codewords):
+        weights = np.count_nonzero(block, axis=1)
+        if weights.any():
+            low = int(weights[weights > 0].min())
+            best = low if best is None else min(best, low)
             if best == 1:
                 break
-    return best
-
-
-def _range_min_weight(code: LinearCode, start: int, count: int) -> int | None:
-    f, g = code.field, code.generator
-    best = None
-    chunk = 1 << 14
-    for s in range(start, start + count, chunk):
-        block = np.arange(s, min(s + chunk, start + count), dtype=np.int64)
-        msgs = np.empty((block.size, code.m), dtype=np.int64)
-        for t in range(code.m):
-            msgs[:, t] = (block // f.p ** (code.m - 1 - t)) % f.p
-        words = (msgs @ g) % f.p
-        weights = np.count_nonzero(words, axis=1)
-        nz = weights[weights > 0]
-        if nz.size:
-            local = int(nz.min())
-            if best is None or local < best:
-                best = local
     return best
 
 
@@ -311,5 +283,5 @@ def state_from_code(
     ddist = min_distance(dual_code(code), max_codewords, workers=workers)
     if ddist < k + 1:
         raise HypothesisError("dual", ddist, k + 1)
-    phases = {tuple(map(int, w)): 0 for w in codewords(code, max_codewords)}
+    phases = {tuple(w): 0 for block in _word_blocks(code, max_codewords) for w in block.tolist()}
     return PureState.from_phases(code.n, code.p, phases)

@@ -12,12 +12,11 @@ order with early exit, so failure reports are reproducible.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import invertible_mod_d, is_prime, rank_mod_p
+from .modular import digits, invertible_mod_d, is_prime, rank_mod_p
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
@@ -131,12 +130,8 @@ def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:
 def all_phases(H, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All d^n basis strings (rows) and their quadratic phases, vectorized."""
     m = np.asarray(H, dtype=np.int64) % d
-    total = d**n
-    idx = np.arange(total, dtype=np.int64)
-    strings = np.empty((total, n), dtype=np.int64)
-    for t in range(n):
-        strings[:, t] = (idx // d ** (n - 1 - t)) % d
-    phases = np.zeros(total, dtype=np.int64)
+    strings = digits(np.arange(d**n), d, n)
+    phases = np.zeros(d**n, dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
             hij = int(m[i, j])
@@ -146,7 +141,11 @@ def all_phases(H, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def state_from_matrix(w: SymWitness, max_kets: int = DEFAULT_MAX_KETS, workers: int = 1) -> PureState:
-    """The full-support state whose amplitude at c is zeta_d^(c Ht c^T)."""
+    """The full-support state whose amplitude at c is zeta_d^(c Ht c^T).
+
+    workers is accepted and has no effect: the phases come from one
+    vectorized pass, which a thread pool over index blocks did not beat.
+    """
     n, d = w.n, w.d
     if d**n > max_kets:
         raise TooLargeError(
@@ -154,36 +153,7 @@ def state_from_matrix(w: SymWitness, max_kets: int = DEFAULT_MAX_KETS, workers: 
             estimate=d**n,
             ceiling=max_kets,
         )
-    if workers > 1:
-        # phase computation is a pure map over index blocks
-        total = d**n
-        block = max(1, total // workers)
-        rows = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_phase_block, w.H, n, d, s, min(block, total - s))
-                for s in range(0, total, block)
-            ]
-            rows = [f.result() for f in futs]
-        strings = np.concatenate([r[0] for r in rows])
-        phases = np.concatenate([r[1] for r in rows])
-    else:
-        strings, phases = all_phases(w.H, n, d)
+    strings, phases = all_phases(w.H, n, d)
     return PureState.from_phases(
         n, d, {tuple(map(int, s)): int(e) for s, e in zip(strings, phases)}
     )
-
-
-def _phase_block(H, n, d, start, count):
-    m = np.asarray(H, dtype=np.int64) % d
-    idx = np.arange(start, start + count, dtype=np.int64)
-    strings = np.empty((count, n), dtype=np.int64)
-    for t in range(n):
-        strings[:, t] = (idx // d ** (n - 1 - t)) % d
-    phases = np.zeros(count, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            hij = int(m[i, j])
-            if hij:
-                phases += hij * strings[:, i] * strings[:, j]
-    return strings, phases % d

@@ -30,6 +30,33 @@ def _as_mod_array(mat, modulus: int) -> np.ndarray:
     return a
 
 
+def digits(idx, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each index, most significant first, shape (len(idx), width).
+
+    The package's one mixed-radix unranking: row i of
+    digits(np.arange(base**width), base, width) is the i-th tuple of
+    itertools.product(range(base), repeat=width).
+    """
+    rest = np.array(idx, dtype=np.int64).reshape(-1)
+    out = np.empty((rest.size, width), dtype=np.int64)
+    for t in range(width - 1, -1, -1):
+        rest, out[:, t] = np.divmod(rest, base)
+    return out
+
+
+def from_digits(rows, base: int) -> np.ndarray:
+    """Inverse of digits along the last axis: the index of each digit row.
+
+    Raises OverflowError when base**width exceeds 2^63, where an int64
+    index could wrap, instead of returning a wrong index.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    width = rows.shape[-1]
+    if base**width > 1 << 63:
+        raise OverflowError(f"{width} base-{base} digits do not fit in an int64 index")
+    return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def rank_mod_p(mat, p: int) -> int:
     """Rank over F_p by Gaussian elimination.  Requires prime p."""
     if not is_prime(p):

@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from .matrices import Provenance, SymWitness, check_certificate, upper_triangle_to_matrix
-from .modular import is_prime
+from .modular import digits, is_prime
 
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
@@ -67,11 +67,7 @@ class SearchBudget:
 def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) -> np.ndarray:
     """Candidate digit rows for indices [start, start+count)."""
     if mode == "exhaustive":
-        idx = np.arange(start, start + count, dtype=np.int64)
-        out = np.empty((count, T), dtype=np.int64)
-        for t in range(T):
-            out[:, t] = (idx // d ** (T - 1 - t)) % d
-        return out
+        return digits(np.arange(start, start + count), d, T)
     with np.errstate(over="ignore"):
         u = np.arange(start, start + count, dtype=np.uint64) * np.uint64(T)
         out = np.empty((count, T), dtype=np.int64)

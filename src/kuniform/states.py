@@ -13,6 +13,13 @@ path: for each subset the overlaps are accumulated as exponent histograms
 and tested for zero through one integer matrix product against the
 cyclotomic reduction matrix.  Counts are bounded by the state support and
 the reduction-matrix entries are small, so the int64 arithmetic is exact.
+
+Every int64 packing on that path is bounded where it is made.  A local
+string cA is packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
+TooLargeError unless d^(2k+1) <= max_ops, which also bounds the histogram
+index (cA, cA2, exponent).  The complementary strings, which can be far
+longer than 63 bits, are packed into words of at most w digits with
+d^w <= 2^62 and sorted word by word, so they never wrap.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from math import comb
 import numpy as np
 
 from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
+from .modular import digits, from_digits
 
 DEFAULT_MAX_OPS = 10**9
 
@@ -206,7 +214,8 @@ def verify_uniform(
     Subsets are scanned in lexicographic order and the scan stops at the
     first failure, which is recorded in the report.  Values k > n/2 are
     rejected (no state can be uniform beyond n/2).  Instances whose estimated
-    work exceeds max_ops raise TooLargeError instead of starting.
+    work, or whose per-subset table of d^(2k+1) pair-and-exponent entries,
+    exceeds max_ops raise TooLargeError instead of starting.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
@@ -214,13 +223,16 @@ def verify_uniform(
     if not state.amps:
         raise ValueError("state has no nonzero amplitude")
     support = len(state.amps)
-    estimate = comb(n, k) * d**k * support
-    if estimate > max_ops:
-        raise TooLargeError(
-            f"estimated {estimate} elementary operations exceeds ceiling {max_ops}",
-            estimate=estimate,
-            ceiling=max_ops,
-        )
+    for what, estimate in (
+        ("elementary operations", comb(n, k) * d**k * support),
+        ("histogram entries per subset", d ** (2 * k + 1)),
+    ):
+        if estimate > max_ops:
+            raise TooLargeError(
+                f"estimated {estimate} {what} exceeds ceiling {max_ops}",
+                estimate=estimate,
+                ceiling=max_ops,
+            )
     norm = state.norm_value()
     pure_phase = state.phase_map() is not None
 
@@ -265,18 +277,11 @@ def _check_subset_phase(state: PureState, A):
     aset = set(A)
     B = tuple(i for i in range(n) if i not in aset)
 
-    radix_a = np.array([d ** (k - 1 - t) for t in range(k)], dtype=np.int64)
-    a_idx = K[:, A] @ radix_a if k else np.zeros(support, dtype=np.int64)
-    if B:
-        radix_b = np.array([d ** (len(B) - 1 - t) for t in range(len(B))], dtype=np.int64)
-        b_idx = K[:, B] @ radix_b
-    else:
-        b_idx = np.zeros(support, dtype=np.int64)
-
-    order = np.argsort(b_idx, kind="stable")
-    a_s = a_idx[order]
+    w = next(w for w in range(62, 0, -1) if d**w <= 1 << 62)
+    words = [from_digits(K[:, B[s : s + w]], d) for s in range(0, len(B), w)]
+    order = np.lexsort(words[::-1])
+    a_s = from_digits(K[:, A], d)[order]
     e_s = E[order]
-    b_s = b_idx[order]
 
     hist = np.zeros(dk * dk * d, dtype=np.int64)
     full = support == d**n
@@ -291,7 +296,11 @@ def _check_subset_phase(state: PureState, A):
             codes = (ag[:, :, None] * dk + ag[:, None, :]) * d + (eg[:, None, :] - eg[:, :, None]) % d
             hist += np.bincount(codes.ravel(), minlength=hist.size)
     else:
-        boundaries = np.flatnonzero(np.diff(b_s)) + 1
+        new_group = np.zeros(support - 1, dtype=bool)
+        for word in words:
+            b_s = word[order]
+            new_group |= b_s[1:] != b_s[:-1]
+        boundaries = np.flatnonzero(new_group) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [support]))
         for s, e in zip(starts, ends):
@@ -323,14 +332,8 @@ def _check_subset_phase(state: PureState, A):
             break
     if fail is None:
         return None
-    return (_unrank(fail[0], d, k), _unrank(fail[1], d, k))
-
-
-def _unrank(idx, d, k):
-    out = []
-    for t in range(k):
-        out.append((idx // d ** (k - 1 - t)) % d)
-    return tuple(out)
+    ca, ca2 = digits(fail, d, k).tolist()
+    return tuple(ca), tuple(ca2)
 
 
 def _check_subset_generic(state: PureState, A):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from kuniform import cli
 from kuniform.cli import main
 from kuniform.fileio import read_code, read_state, read_witness, write_state
 from kuniform.fixtures import fixture_path
@@ -37,6 +38,24 @@ def test_verify_not_uniform(tmp_path, capsys):
     assert code == 4
     assert "NOT uniform" in out
     assert "failing subset" in out
+
+
+def test_verify_many_qubits(tmp_path, capsys):
+    # 65 qubits: the complement of one qubit no longer fits one int64 index
+    path = tmp_path / "ghz65.txt"
+    write_state(path, PureState.from_phases(65, 2, {(0,) * 65: 0, (1,) * 65: 0}))
+    assert run("verify", "--state", str(path), "--k", "1") == 0
+    assert "k=1: uniform" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [OverflowError, MemoryError])
+def test_verify_resource_errors_exit_2(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("instance too large")
+
+    monkeypatch.setattr(cli, "verify_uniform", fail)
+    assert run("verify", "--state", str(fixture_path("state_5qubit_d2.txt")), "--k", "1") == 2
+    assert "error: instance too large" in capsys.readouterr().err
 
 
 def test_verify_without_k_reports_max(capsys):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kuniform.codes import (
     HypothesisError,
@@ -247,3 +249,30 @@ def test_selfdual_special_case(selfdual8):
         assert min_distance(code) == k + 1
         s = state_from_code(code, k)
         assert verify_uniform(s, k).uniform
+
+
+@st.composite
+def _small_code(draw):
+    field = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])))
+    m = draw(st.integers(1, 3))
+    assume(field.q**m <= 4096)
+    n = draw(st.integers(m, 6))
+    g = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    try:
+        return LinearCode(field, np.array(g, dtype=np.int64))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_code())
+def test_codewords_match_scalar_field_arithmetic(code):
+    f = code.field
+    want = []
+    for msg in itertools.product(range(f.q), repeat=code.m):
+        word = [0] * code.n
+        for c, row in zip(msg, code.generator.tolist()):
+            word = [f.add(w, f.mul(c, x)) for w, x in zip(word, row)]
+        want.append(word)
+    assert [w.tolist() for w in codewords(code)] == want
+    assert min_distance(code) == min(sum(x != 0 for x in w) for w in want if any(w))

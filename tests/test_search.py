@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kuniform import modular
 from kuniform.fileio import append_registry, read_registry
 from kuniform.matrices import check_certificate, state_from_matrix
 from kuniform.search import (
@@ -59,6 +62,17 @@ def test_exhaustive_order_is_lexicographic():
         [2, 1],
         [2, 2],
     ]
+    # the shared digits helper, at other bases and widths and from a nonzero start
+    for base, width, start in ((2, 5, 0), (5, 3, 0), (7, 1, 0), (3, 4, 17), (4, 0, 0)):
+        want = list(itertools.product(range(base), repeat=width))[start:]
+        count = len(want)
+        rows = modular.digits(np.arange(start, start + count), base, width)
+        assert rows.tolist() == [list(t) for t in want]
+        assert (_digits_batch(0, start, count, width, base, "exhaustive") == rows).all()
+        assert modular.from_digits(rows, base).tolist() == list(range(start, start + count))
+    assert modular.from_digits(np.ones((1, 63), dtype=np.int64), 2).tolist() == [2**63 - 1]
+    with pytest.raises(OverflowError):
+        modular.from_digits(np.zeros((1, 64), dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("n,d,k,mode,budget", [

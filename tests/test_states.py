@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuniform.cyclotomic import CycInt, from_int, root_power
 from kuniform.fileio import read_state
@@ -9,6 +11,8 @@ from kuniform.fixtures import fixture_path
 from kuniform.states import (
     PureState,
     TooLargeError,
+    _check_subset_generic,
+    _check_subset_phase,
     marginal_sum,
     max_uniformity,
     verify_uniform,
@@ -139,6 +143,10 @@ def test_size_guard():
     with pytest.raises(TooLargeError) as exc:
         verify_uniform(s, 15)
     assert exc.value.estimate is not None and exc.value.estimate > 10**9
+    # 13,720 estimated operations, but a histogram of 7^7 = 823,543 entries per subset
+    with pytest.raises(TooLargeError) as exc:
+        verify_uniform(_ghz(6, 7), 3, max_ops=100_000)
+    assert exc.value.estimate == 7**7
 
 
 def test_bad_inputs():
@@ -161,3 +169,43 @@ def test_worker_count_does_not_change_result(five_qubit):
         r = verify_uniform(_w_state(), 1, workers=workers)
         # first failure in scan order: the diagonal at subset (0,), local value 0
         assert (r.failing_subset, r.failing_pair) == ((0,), ((0,), (0,)))
+
+
+def _base_digits(x, d, width):
+    out = []
+    for _ in range(width):
+        x, r = divmod(x, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def test_long_complements_do_not_wrap():
+    # 29 qudits at d=5: the tail of ket 1 is 2^64 in base 5, which wraps to
+    # the all-zero tail of ket 0 when the 28 tail digits share one int64
+    e1 = (1,) + (0,) * 27
+    tails = [(0,) * 28, _base_digits(2**64, 5, 28), e1, tuple(2 * x for x in e1), tuple(3 * x for x in e1)]
+    s = PureState.from_phases(29, 5, {(a,) + t: 0 for a, t in enumerate(tails)})
+    assert _check_subset_phase(s, (0,)) is None
+    first = next(A for A in itertools.combinations(range(29), 1) if _check_subset_generic(s, A))
+    r = verify_uniform(s, 1)
+    assert (r.failing_subset, r.failing_pair) == (first, _check_subset_generic(s, first))
+
+
+@st.composite
+def _sparse_phase_state(draw):
+    n = draw(st.integers(1, 70))
+    d = draw(st.sampled_from([2, 3, 5]))
+    # ket indices that differ by multiples of 2^64 collide in one int64 word
+    index = st.builds(lambda hi, lo: (hi * 2**64 + lo) % d**n, st.integers(0, 3), st.integers(0, 15))
+    kets = draw(st.lists(index, min_size=2, max_size=8, unique=True))
+    phases = {_base_digits(x, d, n): draw(st.integers(0, d - 1)) for x in kets}
+    k = draw(st.integers(0, min(2, n // 2)))
+    A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+    return PureState.from_phases(n, d, phases), A
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_phase_state())
+def test_phase_path_matches_generic_on_sparse_states(case):
+    s, A = case
+    assert _check_subset_phase(s, A) == _check_subset_generic(s, A)
