@@ -22,7 +22,7 @@ from . import fileio
 from .codes import HypothesisError, certified_k, dual_code, expand_code, state_from_code
 from .fields import find_trace_orthogonal_basis
 from .matrices import state_from_matrix
-from .search import SearchBudget, search_witness, table_scan
+from .search import SearchBudget, search_witness, table_from_registry, table_scan
 from .states import TooLargeError, max_uniformity, verify_uniform
 
 
@@ -36,23 +36,17 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(args.budget, args.seed, args.mode)
 
 
-def cmd_construct_matrix(args) -> int:
-    w = search_witness(args.n, args.d, args.k, _budget(args), workers=args.workers)
-    if w is None:
-        kind = "no certifying matrix exists" if args.mode == "exhaustive" else "not found within budget"
-        print(f"search exhausted: {kind} for n={args.n} d={args.d} k={args.k}")
-        return 3
-    fileio.write_witness(args.out, w)
-    print(f"witness n={w.n} d={w.d} k={w.k} found at candidate {w.provenance.index} -> {args.out}")
-    return 0
-
-
 def cmd_search(args) -> int:
+    """construct-matrix writes the witness to --out; search prints it."""
     w = search_witness(args.n, args.d, args.k, _budget(args), workers=args.workers)
     if w is None:
         kind = "no certifying matrix exists" if args.mode == "exhaustive" else "not found within budget"
         print(f"search exhausted: {kind} for n={args.n} d={args.d} k={args.k}")
         return 3
+    if args.command == "construct-matrix":
+        fileio.write_witness(args.out, w)
+        print(f"witness n={w.n} d={w.d} k={w.k} found at candidate {w.provenance.index} -> {args.out}")
+        return 0
     print(f"witness n={w.n} d={w.d} k={w.k} candidate {w.provenance.index} seed {w.provenance.seed}")
     for row in w.H:
         print(" ".join(str(int(x)) for x in row))
@@ -65,7 +59,7 @@ def cmd_search(args) -> int:
 def cmd_table(args) -> int:
     ns = range(args.n_min, args.n_max + 1)
     if args.from_registry:
-        cells = _table_from_registry(args.from_registry, args.d, ns)
+        cells = table_from_registry(args.from_registry, args.d, ns)
     else:
         cells = table_scan(
             args.d,
@@ -94,17 +88,6 @@ def cmd_table(args) -> int:
                 )
                 print(f"  n={n} k={k}: {label}")
     return 0
-
-
-def _table_from_registry(path, d, ns):
-    from .search import TableCell
-
-    cells = {n: TableCell(n=n, d=d, best_k=0, witness=None) for n in ns}
-    for w in fileio.read_registry(path):
-        if w.d == d and w.n in cells and w.k > cells[w.n].best_k:
-            cells[w.n].best_k = w.k
-            cells[w.n].witness = w
-    return cells
 
 
 def cmd_verify(args) -> int:
@@ -244,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct-matrix", help="search for a witness matrix and write it")
     add_search_flags(sp, with_out=True)
-    sp.set_defaults(func=cmd_construct_matrix)
+    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("search", help="search for a witness matrix and print it")
     add_search_flags(sp, with_out=False)

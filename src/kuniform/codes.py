@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GF, TraceOrthBasis, get_field, null_space_over_field, rref_over_field
-from .modular import digits, from_digits
+from .modular import digits, from_digits, gf_mul, row_reduce
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_CODEWORDS = 2**24
@@ -99,8 +99,6 @@ def _word_blocks(code: LinearCode, max_codewords: int):
             estimate=total,
             ceiling=max_codewords,
         )
-    if f.r > 1:
-        exp, log = np.array(f._exp), np.array(f._log)
     chunk = max(1, (1 << 18) // max(1, code.n * f.r))  # bounds each block's memory
     for s in range(0, total, chunk):
         msgs = digits(np.arange(s, min(s + chunk, total)), f.q, code.m)
@@ -109,9 +107,7 @@ def _word_blocks(code: LinearCode, max_codewords: int):
             continue
         acc = np.zeros((msgs.shape[0], code.n, f.r), dtype=np.int64)
         for c, row in zip(msgs.T, g):
-            prod = exp[(log[c][:, None] + log[row]) % (f.q - 1)]
-            prod[(c == 0)[:, None] | (row == 0)] = 0
-            acc += digits(prod, f.p, f.r).reshape(acc.shape)
+            acc += digits(gf_mul(c[:, None], row, f.tables), f.p, f.r).reshape(acc.shape)
         yield from_digits(acc % f.p, f.p)
 
 
@@ -164,23 +160,11 @@ def same_code(a: LinearCode, b: LinearCode) -> bool:
 
 def shorten_last(code: LinearCode) -> LinearCode:
     """Restrict to codewords ending in 0 and delete that coordinate."""
-    f = code.field
-    g = [list(map(int, row)) for row in code.generator]
-    pivot = next((i for i, row in enumerate(g) if row[-1]), None)
-    if pivot is None:
+    if not code.generator[:, -1].any():
         raise ValueError("all codewords already end in 0")
-    prow = g[pivot]
-    inv = f.inv(prow[-1])
-    out = []
-    for i, row in enumerate(g):
-        if i == pivot:
-            continue
-        if row[-1]:
-            c = f.mul(row[-1], inv)
-            row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, prow)]
-        out.append(row[:-1])
-    g2 = np.array(out, dtype=np.int64).reshape(len(out), code.n - 1)
-    return LinearCode(f, g2)
+    # reduced with the last coordinate first, only row 0 is nonzero there
+    red, _ = row_reduce(code.generator[:, ::-1], code.p, code.field.tables)
+    return LinearCode(code.field, red[1:, :0:-1])
 
 
 def puncture_last(code: LinearCode) -> LinearCode:
@@ -209,7 +193,10 @@ def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") 
     p, r = f.p, f.r
     # change of basis: polynomial coordinates -> basis coordinates
     bmat = np.array([f.coeffs_of(b) for b in basis.basis], dtype=np.int64).T
-    binv = _invert_mod_p(bmat, p)
+    red, _ = row_reduce(np.concatenate([bmat, np.eye(r, dtype=np.int64)], axis=1), p)
+    if (red[:, :r] != np.eye(r)).any():
+        raise ValueError("basis is not a basis: its coordinate matrix is singular mod p")
+    binv = red[:, r:]
     weights = np.array(basis.weights, dtype=np.int64)
 
     def expand_symbol(u: int) -> np.ndarray:
@@ -224,17 +211,6 @@ def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") 
             rows.append(np.concatenate([expand_symbol(u) for u in word]))
     g = np.array(rows, dtype=np.int64).reshape(len(rows), r * code.n)
     return LinearCode(get_field(p), g)
-
-
-def _invert_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    from .modular import rref_mod_p
-
-    red, pivots = rref_mod_p(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return red[:, n:]
 
 
 def reed_solomon(field: GF, n: int, m: int) -> LinearCode:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import is_prime, rank_mod_p
+from .modular import is_prime, null_space_rows, rank_mod_p, row_reduce
 
 _MAX_FIELD = 1 << 20
 
@@ -154,6 +154,8 @@ class GF:
             log[v] = i
         self._exp = exp
         self._log = log
+        # the tables as arrays for the vectorized paths; None over a prime field
+        self.tables = None if r == 1 else (np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64))
 
     # raw polynomial arithmetic on integer-encoded elements (pre-table)
     def _mul_raw(self, a: int, b: int) -> int:
@@ -380,43 +382,10 @@ def _random_basis_char2(field: GF, seed: int, max_restarts: int) -> TraceOrthBas
 
 def rref_over_field(field: GF, mat) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over an arbitrary GF, with pivot columns."""
-    m = [[int(x) for x in row] for row in np.atleast_2d(np.asarray(mat))]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                c_i = m[i][c]
-                m[i] = [field.sub(x, field.mul(c_i, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    red, rank = row_reduce(np.atleast_2d(mat), field.p, field.tables)
+    return red.tolist(), (red[:rank] != 0).argmax(axis=1).tolist()
 
 
 def null_space_over_field(field: GF, mat) -> list[list[int]]:
     """Rows spanning {x : mat @ x = 0} over the field."""
-    m, pivots = rref_over_field(field, mat)
-    cols = len(m[0]) if m else 0
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f_col in free:
-        vec = [0] * cols
-        vec[f_col] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(m[r][f_col])
-        basis.append(vec)
-    return basis
+    return null_space_rows(mat, field.p, field.tables).tolist()

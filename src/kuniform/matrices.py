@@ -49,16 +49,21 @@ def quadratic_phase(H, c, d: int) -> int:
 
 
 def check_certificate_prime(H, p: int, k: int) -> bool:
-    """Rank-based certificate over a prime modulus."""
+    """Rank-based certificate over a prime modulus, on stacks of H[A x complement] blocks."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is composite; use check_certificate_general")
     m = _validated(H, p)
     n = m.shape[0]
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    for A in itertools.combinations(range(n), k):
-        comp = [j for j in range(n) if j not in A]
-        if rank_mod_p(m[np.ix_(A, comp)], p) != k:
+    subsets = itertools.combinations(range(n), k)
+    per_block = max(1, (1 << 18) // (k * (n - k)))  # bounds each stack's memory
+    while block := list(itertools.islice(subsets, per_block)):
+        A = np.array(block)
+        outside = np.ones((len(A), n), dtype=bool)
+        outside[np.arange(len(A))[:, None], A] = False
+        comp = np.nonzero(outside)[1].reshape(len(A), n - k)
+        if (rank_mod_p(m[A[:, :, None], comp[:, None, :]], p) != k).any():
             return False
     return True
 

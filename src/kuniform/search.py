@@ -9,10 +9,27 @@ candidate sequence, any candidate is addressable directly, and workers can
 split the index space freely.  The digit is the hash reduced mod d (the
 reduction bias is below 2^-60 and identical across runs).
 
-A returned matrix always passes the public certificate check again before
-it leaves this module.  A miss is only a proof of absence in exhaustive
-mode; in random mode it just means "not found within budget", and table
-scans report the two cases differently.
+Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
+2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
+stream costs a small block while long scans still run on large ones.  Each
+chunk first passes through a vectorized screen, chosen from (d, k) alone:
+
+- d = 2 and k <= 4: the bit screen.  The rows of each H[A x complement]
+  are packed into integers, and the rank is k iff no nonempty XOR of rows
+  is zero.
+- every other (d, k): a batched rank screen.  For each prime p dividing d
+  and each k-subset A, the blocks H[A x complement] mod p of all candidates
+  still alive are row-reduced as one stack, and those of rank below k drop.
+  At a prime power d = p^e the screen is exact: a k x k block is
+  invertible over Z_(p^e) iff its determinant is nonzero mod p, and some
+  k x k block of H[A x complement] has that iff its rank mod p is k.  At
+  other levels (6, 10, ...) it is only a necessary condition.
+
+Every survivor, in index order, is rechecked with the public certificate
+check, which alone decides a hit, and a returned matrix passes that check
+again when its SymWitness is built.  A miss is only a proof of absence in
+exhaustive mode; in random mode it just means "not found within budget",
+and table scans report the two cases differently.
 """
 
 from __future__ import annotations
@@ -20,15 +37,16 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
+from .fileio import append_registry, read_registry
 from .matrices import Provenance, SymWitness, check_certificate, upper_triangle_to_matrix
-from .modular import digits, is_prime
+from .modular import digits, is_prime, row_reduce
 
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
+_FIRST_CHUNK = 1 << 10
 
 
 def splitmix64(x: int) -> int:
@@ -77,10 +95,15 @@ def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) 
     return out
 
 
-# --- fast vectorized screen for level 2 -------------------------------------
+# --- screens: drop candidates that cannot pass, a whole chunk at a time -----
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+def _blocks(n: int, k: int):
+    """Digit columns of H[A x complement] in a candidate row, for each k-subset A in order."""
+    pos = np.zeros((n, n), dtype=np.int64)
+    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        pos[i, j] = pos[j, i] = t
+    for A in itertools.combinations(range(n), k):
+        yield pos[np.ix_(A, [j for j in range(n) if j not in A])]
 
 
 def _screen_level2(digits: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -89,21 +112,13 @@ def _screen_level2(digits: np.ndarray, n: int, k: int) -> np.ndarray:
     Rows of each k x (n-k) submatrix are packed into integers; the rank is k
     iff every nonempty XOR combination of rows is nonzero.
     """
-    pos = {pair: t for t, pair in enumerate(_pairs(n))}
     alive = np.ones(digits.shape[0], dtype=bool)
-    for A in itertools.combinations(range(n), k):
+    for cols in _blocks(n, k):
         if not alive.any():
             break
-        comp = [j for j in range(n) if j not in A]
         idx = np.flatnonzero(alive)
         sub = digits[idx]
-        rows = []
-        for i in A:
-            r = np.zeros(idx.size, dtype=np.int64)
-            for t, j in enumerate(comp):
-                key = (i, j) if i < j else (j, i)
-                r |= sub[:, pos[key]] << t
-            rows.append(r)
+        rows = [(sub[:, row] << np.arange(n - k)).sum(axis=1) for row in cols]
         ok = np.ones(idx.size, dtype=bool)
         for mask in range(1, 1 << k):
             combo = np.zeros(idx.size, dtype=np.int64)
@@ -115,93 +130,42 @@ def _screen_level2(digits: np.ndarray, n: int, k: int) -> np.ndarray:
     return alive
 
 
-# --- scalar checks (any level) ----------------------------------------------
-
-def _rank_at_least(rows: list[list[int]], p: int, need: int) -> bool:
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rowr = rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rowr)]
-        r += 1
-        if r >= need:
-            return True
-    return r >= need
+def _screen_rank(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
+    """Boolean mask: for every prime p | d and every A, H[A x complement] mod p has rank k."""
+    alive = np.ones(digits.shape[0], dtype=bool)
+    primes = [p for p in range(2, d + 1) if d % p == 0 and is_prime(p)]
+    for cols in _blocks(n, k):
+        for p in primes:
+            idx = np.flatnonzero(alive)
+            if not idx.size:
+                return alive
+            _, rank = row_reduce(digits[idx[:, None, None], cols] % p, p)
+            alive[idx[rank < k]] = False
+    return alive
 
 
-def _invertible_small(rows: list[list[int]], d: int) -> bool:
-    k = len(rows)
-    if k == 1:
-        det = rows[0][0]
-    elif k == 2:
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    elif k == 3:
-        a, b, c = rows[0]
-        e, f, g = rows[1]
-        h, i, j = rows[2]
-        det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
-    else:
-        from .modular import invertible_mod_d
-
-        return invertible_mod_d(rows, d)
-    return gcd(det % d, d) == 1
-
-
-def _scalar_pass(digits_row, n: int, d: int, k: int, prime: bool, pos) -> bool:
-    entry = digits_row
-    for A in itertools.combinations(range(n), k):
-        comp = [j for j in range(n) if j not in A]
-        rows = [
-            [int(entry[pos[(i, j) if i < j else (j, i)]]) for j in comp] for i in A
-        ]
-        if prime:
-            if not _rank_at_least(rows, d, k):
-                return False
-        else:
-            found = False
-            for cols in itertools.combinations(range(len(comp)), k):
-                sub = [[row[c] for c in cols] for row in rows]
-                if _invertible_small(sub, d):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
+def _screen(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
+    """Pass mask of the screen that runs at (d, k); every true passer survives it."""
+    return _screen_level2(digits, n, k) if d == 2 and k <= 4 else _screen_rank(digits, n, d, k)
 
 
 def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str) -> int | None:
     """Index of the first certificate-passing candidate in a chunk, if any."""
-    T = n * (n - 1) // 2
-    digits = _digits_batch(base, start, count, T, d, mode)
-    prime = is_prime(d)
-    if d == 2 and k <= 4:
-        mask = _screen_level2(digits, n, k)
-        for off in np.flatnonzero(mask):
-            H = upper_triangle_to_matrix(digits[off], n, d)
-            if check_certificate(H, d, k):
-                return start + int(off)
-        return None
-    pos = {pair: t for t, pair in enumerate(_pairs(n))}
-    for off in range(count):
-        if _scalar_pass(digits[off], n, d, k, prime, pos):
-            H = upper_triangle_to_matrix(digits[off], n, d)
-            if check_certificate(H, d, k):
-                return start + off
+    digits = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    for off in np.flatnonzero(_screen(digits, n, d, k)):
+        H = upper_triangle_to_matrix(digits[off], n, d)
+        if check_certificate(H, d, k):
+            return start + int(off)
     return None
+
+
+def _chunks(total: int):
+    """(start, count) blocks that grow x4 from _FIRST_CHUNK to _CHUNK, so an early hit stays cheap."""
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        yield start, min(size, total - start)
+        start += size
+        size = min(4 * size, _CHUNK)
 
 
 def search_witness(
@@ -230,7 +194,7 @@ def search_witness(
         total = budget.max_candidates
     base = _stream_base(budget.seed, n, d, k)
 
-    chunks = [(s, min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
+    chunks = list(_chunks(total))
     hit = None
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -302,7 +266,15 @@ def table_scan(
             misses.append((k, "exhausted" if exhaustive else "budget"))
         out[n] = TableCell(n=n, d=d, best_k=best_k, witness=witness, misses=misses)
         if registry_path is not None and witness is not None:
-            from .fileio import append_registry
-
             append_registry(registry_path, witness)
     return out
+
+
+def table_from_registry(path, d: int, n_values) -> dict[int, TableCell]:
+    """Table cells from the witnesses stored in a registry file: the largest k per n at level d."""
+    cells = {n: TableCell(n=n, d=d, best_k=0, witness=None) for n in n_values}
+    for w in read_registry(path):
+        if w.d == d and w.n in cells and w.k > cells[w.n].best_k:
+            cells[w.n].best_k = w.k
+            cells[w.n].witness = w
+    return cells

@@ -243,10 +243,19 @@ def verify_uniform(
         check = lambda A: _check_subset_generic(state, A)  # noqa: E731
 
     if workers > 1 and len(subsets) > 1:
+        # at most 2 * workers subsets in flight, consumed in order, so the
+        # scan stops near the first failure and reports the lowest one
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for A, fail in zip(subsets, pool.map(check, subsets)):
+            ahead = 2 * workers
+            futures = [pool.submit(check, A) for A in subsets[:ahead]]
+            for i, A in enumerate(subsets):
+                fail = futures[i].result()
                 if fail is not None:
+                    for f in futures[i:]:
+                        f.cancel()
                     return UniformityReport(k, False, norm, A, fail)
+                if i + ahead < len(subsets):
+                    futures.append(pool.submit(check, subsets[i + ahead]))
     else:
         for A in subsets:
             fail = check(A)

@@ -100,6 +100,20 @@ def test_construct_matrix_level6(tmp_path):
     assert w.H.tolist() == [[0, 1], [1, 0]]
 
 
+def test_search_prints_the_witness_and_appends_it(tmp_path, capsys):
+    registry = tmp_path / "reg.txt"
+    code = run("search", "--n", "6", "--d", "3", "--k", "3", "--seed", "9",
+               "--budget", "1000000", "--registry", str(registry))
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "witness n=6 d=3 k=3 candidate 182 seed 9"
+    assert out[1] == "0 1 2 0 2 0"
+    assert out[-1] == f"appended to registry {registry}"
+    assert len(out) == 8
+    assert run("search", "--n", "4", "--d", "2", "--k", "2", "--mode", "exhaustive", "--budget", "64") == 3
+    assert capsys.readouterr().out == "search exhausted: no certifying matrix exists for n=4 d=2 k=2\n"
+
+
 def test_bounds_lambda(capsys):
     assert run("bounds", "--p", "2", "--lambda") == 0
     out = capsys.readouterr().out

@@ -3,13 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kuniform.fields import get_field, null_space_over_field, rref_over_field
 from kuniform.modular import (
     count_linear_solutions,
     det_mod_d,
     invertible_mod_d,
     null_space_mod_p,
     rank_mod_p,
+    row_reduce,
 )
 
 SIX = [
@@ -167,3 +171,102 @@ def test_null_space_property():
         assert ns.shape[0] == cols - rank_mod_p(g, p)
         if ns.size:
             assert not ((g @ ns.T) % p).any()
+
+
+def _rank_two(p, rng):
+    """A 3 x 3 matrix of rank 2 mod p: the third row is the sum of the first two."""
+    a = [rng.randrange(p) for _ in range(3)]
+    b = [rng.randrange(p) for _ in range(3)]
+    return [a, b, [(x + y) % p for x, y in zip(a, b)]]
+
+
+def test_elimination_refuses_primes_whose_products_wrap():
+    # (p-1)^2 >= 2^63: a product of two residues would wrap in int64
+    rng = random.Random(8)
+    for _ in range(20):
+        m = _rank_two(4_294_967_311, rng)
+        with pytest.raises(OverflowError):
+            rank_mod_p(m, 4_294_967_311)
+        with pytest.raises(OverflowError):
+            null_space_mod_p(m, 4_294_967_311)
+    # the largest prime below the bound is exact
+    p = 3_037_000_493
+    for _ in range(20):
+        m = _rank_two(p, rng)
+        assert rank_mod_p(m, p) == 2
+        (x,) = null_space_mod_p(m, p).tolist()
+        assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m)
+
+
+def test_rank_of_a_stack_is_the_rank_of_each_matrix():
+    rng = np.random.default_rng(9)
+    for p in (2, 3, 7):
+        stack = rng.integers(0, p, size=(4, 5, 3, 4))
+        ranks = rank_mod_p(stack, p)
+        assert ranks.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert ranks[idx] == rank_mod_p(stack[idx], p) == _span_rank(stack[idx], p)
+    red, rank = row_reduce(np.zeros((0, 2, 3), dtype=np.int64), 5)
+    assert red.shape == (0, 2, 3) and rank.shape == (0,)
+
+
+def _field_span_size(f, rows):
+    """Size of the row span, by scalar GF.add / GF.mul over every coefficient vector."""
+    span = set()
+    for coeffs in itertools.product(range(f.q), repeat=len(rows)):
+        v = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
+        span.add(tuple(v))
+    return len(span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_over_extension_fields(data):
+    f = get_field(*data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)])))
+    rows = data.draw(st.integers(1, 3 if f.q < 25 else 2))
+    cols = data.draw(st.integers(1, 4))
+    mat = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    red, pivots = rref_over_field(f, mat)
+    rank = len(pivots)
+    assert f.q**rank == _field_span_size(f, mat)
+    assert _field_span_size(f, red) == _field_span_size(f, mat)
+    basis = null_space_over_field(f, mat)
+    assert len(basis) == cols - rank
+    for x in basis:
+        for row in mat:
+            total = 0
+            for a, b in zip(row, x):
+                total = f.add(total, f.mul(a, b))
+            assert total == 0
+
+
+def _rank_by_minors(mat, p):
+    """Largest k with a nonzero k x k minor mod p, through the Bareiss determinant."""
+    m = np.array(mat)
+    rows, cols = m.shape
+    for k in range(min(rows, cols), 0, -1):
+        for R in itertools.combinations(range(rows), k):
+            for C in itertools.combinations(range(cols), k):
+                if det_mod_d(m[np.ix_(R, C)], p):
+                    return k
+    return 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_over_a_prime_above_two_to_the_twenty(data):
+    p = 1_048_583
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 1, 2, p - 1]) | st.integers(0, p - 1)
+    mat = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 1 and data.draw(st.booleans()):
+        mat[-1] = [(a + 3 * b) % p for a, b in zip(mat[0], mat[1])]  # force a dependency
+    rank = rank_mod_p(mat, p)
+    assert rank == _rank_by_minors(mat, p)
+    basis = null_space_mod_p(mat, p).tolist()
+    assert len(basis) == cols - rank
+    for x in basis:
+        assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in mat)

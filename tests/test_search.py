@@ -2,13 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuniform import modular
 from kuniform.fileio import append_registry, read_registry
-from kuniform.matrices import check_certificate, state_from_matrix
+from kuniform.matrices import (
+    check_certificate,
+    check_certificate_general,
+    state_from_matrix,
+    upper_triangle_to_matrix,
+)
 from kuniform.search import (
     SearchBudget,
     _digits_batch,
+    _screen,
+    _screen_level2,
+    _screen_rank,
     _stream_base,
     search_witness,
     splitmix64,
@@ -95,6 +105,53 @@ def test_seed_replays_identically():
     b = search_witness(6, 3, 3, SearchBudget(10**6, seed=9, mode="random"))
     assert a.provenance.index == b.provenance.index
     assert (a.H == b.H).all()
+    # pinned indices: no screen or chunk schedule may move the first hit
+    for (n, d, k), budget, index in [
+        ((6, 3, 3), SearchBudget(10**6, seed=9, mode="random"), 182),
+        ((6, 5, 3), SearchBudget(10**6, seed=0, mode="random"), 13),
+        ((4, 3, 2), SearchBudget(3**6, seed=0, mode="exhaustive"), 123),
+        ((5, 6, 2), SearchBudget(10**5, seed=0, mode="random"), 97),
+        ((6, 10, 3), SearchBudget(2 * 10**4, seed=0, mode="random"), 2418),
+    ]:
+        assert search_witness(n, d, k, budget).provenance.index == index, (n, d, k)
+
+
+def _assert_screen_agrees(rows, n, d, k):
+    """Against the determinant certificate: equal at prime powers, a superset elsewhere."""
+    mask = _screen(rows, n, d, k)
+    want = np.array([check_certificate_general(upper_triangle_to_matrix(r, n, d), d, k) for r in rows])
+    if d in (2, 3, 4, 5, 9):
+        assert (mask == want).all()
+    else:
+        assert (mask >= want).all()
+    return want
+
+
+@pytest.mark.parametrize("n,d,k", [(5, 2, 2), (4, 3, 2), (4, 4, 1), (3, 6, 1), (2, 9, 1)])
+def test_screen_is_exact_on_whole_small_spaces(n, d, k):
+    T = n * (n - 1) // 2
+    assert _assert_screen_agrees(_digits_batch(0, 0, d**T, T, d, "exhaustive"), n, d, k).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(4, 3, 2), (5, 3, 2), (6, 3, 3), (4, 4, 2), (5, 4, 2), (4, 5, 2), (6, 5, 3),
+                     (4, 9, 2), (6, 2, 3), (8, 2, 4), (10, 2, 5), (5, 6, 2), (5, 10, 2)]),
+    st.integers(0, 2**32),
+    st.integers(0, 10**4),
+)
+def test_screen_matches_the_determinant_certificate(case, seed, start):
+    n, d, k = case
+    rows = _digits_batch(_stream_base(seed, n, d, k), start, 48, n * (n - 1) // 2, d, "random")
+    _assert_screen_agrees(rows, n, d, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4, 1), (5, 2), (6, 3), (7, 3), (8, 4)]), st.integers(0, 2**32))
+def test_bit_screen_agrees_with_batched_screen(case, seed):
+    n, k = case
+    rows = _digits_batch(_stream_base(seed, n, 2, k), 0, 512, n * (n - 1) // 2, 2, "random")
+    assert (_screen_level2(rows, n, k) == _screen_rank(rows, n, 2, k)).all()
 
 
 def test_found_witnesses_pass_recheck_and_oracle():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuniform import states
 from kuniform.cyclotomic import CycInt, from_int, root_power
 from kuniform.fileio import read_state
 from kuniform.fixtures import fixture_path
@@ -169,6 +170,28 @@ def test_worker_count_does_not_change_result(five_qubit):
         r = verify_uniform(_w_state(), 1, workers=workers)
         # first failure in scan order: the diagonal at subset (0,), local value 0
         assert (r.failing_subset, r.failing_pair) == ((0,), ((0,), (0,)))
+
+
+def test_parallel_verify_stops_at_the_first_failure(monkeypatch, five_qubit):
+    calls = []
+    check = states._check_subset_phase
+    monkeypatch.setattr(states, "_check_subset_phase", lambda s, A: calls.append(A) or check(s, A))
+    n = 40
+    w = PureState.from_phases(n, 2, {tuple(int(i == j) for j in range(n)): 0 for i in range(n)})
+    one = verify_uniform(w, 3)
+    assert (one.uniform, one.failing_subset, len(calls)) == (False, (0, 1, 2), 1)
+    calls.clear()
+    two = verify_uniform(w, 3, workers=2)
+    assert (two.failing_subset, two.failing_pair) == (one.failing_subset, one.failing_pair)
+    assert len(calls) <= 2 * 2
+    # the 5-qubit 2-uniform state next to a qubit in |0>: the first subset
+    # holding qubit 5 is (0, 5), the fifth in scan order
+    padded = PureState(6, 2, {key + (0,): amp for key, amp in five_qubit.amps.items()})
+    for workers in (1, 2, 3):
+        calls.clear()
+        r = verify_uniform(padded, 2, workers=workers)
+        assert (r.failing_subset, r.failing_pair) == ((0, 5), ((0, 0), (0, 0)))
+        assert 5 <= len(calls) <= 5 + 2 * workers - 1
 
 
 def _base_digits(x, d, width):
