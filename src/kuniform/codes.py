@@ -259,5 +259,5 @@ def state_from_code(
     ddist = min_distance(dual_code(code), max_codewords, workers=workers)
     if ddist < k + 1:
         raise HypothesisError("dual", ddist, k + 1)
-    phases = {tuple(w): 0 for block in _word_blocks(code, max_codewords) for w in block.tolist()}
-    return PureState.from_phases(code.n, code.p, phases)
+    words = np.concatenate(list(_word_blocks(code, max_codewords)))
+    return PureState._from_arrays(code.n, code.p, words, exponents=np.zeros(len(words), dtype=np.int64))

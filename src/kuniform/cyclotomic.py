@@ -144,6 +144,11 @@ class CycInt:
     def is_zero(self) -> bool:
         return zero_test(self)
 
+    def root_exponent(self) -> int | None:
+        """e when the vector is exactly zeta^e (one coefficient 1, the rest 0), else None."""
+        nz = [j for j, c in enumerate(self.coeffs) if c]
+        return nz[0] if len(nz) == 1 and self.coeffs[nz[0]] == 1 else None
+
     def integer_value(self) -> int | None:
         """The rational integer this value equals, or None if irrational."""
         _, rem = _poly_divmod(self.coeffs, cyclotomic_polynomial(self.level))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .codes import LinearCode
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, root_power
 from .fields import get_field
 from .matrices import Provenance, SymWitness, upper_triangle_to_matrix
 from .states import PureState
@@ -39,15 +39,15 @@ def _data_lines(text: str) -> list[str]:
 # --- states -------------------------------------------------------------------
 
 def state_to_text(state: PureState) -> str:
+    if state.exponents is not None:
+        amps = [f"^{e}" for e in state.exponents.tolist()]
+    else:
+        amps = [
+            " ".join(str(c) for c in amp.coeffs) if (e := amp.root_exponent()) is None else f"^{e}"
+            for amp in state.values
+        ]
     lines = [f"{state.n} {state.d}"]
-    for key in sorted(state.amps):
-        amp = state.amps[key]
-        digits = " ".join(str(x) for x in key)
-        nz = [j for j, c in enumerate(amp.coeffs) if c]
-        if len(nz) == 1 and amp.coeffs[nz[0]] == 1:
-            lines.append(f"{digits} ^{nz[0]}")
-        else:
-            lines.append(f"{digits} " + " ".join(str(c) for c in amp.coeffs))
+    lines += [" ".join(str(x) for x in key) + " " + amp for key, amp in zip(state.keys.tolist(), amps)]
     return "\n".join(lines) + "\n"
 
 
@@ -56,23 +56,27 @@ def state_from_text(text: str) -> PureState:
     if not lines:
         raise ValueError("empty state file")
     n, d = (int(x) for x in lines[0].split())
-    amps = {}
+    keys, amps, seen = [], [], set()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) < n + 1:
             raise ValueError(f"short amplitude line: {line!r}")
         key = tuple(int(x) for x in parts[:n])
+        if key in seen:
+            raise ValueError(f"basis string repeated in line {line!r}")
+        seen.add(key)
         rest = parts[n:]
         if rest[0].startswith("^"):
-            e = int(rest[0][1:]) % d
-            coeffs = [0] * d
-            coeffs[e] = 1
+            amps.append(int(rest[0][1:]))
         else:
             if len(rest) != d:
                 raise ValueError(f"expected {d} coefficients: {line!r}")
-            coeffs = [int(x) for x in rest]
-        amps[key] = CycInt(d, tuple(coeffs))
-    return PureState(n, d, amps)
+            amps.append(CycInt(d, tuple(int(x) for x in rest)))
+        keys.append(key)
+    if all(isinstance(e, int) for e in amps):
+        return PureState._from_arrays(n, d, keys, exponents=amps)
+    values = [root_power(d, e) if isinstance(e, int) else e for e in amps]
+    return PureState._from_arrays(n, d, keys, values=values)
 
 
 def write_state(path, state: PureState) -> None:

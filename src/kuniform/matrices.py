@@ -159,6 +159,4 @@ def state_from_matrix(w: SymWitness, max_kets: int = DEFAULT_MAX_KETS, workers: 
             ceiling=max_kets,
         )
     strings, phases = all_phases(w.H, n, d)
-    return PureState.from_phases(
-        n, d, {tuple(map(int, s)): int(e) for s, e in zip(strings, phases)}
-    )
+    return PureState._from_arrays(n, d, strings, exponents=phases)

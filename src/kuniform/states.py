@@ -1,18 +1,21 @@
 """Pure n-qudit states with exact amplitudes and the uniformity oracle.
 
-A state is a sparse table from basis strings in Z_d^n to cyclotomic-integer
-amplitudes (absent strings have amplitude zero; normalization is never
-applied, since the uniformity criterion is scale-invariant).  The oracle
-checks, for every k-subset A of positions and every pair of local strings
-(cA, cA2), the overlap sum over the complementary positions: off-diagonal
-pairs must vanish exactly and diagonal pairs must all equal norm / d^k
-exactly.  It knows nothing about how a state was constructed.
+A state is a sorted int64 table of basis strings in Z_d^n with, per row,
+either an exponent e (amplitude zeta_d^e) when every amplitude is a single
+root of unity, or a cyclotomic-integer amplitude (absent strings have
+amplitude zero; normalization is never applied, since the uniformity
+criterion is scale-invariant).  The oracle checks, for every k-subset A of
+positions and every pair of local strings (cA, cA2), the overlap sum over
+the complementary positions: off-diagonal pairs must vanish exactly and
+diagonal pairs must all equal norm / d^k exactly.  It knows nothing about
+how a state was constructed.
 
-When every amplitude is a single root of unity the oracle runs a vectorized
-path: for each subset the overlaps are accumulated as exponent histograms
-and tested for zero through one integer matrix product against the
-cyclotomic reduction matrix.  Counts are bounded by the state support and
-the reduction-matrix entries are small, so the int64 arithmetic is exact.
+For exponent states the oracle runs a vectorized path: for each subset the
+kets are grouped by their complementary strings, the groups of each size
+are gathered into one block, and the overlaps are accumulated as exponent
+histograms and tested for zero through one integer matrix product against
+the cyclotomic reduction matrix.  Counts are bounded by the state support
+and the reduction-matrix entries are small, so the int64 arithmetic is exact.
 
 Every int64 packing on that path is bounded where it is made.  A local
 string cA is packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
@@ -36,8 +39,6 @@ from .modular import digits, from_digits
 
 DEFAULT_MAX_OPS = 10**9
 
-_UNSET = object()
-
 
 class TooLargeError(RuntimeError):
     """An instance exceeds a configured size ceiling; carries the estimate."""
@@ -48,76 +49,98 @@ class TooLargeError(RuntimeError):
         self.ceiling = ceiling
 
 
+def _words(cols: np.ndarray, d: int) -> list[np.ndarray]:
+    """Digit columns packed into int64 words of at most w digits (d^w <= 2^62), leading word first."""
+    w = next(w for w in range(62, 0, -1) if d**w <= 1 << 62)
+    return [from_digits(cols[:, s : s + w], d) for s in range(0, cols.shape[1], w)]
+
+
 class PureState:
-    """Unnormalized pure state: basis string tuple -> CycInt amplitude."""
+    """Unnormalized pure state on n qudits of level d, held as arrays.
+
+    keys       (support, n) int64 basis strings, lexsorted, no duplicates.
+    exponents  int64 vector with amplitude zeta_d^e for each row when every
+               amplitude is a single root of unity, else None.
+    values     tuple of CycInt amplitudes aligned with the rows otherwise,
+               else None.
+
+    amps and phase_map() are dict views built from these arrays on demand.
+    """
 
     def __init__(self, n: int, d: int, amplitudes: dict):
-        if n < 1 or d < 2:
-            raise ValueError(f"invalid shape n={n} d={d}")
-        self.n = n
-        self.d = d
-        amps = {}
-        for key, amp in amplitudes.items():
-            key = tuple(int(x) for x in key)
-            if len(key) != n or any(not 0 <= x < d for x in key):
-                raise ValueError(f"basis string {key} not in Z_{d}^{n}")
-            if not isinstance(amp, CycInt):
-                raise TypeError(f"amplitude for {key} is not a CycInt")
-            if amp.level != d:
-                raise ValueError(f"amplitude level {amp.level} != state level {d}")
-            if not _trivially_nonzero(amp) and amp.is_zero():
-                continue
-            amps[key] = amp
-        if not amps:
-            raise ValueError("state has no nonzero amplitude")
-        self.amps = amps
-        self._phase_map = _UNSET
-        self._key_array = None
+        self._assign(n, d, np.array(list(amplitudes), dtype=np.int64), values=amplitudes.values())
 
     @classmethod
     def from_phases(cls, n: int, d: int, phases: dict) -> PureState:
         """State whose amplitudes are the roots zeta_d^e for e in phases."""
+        return cls._from_arrays(n, d, np.array(list(phases), dtype=np.int64), exponents=list(phases.values()))
+
+    @classmethod
+    def _from_arrays(cls, n, d, keys, exponents=None, values=None) -> PureState:
         state = cls.__new__(cls)
+        state._assign(n, d, keys, exponents, values)
+        return state
+
+    def _assign(self, n, d, keys, exponents=None, values=None):
+        """Validate and store: exactly one of exponents and values is given, aligned with keys."""
         if n < 1 or d < 2:
             raise ValueError(f"invalid shape n={n} d={d}")
-        state.n = n
-        state.d = d
-        amps = {}
-        pmap = {}
-        for key, e in phases.items():
-            key = tuple(int(x) for x in key)
-            if len(key) != n or any(not 0 <= x < d for x in key):
-                raise ValueError(f"basis string {key} not in Z_{d}^{n}")
-            e = int(e) % d
-            amps[key] = root_power(d, e)
-            pmap[key] = e
-        if not amps:
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size == 0:
+            keys = keys.reshape(0, n)
+        if keys.ndim != 2 or keys.shape[1] != n:
+            raise ValueError(f"basis strings must have {n} digits")
+        outside = ((keys < 0) | (keys >= d)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"basis string {tuple(keys[outside][0].tolist())} not in Z_{d}^{n}")
+        if values is not None:
+            values = tuple(values)
+            for amp in values:
+                if not isinstance(amp, CycInt):
+                    raise TypeError(f"amplitude {amp!r} is not a CycInt")
+                if amp.level != d:
+                    raise ValueError(f"amplitude level {amp.level} != state level {d}")
+            keep = np.array([amp.root_exponent() is not None or not amp.is_zero() for amp in values], dtype=bool)
+            keys, values = keys[keep], tuple(amp for amp, kept in zip(values, keep) if kept)
+            roots = [amp.root_exponent() for amp in values]
+            if None not in roots:
+                exponents, values = roots, None
+        if not len(keys):
             raise ValueError("state has no nonzero amplitude")
-        state.amps = amps
-        state._phase_map = pmap
-        state._key_array = None
-        return state
+        order = np.lexsort(_words(keys, d)[::-1])
+        keys = keys[order]
+        twice = (keys[1:] == keys[:-1]).all(axis=1)
+        if twice.any():
+            raise ValueError(f"basis string {tuple(keys[1:][twice][0].tolist())} occurs twice")
+        self.n, self.d, self.keys = n, d, keys
+        self.keys.setflags(write=False)
+        self.exponents = None if exponents is None else (np.asarray(exponents) % d).astype(np.int64)[order]
+        self.values = None if values is None else tuple(values[i] for i in order.tolist())
+
+    def _amplitudes(self):
+        """The CycInt amplitudes aligned with the rows of keys."""
+        if self.values is not None:
+            return self.values
+        roots = [root_power(self.d, e) for e in range(self.d)]
+        return [roots[e] for e in self.exponents.tolist()]
+
+    @property
+    def amps(self) -> dict:
+        """Basis string tuple -> CycInt amplitude (a view built on each access)."""
+        return dict(zip(map(tuple, self.keys.tolist()), self._amplitudes()))
 
     def phase_map(self) -> dict | None:
         """Basis string -> exponent when all amplitudes are single roots, else None."""
-        if self._phase_map is _UNSET:
-            pmap = {}
-            for key, amp in self.amps.items():
-                nz = [j for j, c in enumerate(amp.coeffs) if c]
-                if len(nz) == 1 and amp.coeffs[nz[0]] == 1:
-                    pmap[key] = nz[0]
-                else:
-                    pmap = None
-                    break
-            self._phase_map = pmap
-        return self._phase_map
+        if self.exponents is None:
+            return None
+        return dict(zip(map(tuple, self.keys.tolist()), self.exponents.tolist()))
 
     def norm(self) -> CycInt:
         """Exact  <state|state>  as a cyclotomic integer."""
-        if self.phase_map() is not None:
-            return from_int(self.d, len(self.amps))
+        if self.exponents is not None:
+            return from_int(self.d, len(self))
         total = from_int(self.d, 0)
-        for amp in self.amps.values():
+        for amp in self.values:
             total = total + amp.conjugate() * amp
         return total
 
@@ -129,35 +152,23 @@ class PureState:
 
     def relabel(self, perm) -> PureState:
         """Permute qudit positions: new position i holds old position perm[i]."""
-        perm = tuple(perm)
-        return PureState(
-            self.n, self.d, {tuple(key[p] for p in perm): amp for key, amp in self.amps.items()}
-        )
+        perm = [int(p) for p in perm]
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm} is not a permutation of range({self.n})")
+        return PureState._from_arrays(self.n, self.d, self.keys[:, perm], self.exponents, self.values)
 
     def scale_phase(self, e: int) -> PureState:
         """Multiply every amplitude by zeta_d^e (a global phase)."""
+        if self.exponents is not None:
+            return PureState._from_arrays(self.n, self.d, self.keys, exponents=self.exponents + e % self.d)
         z = root_power(self.d, e)
-        return PureState(self.n, self.d, {key: amp * z for key, amp in self.amps.items()})
-
-    def _arrays(self):
-        if self._key_array is None:
-            keys = sorted(self.amps)
-            K = np.array(keys, dtype=np.int64).reshape(len(keys), self.n)
-            pmap = self.phase_map()
-            E = np.array([pmap[k] for k in keys], dtype=np.int64) if pmap is not None else None
-            self._key_array = (K, E)
-        return self._key_array
+        return PureState._from_arrays(self.n, self.d, self.keys, values=[amp * z for amp in self.values])
 
     def __len__(self):
-        return len(self.amps)
+        return len(self.keys)
 
     def __repr__(self):
-        return f"PureState(n={self.n}, d={self.d}, kets={len(self.amps)})"
-
-
-def _trivially_nonzero(amp: CycInt) -> bool:
-    nz = [c for c in amp.coeffs if c]
-    return len(nz) == 1
+        return f"PureState(n={self.n}, d={self.d}, kets={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -192,7 +203,7 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     B = tuple(i for i in range(state.n) if i not in aset)
     left = {}
     right = {}
-    for key, amp in state.amps.items():
+    for key, amp in zip(state.keys.tolist(), state._amplitudes()):
         pa = _project(key, A)
         if pa == ca:
             left[_project(key, B)] = amp
@@ -220,9 +231,7 @@ def verify_uniform(
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
         raise ValueError(f"k={k} out of range for n={n} (need 0 <= k <= n/2)")
-    if not state.amps:
-        raise ValueError("state has no nonzero amplitude")
-    support = len(state.amps)
+    support = len(state)
     for what, estimate in (
         ("elementary operations", comb(n, k) * d**k * support),
         ("histogram entries per subset", d ** (2 * k + 1)),
@@ -234,10 +243,9 @@ def verify_uniform(
                 ceiling=max_ops,
             )
     norm = state.norm_value()
-    pure_phase = state.phase_map() is not None
 
     subsets = list(itertools.combinations(range(n), k))
-    if pure_phase:
+    if state.exponents is not None:
         check = lambda A: _check_subset_phase(state, A)  # noqa: E731
     else:
         check = lambda A: _check_subset_generic(state, A)  # noqa: E731
@@ -281,67 +289,49 @@ def _check_subset_phase(state: PureState, A):
     n, d = state.n, state.d
     k = len(A)
     dk = d**k
-    K, E = state._arrays()
+    K, E = state.keys, state.exponents
     support = K.shape[0]
     aset = set(A)
-    B = tuple(i for i in range(n) if i not in aset)
+    B = [i for i in range(n) if i not in aset]
 
-    w = next(w for w in range(62, 0, -1) if d**w <= 1 << 62)
-    words = [from_digits(K[:, B[s : s + w]], d) for s in range(0, len(B), w)]
+    # group the kets by their complementary strings
+    words = _words(K[:, B], d)
     order = np.lexsort(words[::-1])
-    a_s = from_digits(K[:, A], d)[order]
+    a_s = from_digits(K[:, list(A)], d)[order]
     e_s = E[order]
+    edge = np.ones(support + 1, dtype=bool)  # edge[i]: a group starts at i, or i is the end
+    edge[1:-1] = False
+    for word in words:
+        b_s = word[order]
+        edge[1:-1] |= b_s[1:] != b_s[:-1]
+    edges = np.flatnonzero(edge)
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
 
+    # every ordered pair (i, j) within a group, one (count, g) block per group
+    # size g, binned at (a_i d^k + a_j) d + (e_j - e_i mod d), the wrap of the
+    # exponent difference added as a comparison; keys are distinct, so
+    # g <= d^k and a block row holds g^2 <= d^(2k) pairs
+    lo, hi = a_s * (dk * d) - e_s, a_s * d + e_s
     hist = np.zeros(dk * dk * d, dtype=np.int64)
-    full = support == d**n
-    if full and k:
-        groups = support // dk
-        a_g = a_s.reshape(groups, dk)
-        e_g = e_s.reshape(groups, dk)
-        chunk = max(1, int(2_000_000 // (dk * dk)))
-        for s in range(0, groups, chunk):
-            ag = a_g[s : s + chunk]
-            eg = e_g[s : s + chunk]
-            codes = (ag[:, :, None] * dk + ag[:, None, :]) * d + (eg[:, None, :] - eg[:, :, None]) % d
-            hist += np.bincount(codes.ravel(), minlength=hist.size)
-    else:
-        new_group = np.zeros(support - 1, dtype=bool)
-        for word in words:
-            b_s = word[order]
-            new_group |= b_s[1:] != b_s[:-1]
-        boundaries = np.flatnonzero(new_group) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [support]))
-        for s, e in zip(starts, ends):
-            ag = a_s[s:e]
-            eg = e_s[s:e]
-            codes = (ag[:, None] * dk + ag[None, :]) * d + (eg[None, :] - eg[:, None]) % d
+    for g in np.flatnonzero(np.bincount(sizes)).tolist():
+        first = starts[sizes == g]
+        chunk = max(1, 2_000_000 // (g * g))
+        for s in range(0, len(first), chunk):
+            rows = first[s : s + chunk, None] + np.arange(g)
+            eg = e_s[rows]
+            codes = lo[rows][:, :, None] + hi[rows][:, None, :] + d * (eg[:, None, :] < eg[:, :, None])
             hist += np.bincount(codes.ravel(), minlength=hist.size)
 
     T = hist.reshape(dk, dk, d)
+    # off-diagonal: the histogram polynomial must reduce to zero mod Phi_d;
     # diagonal: exponent-0 mass must be exactly support / d^k for every cA
-    diag_ok = np.array([T[x, x, 0] * dk == support for x in range(dk)])
-    # off-diagonal: the histogram polynomial must reduce to zero mod Phi_d
-    R = reduction_matrix(d)
-    rem = T.reshape(dk * dk, d) @ R
-    off_zero = ~rem.any(axis=1)
-    off_zero = off_zero.reshape(dk, dk)
-
-    fail = None
-    for x in range(dk):
-        for y in range(dk):
-            if x == y:
-                if not diag_ok[x]:
-                    fail = (x, y)
-                    break
-            elif not off_zero[x, y]:
-                fail = (x, y)
-                break
-        if fail:
-            break
-    if fail is None:
+    bad = (T.reshape(dk * dk, d) @ reduction_matrix(d)).any(axis=1).reshape(dk, dk)
+    x = np.arange(dk)
+    bad[x, x] = T[x, x, 0] * dk != support
+    fail = np.flatnonzero(bad)
+    if not fail.size:
         return None
-    ca, ca2 = digits(fail, d, k).tolist()
+    ca, ca2 = digits(divmod(int(fail[0]), dk), d, k).tolist()
     return tuple(ca), tuple(ca2)
 
 
@@ -352,7 +342,7 @@ def _check_subset_generic(state: PureState, A):
     aset = set(A)
     B = tuple(i for i in range(n) if i not in aset)
     groups: dict = {}
-    for key, amp in state.amps.items():
+    for key, amp in zip(state.keys.tolist(), state._amplitudes()):
         groups.setdefault(_project(key, B), []).append((_project(key, A), amp))
     pair_sums: dict = {}
     for entries in groups.values():

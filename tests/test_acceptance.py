@@ -279,6 +279,22 @@ def test_criterion_9_property_suites():
     _verdict(9, f"all property suites pass at their stated sizes ({elapsed:.1f}s)")
 
 
+def test_expanded_gf9_reed_solomon_state_is_4_uniform():
+    # GF(9) RS[9,4] expanded over a trace-orthogonal basis: the [18,8]
+    # ternary code with distance 6 and dual distance 5, so its 6,561-ket
+    # state is 4-uniform; the oracle meets one ket per B-group throughout
+    from kuniform.codes import expand_code, reed_solomon
+
+    t0 = time.perf_counter()
+    code = expand_code(reed_solomon(get_field(3, 2), 9, 4), find_trace_orthogonal_basis(3, 2, seed=0), "primal")
+    assert (code.n, code.m, code.p) == (18, 8, 3)
+    state = state_from_code(code, 4)
+    report = verify_uniform(state, 4, max_ops=2 * 10**9)
+    assert report.uniform and report.norm == 6561
+    elapsed = time.perf_counter() - t0
+    print(f"\n[18,8] code state: PASS  18 qutrits, 4-uniform over 3,060 subsets ({elapsed:.1f}s)")
+
+
 def test_criterion_10_desk_scale_guards():
     t0 = time.perf_counter()
     # large table cells are out of reach and must refuse loudly, not hang

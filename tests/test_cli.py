@@ -40,6 +40,14 @@ def test_verify_not_uniform(tmp_path, capsys):
     assert "failing subset" in out
 
 
+def test_verify_rejects_repeated_basis_strings(tmp_path, capsys):
+    # 1 + zeta_2 = 0 at 00 leaves |11>, which is not 1-uniform
+    path = tmp_path / "twice.txt"
+    path.write_text("2 2\n0 0 ^0\n0 0 ^1\n1 1 ^0\n")
+    assert run("verify", "--state", str(path), "--k", "1") == 2
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_verify_many_qubits(tmp_path, capsys):
     # 65 qubits: the complement of one qubit no longer fits one int64 index
     path = tmp_path / "ghz65.txt"

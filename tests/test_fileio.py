@@ -19,7 +19,7 @@ from kuniform.fileio import (
     write_witness,
 )
 from kuniform.fixtures import fixture_path
-from kuniform.matrices import Provenance, SymWitness
+from kuniform.matrices import Provenance, SymWitness, state_from_matrix
 from kuniform.states import PureState
 
 
@@ -46,9 +46,22 @@ def test_state_roundtrip_general_coeffs(tmp_path):
     assert s2.amps[(1, 2)].coeffs == (0, 1, 0)
 
 
+def test_state_writer_matches_golden_files(data_dir):
+    w = read_witness(fixture_path("witness_6x6_d2.txt"))
+    golden = data_dir / "states" / "witness_6x6_d2_state.txt"
+    assert state_to_text(state_from_matrix(w)) == golden.read_text()
+    general = PureState(2, 3, {(0, 0): CycInt(3, (1, 2, 0)), (1, 2): root_power(3, 1)})
+    assert state_to_text(general) == (data_dir / "states" / "general_coeffs_d3.txt").read_text()
+
+
 def test_state_parse_errors():
     with pytest.raises(ValueError):
         state_from_text("")
+    # the amplitudes at 00 sum to 1 + zeta_2 = 0: keeping only one would be wrong
+    with pytest.raises(ValueError, match="0 0 \\^1"):
+        state_from_text("2 2\n0 0 ^0\n0 0 ^1\n1 1 ^0\n")
+    with pytest.raises(ValueError):
+        state_from_text("2 0\n0 0 ^0\n")  # level 0: no exponent is reduced mod 0
     with pytest.raises(ValueError):
         state_from_text("2 2\n0 0\n")  # missing amplitude
     with pytest.raises(ValueError):

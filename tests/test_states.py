@@ -9,6 +9,7 @@ from kuniform import states
 from kuniform.cyclotomic import CycInt, from_int, root_power
 from kuniform.fileio import read_state
 from kuniform.fixtures import fixture_path
+from kuniform.matrices import all_phases, upper_triangle_to_matrix
 from kuniform.states import (
     PureState,
     TooLargeError,
@@ -91,6 +92,9 @@ def test_relabeling_invariance(five_qubit):
     w = _w_state()
     for perm in itertools.permutations(range(3)):
         assert not verify_uniform(w.relabel(perm), 1).uniform
+    for bad in ([0, 0, 1], [0, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            w.relabel(bad)
 
 
 def test_global_phase_invariance(five_qubit):
@@ -157,6 +161,11 @@ def test_bad_inputs():
         PureState(2, 2, {(0, 0, 0): root_power(2, 0)})
     with pytest.raises(ValueError):
         PureState(2, 2, {(0, 0): root_power(3, 0)})
+    # distinct dict keys that are the same basis string once converted to ints
+    with pytest.raises(ValueError, match="occurs twice"):
+        PureState(2, 2, {(0.5, 1): root_power(2, 0), (0, 1): root_power(2, 1)})
+    with pytest.raises(ValueError, match="occurs twice"):
+        PureState.from_phases(2, 2, {(0.5, 1): 0, (0, 1): 1})
     s = _ghz(2)
     with pytest.raises(ValueError):
         marginal_sum(s, (0,), (0, 1), (0,))
@@ -216,14 +225,31 @@ def test_long_complements_do_not_wrap():
 
 @st.composite
 def _sparse_phase_state(draw):
+    if draw(st.booleans()):
+        # full support: the quadratic phases of a random zero-diagonal
+        # symmetric H, which may or may not certify k-uniformity
+        n = draw(st.integers(2, 5))
+        d = draw(st.sampled_from([2, 3, 4]))
+        tri = draw(st.lists(st.integers(0, d - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
+        k = draw(st.integers(0, n // 2))
+        A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+        return PureState.from_phases(n, d, dict(zip(map(tuple, strings.tolist()), exps.tolist()))), A
     n = draw(st.integers(1, 70))
     d = draw(st.sampled_from([2, 3, 5]))
-    # ket indices that differ by multiples of 2^64 collide in one int64 word
-    index = st.builds(lambda hi, lo: (hi * 2**64 + lo) % d**n, st.integers(0, 3), st.integers(0, 15))
-    kets = draw(st.lists(index, min_size=2, max_size=8, unique=True))
-    phases = {_base_digits(x, d, n): draw(st.integers(0, d - 1)) for x in kets}
     k = draw(st.integers(0, min(2, n // 2)))
     A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+    # ket indices that differ by multiples of 2^64 collide in one int64 word
+    index = st.builds(lambda hi, lo: (hi * 2**64 + lo) % d**n, st.integers(0, 3), st.integers(0, 15))
+    tails = draw(st.lists(index, min_size=1, max_size=6, unique=True))
+    # kets that share a tail and differ on A share their complementary
+    # string, so the B-groups come in mixed sizes
+    phases = {}
+    for _ in range(draw(st.integers(2, 8))):
+        ket = list(_base_digits(draw(st.sampled_from(tails)), d, n))
+        for a in A:
+            ket[a] = draw(st.integers(0, d - 1))
+        phases[tuple(ket)] = draw(st.integers(0, d - 1))
     return PureState.from_phases(n, d, phases), A
 
 
