@@ -4,9 +4,15 @@ Subcommands: construct-matrix, construct-code, verify, search, table,
 bounds, concat, emit-state.  Exit codes are a stable contract:
 
     0  success
-    2  usage or parse error (including out-of-range parameters)
+    2  usage or parse error (including out-of-range parameters and
+       unreadable or unwritable files)
     3  search exhausted without a find
     4  certificate or verification failure
+
+Commands return 0, 3 or 4 themselves and raise on every other failure.
+main is the only place that maps an exception to an exit code: it prints
+"error: ..." on stderr and returns 2.  (construct-code alone catches a
+failed distance hypothesis, which is its exit 4.)
 
 All randomness enters through --seed (default 0, never wall clock).
 """
@@ -15,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import fileio
@@ -24,12 +29,6 @@ from .fields import find_trace_orthogonal_basis
 from .matrices import state_from_matrix
 from .search import SearchBudget, search_witness, table_from_registry, table_scan
 from .states import TooLargeError, max_uniformity, verify_uniform
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 def _budget(args) -> SearchBudget:
@@ -91,14 +90,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        state = fileio.read_state(args.state)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read state: {exc}", 2)
+    state = fileio.read_state(args.state)
     if args.method != "oracle":
-        raise CliError(f"unknown method {args.method!r}", 2)
+        raise ValueError(f"unknown method {args.method!r}")
     if args.k is not None and not 0 <= 2 * args.k <= state.n:
-        raise CliError(f"k={args.k} out of range for n={state.n} (need 0 <= k <= n/2)", 2)
+        raise ValueError(f"k={args.k} out of range for n={state.n} (need 0 <= k <= n/2)")
     print(f"state: n={state.n} d={state.d} kets={len(state)}")
     if args.k is None:
         k = max_uniformity(state, max_ops=args.max_ops, workers=args.workers)
@@ -126,11 +122,8 @@ def cmd_bounds(args) -> int:
         print(f"lambda_constructive: {lb['constructive']:.6f} (t={lb['constructive_t']})")
         return 0
     if args.n is None:
-        raise CliError("bounds needs --n (with optional --k) or --lambda", 2)
-    try:
-        rep = bounds_mod.bound_report(args.p, args.n, args.k, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+        raise ValueError("bounds needs --n (with optional --k) or --lambda")
+    rep = bounds_mod.bound_report(args.p, args.n, args.k, tol=args.tol)
     print(f"p={args.p} n={args.n}" + (f" k={args.k}" if args.k is not None else ""))
     if rep.np_bound is not None:
         sign = "positive (witness exists)" if rep.np_bound > 0 else "not positive (no claim)"
@@ -145,12 +138,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct_code(args) -> int:
-    try:
-        code = fileio.read_code(args.code)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read code: {exc}", 2)
+    code = fileio.read_code(args.code)
     if code.r != 1:
-        raise CliError("state construction needs a prime-field code; run concat first", 2)
+        raise ValueError("state construction needs a prime-field code; run concat first")
     best_k, dist, ddist = certified_k(code, workers=args.workers)
     k = args.k if args.k is not None else best_k
     print(f"code: [{code.n}, {code.m}] over GF({code.p}), distance {dist}, dual distance {ddist}")
@@ -166,12 +156,9 @@ def cmd_construct_code(args) -> int:
 
 
 def cmd_concat(args) -> int:
-    try:
-        code = fileio.read_code(args.code)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read code: {exc}", 2)
+    code = fileio.read_code(args.code)
     if code.r < 2:
-        raise CliError("concat needs a code over an extension field GF(p^r), r >= 2", 2)
+        raise ValueError("concat needs a code over an extension field GF(p^r), r >= 2")
     basis = find_trace_orthogonal_basis(code.p, code.r, seed=args.seed)
     primal = expand_code(code, basis, "primal")
     dualw = expand_code(dual_code(code), basis, "dual")
@@ -190,21 +177,15 @@ def cmd_concat(args) -> int:
 
 def cmd_emit_state(args) -> int:
     if (args.witness is None) == (args.code is None):
-        raise CliError("emit-state needs exactly one of --witness or --code", 2)
-    try:
-        if args.witness:
-            w = fileio.read_witness(args.witness)
-            state = state_from_matrix(w)
-        else:
-            code = fileio.read_code(args.code)
-            if code.r != 1:
-                raise CliError("emit-state needs a prime-field code", 2)
-            best_k, _, _ = certified_k(code)
-            state = state_from_code(code, best_k)
-    except CliError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot build state: {exc}", 2)
+        raise ValueError("emit-state needs exactly one of --witness or --code")
+    if args.witness:
+        state = state_from_matrix(fileio.read_witness(args.witness))
+    else:
+        code = fileio.read_code(args.code)
+        if code.r != 1:
+            raise ValueError("emit-state needs a prime-field code")
+        best_k, _, _ = certified_k(code)
+        state = state_from_code(code, best_k)
     fileio.write_state(args.out, state)
     print(f"state with {len(state)} kets -> {args.out}")
     return 0
@@ -292,10 +273,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (TooLargeError, ValueError, OverflowError, MemoryError) as exc:
+    except (TooLargeError, ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -253,6 +253,8 @@ def state_from_code(
         raise ValueError("state construction needs a prime-field code; expand it first")
     if code.m == 0:
         raise ValueError("the zero code gives a product state, not accepted here")
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     dist = min_distance(code, max_codewords, workers=workers)
     if dist < k + 1:
         raise HypothesisError("code", dist, k + 1)

@@ -2,7 +2,9 @@
 
 Every writer's output re-parses to an equal in-memory value.  Lines starting
 with '#' are comments everywhere; the witness format uses one to carry
-provenance, which round-trips too.
+provenance, which round-trips too.  Readers refuse data they would not use
+(a line past the declared rows, a token after an amplitude) with a
+ValueError naming the line.
 
 state file     header "n d", then one line per nonzero amplitude: n basis
                digits followed either by "^e" (amplitude zeta_d^e, written
@@ -67,6 +69,8 @@ def state_from_text(text: str) -> PureState:
         seen.add(key)
         rest = parts[n:]
         if rest[0].startswith("^"):
+            if len(rest) != 1:
+                raise ValueError(f"data after the amplitude: {line!r}")
             amps.append(int(rest[0][1:]))
         else:
             if len(rest) != d:
@@ -109,6 +113,8 @@ def witness_from_text(text: str) -> SymWitness:
     rows = [[int(x) for x in ln.split()] for ln in data[1 : n + 1]]
     if len(rows) != n:
         raise ValueError(f"expected {n} matrix rows")
+    if len(data) > n + 1:
+        raise ValueError(f"line after the {n} matrix rows: {data[n + 1]!r}")
     prov = Provenance("fixture")
     for ln in lines:
         if ln.startswith("#") and "method=" in ln:
@@ -166,6 +172,8 @@ def code_from_text(text: str) -> LinearCode:
         rows.append(row)
     if len(rows) != m:
         raise ValueError(f"expected {m} generator rows")
+    if len(lines) > m + 1:
+        raise ValueError(f"line after the {m} generator rows: {lines[m + 1]!r}")
     g = np.array(rows, dtype=np.int64).reshape(m, n)
     return LinearCode(field, g)
 

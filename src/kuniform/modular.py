@@ -36,11 +36,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _as_mod_array(mat, modulus: int) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % modulus
-    return a
-
-
 def digits(idx, base: int, width: int) -> np.ndarray:
     """Base-`base` digits of each index, most significant first, shape (len(idx), width).
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,26 +195,16 @@ def search_witness(
         total = budget.max_candidates
     base = _stream_base(budget.seed, n, d, k)
 
-    chunks = list(_chunks(total))
+    def scan(chunk):
+        return _first_pass_in_chunk(*chunk, n, d, k, base, budget.mode)
+
+    # waves of max(1, workers) chunks, drawn lazily; the lowest hit in a wave wins
+    chunks = _chunks(total)
     hit = None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for w in range(0, len(chunks), workers):
-                wave = chunks[w : w + workers]
-                futs = [
-                    pool.submit(_first_pass_in_chunk, s, c, n, d, k, base, budget.mode)
-                    for s, c in wave
-                ]
-                results = [f.result() for f in futs]
-                found = [r for r in results if r is not None]
-                if found:
-                    hit = min(found)
-                    break
-    else:
-        for s, c in chunks:
-            hit = _first_pass_in_chunk(s, c, n, d, k, base, budget.mode)
-            if hit is not None:
-                break
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        while hit is None and (wave := list(itertools.islice(chunks, max(1, workers)))):
+            hit = min((r for r in run(scan, wave) if r is not None), default=None)
     if hit is None:
         return None
     digits = _digits_batch(base, hit, 1, T, d, budget.mode)[0]

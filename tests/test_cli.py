@@ -153,6 +153,9 @@ def test_construct_code(tmp_path, capsys):
     assert "certified k: 3" in out
     state = read_state(out_file)
     assert len(state) == 16
+    assert run("construct-code", "--code", str(fixture_path("code_8_4_4_binary.txt")),
+               "--k", "-1", "--out", str(tmp_path / "neg.txt")) == 2
+    assert "error: k=-1 is negative" in capsys.readouterr().err
 
 
 def test_construct_code_hypothesis_failure(tmp_path, capsys):
@@ -211,6 +214,33 @@ def test_table_porcelain(capsys, tmp_path):
     assert code == 0
     lines = [ln.split() for ln in out.strip().splitlines()]
     assert [ln[2] for ln in lines] == ["1", "1", "1", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--d", "2", "--n-max", "2", "--from-registry", "{missing}"],
+    ["table", "--d", "2", "--n-max", "2", "--budget", "4", "--registry", "{missing}/r"],
+    ["search", "--n", "2", "--d", "2", "--k", "1", "--registry", "{missing}/r"],
+    ["construct-matrix", "--n", "2", "--d", "2", "--k", "1", "--out", "{missing}/x"],
+    ["emit-state", "--witness", "{witness}", "--out", "{missing}/x"],
+    ["construct-code", "--code", "{code}", "--out", "{missing}/x"],
+    ["concat", "--code", "{ext_code}", "--out", "{missing}/x"],
+], ids=["table-from-registry", "table-registry", "search-registry", "construct-matrix-out",
+        "emit-state-out", "construct-code-out", "concat-out"])
+def test_unreadable_or_unwritable_files_exit_2(tmp_path, capsys, argv):
+    from kuniform.codes import reed_solomon
+    from kuniform.fields import get_field
+    from kuniform.fileio import write_code
+
+    write_code(tmp_path / "rs42.txt", reed_solomon(get_field(2, 2), 4, 2))
+    paths = {
+        "missing": str(tmp_path / "missing"),
+        "witness": str(fixture_path("witness_6x6_d2.txt")),
+        "code": str(fixture_path("code_8_4_4_binary.txt")),
+        "ext_code": str(tmp_path / "rs42.txt"),
+    }
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "missing") in err
 
 
 def test_usage_error_exit_code():

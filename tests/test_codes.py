@@ -90,6 +90,8 @@ def test_state_from_code_examples(selfdual8):
     rs25 = reed_solomon(get_field(5, 2), 5, 2)
     with pytest.raises(ValueError):
         state_from_code(rs25, 1)
+    with pytest.raises(ValueError, match="negative"):
+        state_from_code(selfdual8, -1)
 
 
 def test_state_from_code_hypothesis_failure():

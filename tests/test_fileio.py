@@ -66,6 +66,8 @@ def test_state_parse_errors():
         state_from_text("2 2\n0 0\n")  # missing amplitude
     with pytest.raises(ValueError):
         state_from_text("2 2\n0 0 1 0 0\n")  # wrong coefficient count
+    with pytest.raises(ValueError, match="0 0 \\^0 7"):
+        state_from_text("2 2\n0 0 ^0 7\n")  # data after the amplitude
 
 
 def test_witness_roundtrip(tmp_path):
@@ -83,6 +85,15 @@ def test_witness_roundtrip(tmp_path):
     assert (w2.n, w2.d, w2.k) == (2, 6, 1)
     assert w2.provenance == w.provenance
     assert witness_from_text(witness_to_text(w2)).provenance == w.provenance
+
+
+def test_witness_parse_errors():
+    good = witness_to_text(read_witness(fixture_path("witness_6x6_d2.txt")))
+    assert witness_from_text(good + "\n# a comment\n\n").n == 6
+    with pytest.raises(ValueError, match="0 1 1 0 1 1"):
+        witness_from_text(good + "0 1 1 0 1 1\n")  # a row after the n-th matrix row
+    with pytest.raises(ValueError):
+        witness_from_text("2 2 1\n0 1\n")  # missing matrix row
 
 
 def test_witness_fixture_provenance():
@@ -119,3 +130,6 @@ def test_code_parse_errors():
         code_from_text("3 1 2 1\n1 1\n")  # wrong row length
     good = code_to_text(reed_solomon(get_field(2), 2, 1))
     assert code_from_text(good).n == 2
+    assert code_from_text(good + "# a comment\n\n").n == 2
+    with pytest.raises(ValueError, match="0 1 1"):
+        code_from_text("3 1 2 1\n1 1 1\n0 1 1\n")  # a row after the m-th generator row

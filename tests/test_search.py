@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuniform import modular
+from kuniform import modular, search
 from kuniform.fileio import append_registry, read_registry
 from kuniform.matrices import (
     check_certificate,
@@ -114,6 +114,22 @@ def test_seed_replays_identically():
         ((6, 10, 3), SearchBudget(2 * 10**4, seed=0, mode="random"), 2418),
     ]:
         assert search_witness(n, d, k, budget).provenance.index == index, (n, d, k)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_early_hit_draws_only_the_chunks_it_scans(monkeypatch, workers):
+    # a budget of 10^10 is about 3*10^5 chunks; the hit at 182 lies in the first one
+    real_chunks = search._chunks
+
+    def three_chunks_then_fail(total):
+        for i, chunk in enumerate(real_chunks(total)):
+            if i == 3:
+                raise AssertionError("chunk schedule drawn past the first hit")
+            yield chunk
+
+    monkeypatch.setattr(search, "_chunks", three_chunks_then_fail)
+    w = search_witness(6, 3, 3, SearchBudget(10**10, seed=9, mode="random"), workers=workers)
+    assert w.provenance.index == 182
 
 
 def _assert_screen_agrees(rows, n, d, k):
