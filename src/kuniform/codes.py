@@ -16,6 +16,11 @@ Extension-field codes enter through concatenation: a trace-orthogonal basis
 turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
 code, weight-scaled expansion for its dual), and the two expansions are dual
 to each other over F_p.
+
+Field arithmetic on code entries -- the evaluation powers of reed_solomon,
+the products of an expansion, the sums of the codeword enumerator -- runs on
+whole arrays through the field's tables (GF.mul_array, GF.pow_array) and
+modular.digits, never one element at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GF, TraceOrthBasis, get_field, null_space_over_field, rref_over_field
-from .modular import digits, from_digits, gf_mul, row_reduce
+from .modular import digits, from_digits, row_reduce
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_CODEWORDS = 2**24
@@ -107,7 +112,7 @@ def _word_blocks(code: LinearCode, max_codewords: int):
             continue
         acc = np.zeros((msgs.shape[0], code.n, f.r), dtype=np.int64)
         for c, row in zip(msgs.T, g):
-            acc += digits(gf_mul(c[:, None], row, f.tables), f.p, f.r).reshape(acc.shape)
+            acc += digits(f.mul_array(c[:, None], row), f.p, f.r).reshape(acc.shape)
         yield from_digits(acc % f.p, f.p)
 
 
@@ -191,26 +196,18 @@ def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") 
     if which not in ("primal", "dual"):
         raise ValueError(f"unknown expansion {which!r}")
     p, r = f.p, f.r
-    # change of basis: polynomial coordinates -> basis coordinates
-    bmat = np.array([f.coeffs_of(b) for b in basis.basis], dtype=np.int64).T
+    # change of basis: digit rows -> basis coordinates
+    bmat = digits(basis.basis, p, r).T
     red, _ = row_reduce(np.concatenate([bmat, np.eye(r, dtype=np.int64)], axis=1), p)
     if (red[:, :r] != np.eye(r)).any():
         raise ValueError("basis is not a basis: its coordinate matrix is singular mod p")
     binv = red[:, r:]
-    weights = np.array(basis.weights, dtype=np.int64)
-
-    def expand_symbol(u: int) -> np.ndarray:
-        coeffs = np.array(f.coeffs_of(u), dtype=np.int64)
-        b = (binv @ coeffs) % p
-        return (b * weights) % p if which == "dual" else b
-
-    rows = []
-    for grow in code.generator if code.m else []:
-        for alpha in basis.basis:
-            word = [f.mul(alpha, int(u)) for u in grow]
-            rows.append(np.concatenate([expand_symbol(u) for u in word]))
-    g = np.array(rows, dtype=np.int64).reshape(len(rows), r * code.n)
-    return LinearCode(get_field(p), g)
+    # row (i, a) is alpha_a times generator row i; symbol j becomes coordinates (j, 0..r-1)
+    products = f.mul_array(np.array(basis.basis)[:, None], code.generator[:, None, :])
+    coords = digits(products, p, r) @ binv.T % p
+    if which == "dual":
+        coords = coords * np.array(basis.weights) % p
+    return LinearCode(get_field(p), coords.reshape(r * code.m, r * code.n))
 
 
 def reed_solomon(field: GF, n: int, m: int) -> LinearCode:
@@ -224,12 +221,8 @@ def reed_solomon(field: GF, n: int, m: int) -> LinearCode:
         raise ValueError(f"length {n} exceeds field size {field.q}")
     if not 0 <= m <= n:
         raise ValueError(f"dimension {m} out of range")
-    points = field.eval_point_order()[:n]
-    g = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
-        for j, pt in enumerate(points):
-            g[i, j] = field.pow(pt, i)
-    return LinearCode(field, g)
+    points = np.array(field.eval_point_order()[:n], dtype=np.int64)
+    return LinearCode(field, field.pow_array(points, np.arange(m)[:, None]))
 
 
 def certified_k(

@@ -3,9 +3,19 @@
 Elements are encoded as integers in [0, p^r): the base-p digits of the code
 are the coefficients of the element over the fixed modulus polynomial, least
 significant digit first.  The modulus is the lowest monic irreducible of
-degree r in this integer encoding, found by exhaustive scan, so the encoding
-is identical across runs.  Multiplication goes through discrete log/exp
-tables built once per field; tables are immutable after construction.
+degree r in this integer encoding, found by scanning with Rabin's test, so
+the encoding is identical across runs.
+
+The field has one arithmetic.  A single vectorized product, _mulmod, of
+coefficient rows modulo the modulus and p builds every table once per
+field: the smallest generator (candidates in small ascending batches), the
+exp table by doubling (multiplying by g^s is an r x r matrix over F_p,
+applied in bounded blocks), the log table, and a q-entry trace table.
+After that every product, inverse, power and trace is a table lookup, and
+every sum is digit-wise mod p through modular.digits and from_digits; the
+scalar methods and their array forms (mul_array, pow_array, trace_array)
+read the same tables, which are immutable after construction.  The
+trace-orthogonal basis searches work on whole arrays of candidates.
 """
 
 from __future__ import annotations
@@ -16,99 +26,86 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import is_prime, null_space_rows, rank_mod_p, row_reduce
+from .modular import digits, from_digits, gf_mul, is_prime, null_space_rows, rank_mod_p, row_reduce
 
 _MAX_FIELD = 1 << 20
+_BLOCK = 1 << 15  # elements per vectorized step of the table builds
 
 
-def _poly_mulmod(a, b, modulus, p):
-    """Multiply coefficient lists mod (modulus polynomial, p)."""
+def _reduction(modulus, p: int) -> np.ndarray:
+    """(r*r, r) matrix: row t*r + u is x^(2r-2-t-u) reduced mod (modulus, p).
+
+    Coefficient rows are digit rows as modular.digits writes them: digit t is
+    the coefficient of x^(r-1-t), so digits t and u multiply into that power.
+    """
     r = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    for i in range(len(out) - 1, r - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(r + 1):
-                out[i - r + j] = (out[i - r + j] - c * modulus[j]) % p
-    out = out[:r] + [0] * (r - len(out))
-    return out[:r]
+    powers = np.zeros((2 * r - 1, r), dtype=np.int64)  # x^j, least significant first
+    powers[:r] = np.eye(r, dtype=np.int64)
+    top = -np.array(modulus[:r], dtype=np.int64) % p  # x^r
+    for j in range(r, 2 * r - 1):  # x^j = x * x^(j-1): up one degree, x^r folded back
+        powers[j] = (np.concatenate(([0], powers[j - 1, :-1])) + powers[j - 1, -1] * top) % p
+    degree = 2 * r - 2 - np.add.outer(np.arange(r), np.arange(r))
+    return powers[degree.ravel(), ::-1]
 
 
-def _poly_powmod(base, e, modulus, p):
-    result = [1] + [0] * (len(modulus) - 2)
-    b = list(base)
+def _mulmod(a, b, red: np.ndarray, p: int) -> np.ndarray:
+    """Product of coefficient rows (..., r), broadcast, modulo the modulus behind red and p.
+
+    Entries stay below r^2 (p-1)^2, which is under 2^63 for every field of
+    at most 2^20 elements.
+    """
+    outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :] % p
+    return outer.reshape(*outer.shape[:-2], -1) @ red % p
+
+
+def _powmod(a, e: int, red: np.ndarray, p: int) -> np.ndarray:
+    """a^e for coefficient rows a (..., r), by square and multiply."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.zeros_like(a)
+    out[..., -1] = 1
     while e:
         if e & 1:
-            result = _poly_mulmod(result, b, modulus, p)
-        b = _poly_mulmod(b, b, modulus, p)
-        e >>= 1
-    return result
+            out = _mulmod(out, a, red, p)
+        a, e = _mulmod(a, a, red, p), e >> 1
+    return out
 
 
-def _is_irreducible(coeffs, p):
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
-    r = len(coeffs) - 1
-    x = [0, 1]
-    # x^(p^r) must equal x mod f
-    xq = _poly_powmod(x, p**r, coeffs, p)
-    if xq != ([0, 1] + [0] * (r - 2) if r >= 2 else [0]):
+def _is_irreducible(modulus, p: int) -> bool:
+    """Irreducibility of a monic polynomial of degree r >= 2 over F_p (Rabin's test).
+
+    x^(p^r) must equal x, and for each prime s dividing r, x^(p^(r/s)) - x
+    must be a unit mod the polynomial, i.e. multiplication by it must be an
+    invertible r x r matrix over F_p.
+    """
+    r = len(modulus) - 1
+    red = _reduction(modulus, p)
+    x = digits(p, p, r)[0]
+    if (_powmod(x, p**r, red, p) != x).any():
         return False
-    for s in _prime_factors(r):
-        xe = _poly_powmod(x, p ** (r // s), coeffs, p)
-        diff = [(a - b) % p for a, b in zip(xe, [0, 1] + [0] * (r - 2))]
-        if not _poly_gcd_is_one(coeffs, diff, p):
-            return False
-    return True
+    eye = np.eye(r, dtype=np.int64)
+    return all(
+        rank_mod_p(_mulmod(eye, (_powmod(x, p ** (r // s), red, p) - x) % p, red, p), p) == r
+        for s in _prime_factors(r)
+    )
 
 
 def _prime_factors(n):
-    out = []
-    f = 2
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _poly_gcd_is_one(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def deg(v):
-        for i in range(len(v) - 1, -1, -1):
-            if v[i]:
-                return i
-        return -1
-
-    while True:
-        db = deg(b)
-        if db < 0:
-            return deg(a) == 0
-        if db == 0:
-            return True
-        da = deg(a)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], -1, p)
-        c = (a[da] * inv) % p
-        shift = da - db
-        for j in range(db + 1):
-            a[j + shift] = (a[j + shift] - c * b[j]) % p
-        # loop continues with reduced a
+    return out + [n] * (n > 1)
 
 
 class GF:
-    """The field GF(p^r) with deterministic element encoding and tables."""
+    """The field GF(p^r) with deterministic element encoding and tables.
+
+    The scalar methods take and return Python ints; mul_array, pow_array and
+    trace_array are their elementwise forms on integer arrays of any shape.
+    """
 
     def __init__(self, p: int, r: int = 1):
         if not is_prime(p):
@@ -130,73 +127,71 @@ class GF:
             return (0, 1)  # x
         for low in range(p**r):
             coeffs = self.coeffs_of(low) + (1,)
-            if _is_irreducible(list(coeffs), p):
+            if _is_irreducible(coeffs, p):
                 return coeffs
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        # find the smallest generator in integer encoding
-        factors = _prime_factors(q - 1) if q > 2 else []
-        gen = None
-        for a in range(2, q) if q > 2 else [1]:
-            if all(self._pow_raw(a, (q - 1) // s) != 1 for s in factors):
-                gen = a
+        red = _reduction(self.modulus, p)
+        one = digits(1, p, r)[0]
+        # the smallest generator: a^((q-1)/s) != 1 for every prime s | q-1
+        exponents = [(q - 1) // s for s in _prime_factors(q - 1)]
+        for lo in range(1, q, 64):
+            cands = np.arange(lo, min(lo + 64, q))
+            rows = digits(cands, p, r)
+            ok = np.ones(cands.size, dtype=bool)
+            for e in exponents:
+                ok &= (_powmod(rows, e, red, p) != one).any(axis=-1)
+            if ok.any():
+                self.generator = int(cands[ok.argmax()])
                 break
-        if gen is None:
-            gen = 1
-        self.generator = gen
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-        # the tables as arrays for the vectorized paths; None over a prime field
-        self.tables = None if r == 1 else (np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64))
+        # exp[s:2s] = exp[:s] * g^s, where times g^s is an r x r matrix on digit rows
+        exp = np.ones(q - 1, dtype=np.int64)
+        eye = np.eye(r, dtype=np.int64)
+        gs, s = digits(self.generator, p, r)[0], 1
+        while s < q - 1:
+            times, todo = _mulmod(eye, gs, red, p), min(s, q - 1 - s)
+            for lo in range(0, todo, _BLOCK):
+                hi = min(lo + _BLOCK, todo)
+                exp[s + lo : s + hi] = from_digits(digits(exp[lo:hi], p, r) @ times % p, p)
+            gs, s = _mulmod(gs, gs, red, p), 2 * s
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        # Tr(a) = sum of a^(p^i), i < r; it lies in F_p, so only the constant
+        # (lowest) digits need summing
+        trace = np.zeros(q, dtype=np.int64)
+        logs = log[1:].copy()  # log a^(p^i) of every nonzero a
+        for _ in range(r):
+            trace[1:] += exp[logs] % p
+            logs = logs * p % (q - 1)
+        self._tables = (exp, log)
+        self._trace = trace % p
+        # the tables the elimination kernel takes; None over a prime field
+        self.tables = None if r == 1 else self._tables
 
-    # raw polynomial arithmetic on integer-encoded elements (pre-table)
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        prod = _poly_mulmod(list(self.coeffs_of(a)), list(self.coeffs_of(b)), list(self.modulus), self.p)
-        return self.from_coeffs(prod)
+    def mul_array(self, a, b) -> np.ndarray:
+        return gf_mul(a, b, self._tables)
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return result
+    def pow_array(self, a, e) -> np.ndarray:
+        """a^e elementwise, with 0^0 = 1 and 0^e = 0 otherwise."""
+        (exp, log), a, e = self._tables, np.asarray(a), np.asarray(e)
+        return np.where(a == 0, e == 0, exp[log[a] * e % (self.q - 1)])
+
+    def trace_array(self, a) -> np.ndarray:
+        return self._trace[a]
 
     def coeffs_of(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(digits(a, self.p, self.r)[0, ::-1].tolist())
 
     def from_coeffs(self, coeffs) -> int:
-        a = 0
-        for c in reversed(list(coeffs)):
-            a = a * self.p + (c % self.p)
-        return a
+        return int(from_digits(np.array(list(coeffs), dtype=np.int64)[::-1] % self.p, self.p))
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        return self.from_coeffs(
-            (x + y) % self.p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))
-        )
+        return int(from_digits(digits([a, b], self.p, self.r).sum(axis=0) % self.p, self.p))
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        return self.from_coeffs((-x) % self.p for x in self.coeffs_of(a))
+        return int(from_digits(-digits(a, self.p, self.r)[0] % self.p, self.p))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -204,33 +199,28 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        exp, log = self._tables
+        return int(exp[(log[a] + log[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        exp, log = self._tables
+        return int(exp[-log[a] % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        exp, log = self._tables
+        return int(exp[int(log[a]) * e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Trace down to F_p: sum of a^(p^i) for i < r, always in [0, p)."""
-        t = 0
-        x = a
-        for _ in range(self.r):
-            t = self.add(t, x)
-            x = self.pow(x, self.p)
-        assert t < self.p, "trace landed outside the prime subfield"
-        return t
+        return int(self._trace[a])
 
     def eval_point_order(self) -> list[int]:
         """Fixed enumeration 0, 1, g, g^2, ... used for evaluation codes."""
-        if self.q == 2:
-            return [0, 1]
-        return [0] + [self._exp[i] for i in range(self.q - 1)]
+        return [0] + self._tables[0].tolist()
 
     def scalar_embed(self, c: int) -> int:
         """Element of the prime subfield F_p as a field element."""
@@ -269,18 +259,17 @@ class TraceOrthBasis:
 
     def verify(self) -> bool:
         f = self.field
-        if len(self.basis) != f.r:
+        basis = np.array(self.basis, dtype=np.int64)
+        if basis.shape != (f.r,) or rank_mod_p(digits(basis, f.p, f.r), f.p) != f.r:
             return False
-        coeff_rows = [f.coeffs_of(b) for b in self.basis]
-        if rank_mod_p(np.array(coeff_rows), f.p) != f.r:
-            return False
-        for i, bi in enumerate(self.basis):
-            if f.trace(f.mul(bi, bi)) != self.weights[i] or self.weights[i] == 0:
-                return False
-            for bj in self.basis[i + 1 :]:
-                if f.trace(f.mul(bi, bj)) != 0:
-                    return False
-        return True
+        gram = _trace_form(f, basis[:, None], basis)
+        weights = np.diag(gram)
+        return bool(weights.all() and (weights == self.weights).all() and (gram == np.diag(weights)).all())
+
+
+def _trace_form(field: GF, a, b) -> np.ndarray:
+    """Tr(a b) elementwise, the symmetric F_p-bilinear form the bases are orthogonal for."""
+    return field.trace_array(field.mul_array(a, b))
 
 
 def find_trace_orthogonal_basis(p: int, r: int, seed: int = 0, max_restarts: int = 20000) -> TraceOrthBasis:
@@ -292,10 +281,6 @@ def find_trace_orthogonal_basis(p: int, r: int, seed: int = 0, max_restarts: int
     used instead.  The result is re-verified before returning either way.
     """
     field = get_field(p, r)
-    if r == 1:
-        basis = TraceOrthBasis(field, (1,), (1,))
-        assert basis.verify()
-        return basis
     if p % 2 == 1:
         basis = _orthogonalize_odd(field)
     else:
@@ -306,75 +291,64 @@ def find_trace_orthogonal_basis(p: int, r: int, seed: int = 0, max_restarts: int
 
 
 def _orthogonalize_odd(field: GF) -> TraceOrthBasis:
-    f = field
-    # start from the polynomial basis 1, x, x^2, ...
-    vecs = [f.from_coeffs([0] * i + [1]) for i in range(f.r)]
+    """Gram-Schmidt for Tr(xy), starting from the polynomial basis 1, x, x^2, ..."""
+    f, p, r = field, field.p, field.r
+    vecs = p ** np.arange(r, dtype=np.int64)
     chosen = []
-    while vecs:
-        v = None
-        for u in vecs:
-            if f.trace(f.mul(u, u)) != 0:
-                v = u
-                break
-        if v is None:
+    while vecs.size:
+        norms = _trace_form(f, vecs, vecs)
+        if norms.any():
+            v = vecs[(norms != 0).argmax()]
+        else:
             # nondegeneracy guarantees some pair sum works in odd characteristic
-            for i in range(len(vecs)):
-                for j in range(i + 1, len(vecs)):
-                    w = f.add(vecs[i], vecs[j])
-                    if f.trace(f.mul(w, w)) != 0:
-                        v = w
-                        break
-                if v is not None:
-                    break
-        if v is None:
-            raise RuntimeError("orthogonalization stalled; form degenerate?")
-        chosen.append(v)
-        tvv = f.trace(f.mul(v, v))
-        inv_tvv = pow(tvv, -1, f.p)
-        projected = []
-        for u in vecs:
-            c = (f.trace(f.mul(u, v)) * inv_tvv) % f.p
-            u2 = f.sub(u, f.mul(f.scalar_embed(c), v))
-            if u2 != 0:
-                projected.append(u2)
-        # keep a linearly independent subset of the projected vectors
-        vecs = _independent_subset(f, projected, f.r - len(chosen))
-    weights = tuple(f.trace(f.mul(v, v)) for v in chosen)
+            rows = digits(vecs, p, r)
+            sums = from_digits((rows[:, None] + rows) % p, p)
+            ok = np.triu(_trace_form(f, sums, sums) != 0, 1)
+            if not ok.any():
+                raise RuntimeError("orthogonalization stalled; form degenerate?")
+            v = sums.flat[ok.argmax()]
+        chosen.append(int(v))
+        c = _trace_form(f, vecs, v) * pow(int(_trace_form(f, v, v)), -1, p) % p
+        projected = (digits(vecs, p, r) - c[:, None] * digits(v, p, r)) % p
+        projected = projected[projected.any(axis=1)]
+        # keep the rows that are independent of the rows before them
+        vecs = from_digits(projected[_independent_prefix(projected, p)][: r - len(chosen)], p)
+    weights = tuple(_trace_form(f, chosen, chosen).tolist())
     return TraceOrthBasis(f, tuple(chosen), weights)
 
 
-def _independent_subset(field: GF, vecs, want: int):
-    rows = []
-    out = []
-    for v in vecs:
-        trial = rows + [field.coeffs_of(v)]
-        if rank_mod_p(np.array(trial), field.p) == len(trial):
-            rows = trial
-            out.append(v)
-            if len(out) == want:
-                break
-    return out
+def _independent_prefix(rows: np.ndarray, p: int) -> np.ndarray:
+    """Indices of the rows that raise the rank of the rows before them over F_p."""
+    k = len(rows)
+    prefixes = np.where(np.tri(k, dtype=bool)[:, :, None], rows, 0)
+    return np.flatnonzero(np.diff(rank_mod_p(prefixes, p), prepend=0))
 
 
 def _random_basis_char2(field: GF, seed: int, max_restarts: int) -> TraceOrthBasis:
+    """Seeded greedy search: the first candidate in a shuffled order that is
+    trace-orthogonal to, and independent of, every element chosen so far."""
     f = field
     rng = random.Random(seed)
     # in characteristic 2 the weight condition Tr(a^2) != 0 means Tr(a) = 1
-    candidates = [a for a in range(1, f.q) if f.trace(a) == 1]
+    candidates = np.flatnonzero(f.trace_array(np.arange(f.q)) == 1).tolist()
     for _ in range(max_restarts):
         rng.shuffle(candidates)
+        order = np.array(candidates, dtype=np.int64)
+        open_ = np.ones(order.size, dtype=bool)  # orthogonal to every chosen element
+        span = np.zeros(f.q, dtype=bool)  # the F_2-span of the chosen elements
+        span[0] = True
         chosen: list[int] = []
-        rows: list[tuple[int, ...]] = []
-        for a in candidates:
-            if any(f.trace(f.mul(a, b)) != 0 for b in chosen):
-                continue
-            trial = rows + [f.coeffs_of(a)]
-            if rank_mod_p(np.array(trial), 2) != len(trial):
-                continue
+        while len(chosen) < f.r:
+            free = np.flatnonzero(open_ & ~span[order])
+            if not free.size:
+                break
+            a = int(order[free[0]])
             chosen.append(a)
-            rows = trial
-            if len(chosen) == f.r:
-                return TraceOrthBasis(f, tuple(chosen), (1,) * f.r)
+            open_ &= _trace_form(f, order, a) == 0
+            # adding a in characteristic 2 is XOR of the integer encodings
+            span[np.flatnonzero(span) ^ a] = True
+        if len(chosen) == f.r:
+            return TraceOrthBasis(f, tuple(chosen), (1,) * f.r)
     raise RuntimeError(
         f"no trace-orthogonal basis found for GF(2^{f.r}) within {max_restarts} restarts; retry with a new seed"
     )

@@ -26,6 +26,7 @@ from .codes import LinearCode
 from .cyclotomic import CycInt, root_power
 from .fields import get_field
 from .matrices import Provenance, SymWitness, upper_triangle_to_matrix
+from .modular import digits, from_digits
 from .states import PureState
 
 
@@ -113,6 +114,9 @@ def witness_from_text(text: str) -> SymWitness:
     rows = [[int(x) for x in ln.split()] for ln in data[1 : n + 1]]
     if len(rows) != n:
         raise ValueError(f"expected {n} matrix rows")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"matrix row {i + 1} has {len(row)} entries, expected {n}: {data[i + 1]!r}")
     if len(data) > n + 1:
         raise ValueError(f"line after the {n} matrix rows: {data[n + 1]!r}")
     prov = Provenance("fixture")
@@ -141,14 +145,9 @@ def read_witness(path) -> SymWitness:
 
 def code_to_text(code: LinearCode) -> str:
     lines = [f"{code.n} {code.m} {code.p} {code.r}"]
-    f = code.field
-    for row in code.generator:
-        if f.r == 1:
-            lines.append(" ".join(str(int(x)) for x in row))
-        else:
-            lines.append(
-                " ".join(",".join(str(c) for c in f.coeffs_of(int(x))) for x in row)
-            )
+    # each entry's base-p digits, least significant first
+    entries = digits(code.generator, code.p, code.r)[:, ::-1].reshape(code.m, code.n, code.r)
+    lines += [" ".join(",".join(map(str, entry)) for entry in row) for row in entries.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -165,16 +164,18 @@ def code_from_text(text: str) -> LinearCode:
             raise ValueError(f"expected {n} entries per row: {ln!r}")
         row = []
         for part in parts:
-            digits = [int(x) for x in part.split(",")]
-            if len(digits) not in (1, r):
+            coeffs = [int(x) for x in part.split(",")]
+            if len(coeffs) not in (1, r):
                 raise ValueError(f"bad entry {part!r} for extension degree {r}")
-            row.append(field.from_coeffs(digits + [0] * (r - len(digits))))
+            row.append(coeffs + [0] * (r - len(coeffs)))
+        if not all(0 <= c < p for entry in row for c in entry):
+            raise ValueError(f"digit outside 0..{p - 1}: {ln!r}")
         rows.append(row)
     if len(rows) != m:
         raise ValueError(f"expected {m} generator rows")
     if len(lines) > m + 1:
         raise ValueError(f"line after the {m} generator rows: {lines[m + 1]!r}")
-    g = np.array(rows, dtype=np.int64).reshape(m, n)
+    g = from_digits(np.array(rows, dtype=np.int64).reshape(m, n, r)[..., ::-1], p)
     return LinearCode(field, g)
 
 

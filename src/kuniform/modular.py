@@ -70,10 +70,8 @@ def gf_mul(a, b, tables) -> np.ndarray:
     arrays; a product with a zero factor is zero.
     """
     exp, log = tables
-    a, b = np.broadcast_arrays(a, b)
-    out = exp[(log[a] + log[b]) % exp.size]
-    out[(a == 0) | (b == 0)] = 0
-    return out
+    a, b = np.asarray(a), np.asarray(b)
+    return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % exp.size])
 
 
 def _arithmetic(p: int, tables):

@@ -28,6 +28,7 @@ d^w <= 2^62 and sorted word by word, so they never wrap.
 from __future__ import annotations
 
 import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -217,6 +218,34 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     return total
 
 
+class _Budget:
+    """Work charged against max_ops: sort and histogram entries up front, then
+    the pairs within each group of kets.
+
+    A subset check charges its sum of g^2 over group sizes g before building
+    the pairs, and refuses if that alone passes what the subsets settled so
+    far have left.  verify_uniform settles the subsets in scan order, so a
+    refusal does not depend on how many subsets the pool runs ahead.
+    """
+
+    def __init__(self, spent: int, ceiling: int):
+        self.spent, self.ceiling, self._pairs, self._lock = spent, ceiling, {}, threading.Lock()
+
+    def refuse(self, total: int, what: str = "sort, histogram and pair entries") -> None:
+        if total > self.ceiling:
+            raise TooLargeError(f"{total} {what} exceed ceiling {self.ceiling}", estimate=total, ceiling=self.ceiling)
+
+    def charge(self, A, pairs: int) -> None:
+        with self._lock:
+            self._pairs[A] = pairs
+            self.refuse(self.spent + pairs)
+
+    def settle(self, A) -> None:
+        with self._lock:
+            self.spent += self._pairs.pop(A)
+            self.refuse(self.spent)
+
+
 def verify_uniform(
     state: PureState, k: int, max_ops: int = DEFAULT_MAX_OPS, workers: int = 1
 ) -> UniformityReport:
@@ -224,31 +253,26 @@ def verify_uniform(
 
     Subsets are scanned in lexicographic order and the scan stops at the
     first failure, which is recorded in the report.  Values k > n/2 are
-    rejected (no state can be uniform beyond n/2).  Instances whose estimated
-    work, or whose per-subset table of d^(2k+1) pair-and-exponent entries,
-    exceeds max_ops raise TooLargeError instead of starting.
+    rejected (no state can be uniform beyond n/2).  An instance whose
+    per-subset table of d^(2k+1) pair-and-exponent entries, or whose sort and
+    histogram work over all subsets, exceeds max_ops raises TooLargeError
+    before starting; the pairs within each group of kets are charged as the
+    groups are found, and the scan raises TooLargeError once the running
+    total passes max_ops.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
         raise ValueError(f"k={k} out of range for n={n} (need 0 <= k <= n/2)")
-    support = len(state)
-    for what, estimate in (
-        ("elementary operations", comb(n, k) * d**k * support),
-        ("histogram entries per subset", d ** (2 * k + 1)),
-    ):
-        if estimate > max_ops:
-            raise TooLargeError(
-                f"estimated {estimate} {what} exceeds ceiling {max_ops}",
-                estimate=estimate,
-                ceiling=max_ops,
-            )
+    budget = _Budget(comb(n, k) * (len(state) + d ** (2 * k + 1)), max_ops)
+    budget.refuse(d ** (2 * k + 1), "histogram entries per subset")
+    budget.refuse(budget.spent, "sort and histogram entries")
     norm = state.norm_value()
 
     subsets = list(itertools.combinations(range(n), k))
     if state.exponents is not None:
-        check = lambda A: _check_subset_phase(state, A)  # noqa: E731
+        check = lambda A: _check_subset_phase(state, A, budget)  # noqa: E731
     else:
-        check = lambda A: _check_subset_generic(state, A)  # noqa: E731
+        check = lambda A: _check_subset_generic(state, A, budget)  # noqa: E731
 
     if workers > 1 and len(subsets) > 1:
         # at most 2 * workers subsets in flight, consumed in order, so the
@@ -262,6 +286,7 @@ def verify_uniform(
                     for f in futures[i:]:
                         f.cancel()
                     return UniformityReport(k, False, norm, A, fail)
+                budget.settle(A)
                 if i + ahead < len(subsets):
                     futures.append(pool.submit(check, subsets[i + ahead]))
     else:
@@ -269,6 +294,7 @@ def verify_uniform(
             fail = check(A)
             if fail is not None:
                 return UniformityReport(k, False, norm, A, fail)
+            budget.settle(A)
     return UniformityReport(k, True, norm)
 
 
@@ -280,11 +306,12 @@ def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: in
     return 0
 
 
-def _check_subset_phase(state: PureState, A):
+def _check_subset_phase(state: PureState, A, budget: _Budget | None = None):
     """Histogram check of one subset for single-root amplitudes.
 
     Returns None when the subset passes, else the first failing pair
-    (cA, cA2) in lexicographic order.
+    (cA, cA2) in lexicographic order.  The pairs are charged to budget, if
+    given, before they are built.
     """
     n, d = state.n, state.d
     k = len(A)
@@ -306,6 +333,8 @@ def _check_subset_phase(state: PureState, A):
         edge[1:-1] |= b_s[1:] != b_s[:-1]
     edges = np.flatnonzero(edge)
     starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+    if budget is not None:
+        budget.charge(A, int(sizes @ sizes))
 
     # every ordered pair (i, j) within a group, one (count, g) block per group
     # size g, binned at (a_i d^k + a_j) d + (e_j - e_i mod d), the wrap of the
@@ -335,7 +364,7 @@ def _check_subset_phase(state: PureState, A):
     return tuple(ca), tuple(ca2)
 
 
-def _check_subset_generic(state: PureState, A):
+def _check_subset_generic(state: PureState, A, budget: _Budget | None = None):
     """Reference check of one subset with full cyclotomic accumulation."""
     n, d = state.n, state.d
     k = len(A)
@@ -344,6 +373,8 @@ def _check_subset_generic(state: PureState, A):
     groups: dict = {}
     for key, amp in zip(state.keys.tolist(), state._amplitudes()):
         groups.setdefault(_project(key, B), []).append((_project(key, A), amp))
+    if budget is not None:
+        budget.charge(A, sum(len(entries) ** 2 for entries in groups.values()))
     pair_sums: dict = {}
     for entries in groups.values():
         for x, ax in entries:

@@ -289,7 +289,7 @@ def test_expanded_gf9_reed_solomon_state_is_4_uniform():
     code = expand_code(reed_solomon(get_field(3, 2), 9, 4), find_trace_orthogonal_basis(3, 2, seed=0), "primal")
     assert (code.n, code.m, code.p) == (18, 8, 3)
     state = state_from_code(code, 4)
-    report = verify_uniform(state, 4, max_ops=2 * 10**9)
+    report = verify_uniform(state, 4)
     assert report.uniform and report.norm == 6561
     elapsed = time.perf_counter() - t0
     print(f"\n[18,8] code state: PASS  18 qutrits, 4-uniform over 3,060 subsets ({elapsed:.1f}s)")

@@ -192,6 +192,15 @@ def test_concat_and_emit(tmp_path, capsys):
     assert len(state) == 64
 
 
+@pytest.mark.parametrize("command", ["construct-code", "concat"])
+def test_out_of_range_code_digits_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1 3 2\n5,1 1,0\n")
+    assert run(command, "--code", str(bad), "--out", str(tmp_path / "x.txt")) == 2
+    assert "digit outside 0..2: '5,1 1,0'" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_concat_rejects_prime_field(tmp_path):
     assert run("concat", "--code", str(fixture_path("code_8_4_4_binary.txt")), "--out", str(tmp_path / "x.txt")) == 2
 

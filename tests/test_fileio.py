@@ -94,6 +94,10 @@ def test_witness_parse_errors():
         witness_from_text(good + "0 1 1 0 1 1\n")  # a row after the n-th matrix row
     with pytest.raises(ValueError):
         witness_from_text("2 2 1\n0 1\n")  # missing matrix row
+    with pytest.raises(ValueError, match="row 2 has 1 entries"):
+        witness_from_text("2 2 1\n0 1\n1\n")  # a short matrix row
+    with pytest.raises(ValueError, match="row 1 has 3 entries"):
+        witness_from_text("2 2 1\n0 1 1\n1 0\n")
 
 
 def test_witness_fixture_provenance():
@@ -133,3 +137,18 @@ def test_code_parse_errors():
     assert code_from_text(good + "# a comment\n\n").n == 2
     with pytest.raises(ValueError, match="0 1 1"):
         code_from_text("3 1 2 1\n1 1 1\n0 1 1\n")  # a row after the m-th generator row
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("2 1 2 1\n3 -1\n", "3 -1"),  # would read as 1 1 mod 2
+        ("2 1 2 1\n1 2\n", "1 2"),
+        ("2 1 3 2\n5,1 1,0\n", "5,1 1,0"),  # would read as 2,1 mod 3
+        ("2 1 3 2\n1,0 0,-1\n", "1,0 0,-1"),
+        ("1 1 3 2\n7\n", "7"),  # a plain digit in an extension-field code
+    ],
+)
+def test_code_reader_refuses_out_of_range_digits(text, line):
+    with pytest.raises(ValueError, match=f"digit outside.*{line}"):
+        code_from_text(text)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -148,10 +149,40 @@ def test_size_guard():
     with pytest.raises(TooLargeError) as exc:
         verify_uniform(s, 15)
     assert exc.value.estimate is not None and exc.value.estimate > 10**9
-    # 13,720 estimated operations, but a histogram of 7^7 = 823,543 entries per subset
+    # a histogram of 7^7 = 823,543 entries per subset is refused before any other estimate
     with pytest.raises(TooLargeError) as exc:
         verify_uniform(_ghz(6, 7), 3, max_ops=100_000)
     assert exc.value.estimate == 7**7
+
+
+def test_pairs_are_charged_as_a_running_total(five_qubit):
+    # 10 subsets x (8 kets + 2^5 histogram entries) up front, then 96 pair
+    # entries over all subsets, on the phase and the generic path alike
+    doubled = PureState(5, 2, {key: amp.scale(2) for key, amp in five_qubit.amps.items()})
+    for state in (five_qubit, doubled):
+        for workers in (1, 2, 3):
+            assert verify_uniform(state, 2, max_ops=496, workers=workers).uniform
+            with pytest.raises(TooLargeError) as exc:
+                verify_uniform(state, 2, max_ops=495, workers=workers)
+            assert exc.value.ceiling == 495 and exc.value.estimate > 495
+        with pytest.raises(TooLargeError) as exc:
+            verify_uniform(state, 2, max_ops=495)
+        assert exc.value.estimate == 496
+
+
+def test_pair_budget_keeps_count_under_thread_contention():
+    # GHZ on 40 qubits at k=1: 40 x (2 kets + 2^3 histogram entries) up front
+    # and 2 pair entries per subset, 480 in all; a lost update would let 479 pass
+    ghz = _ghz(40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert verify_uniform(ghz, 1, max_ops=480, workers=8).uniform
+            with pytest.raises(TooLargeError):
+                verify_uniform(ghz, 1, max_ops=479, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bad_inputs():
@@ -184,7 +215,7 @@ def test_worker_count_does_not_change_result(five_qubit):
 def test_parallel_verify_stops_at_the_first_failure(monkeypatch, five_qubit):
     calls = []
     check = states._check_subset_phase
-    monkeypatch.setattr(states, "_check_subset_phase", lambda s, A: calls.append(A) or check(s, A))
+    monkeypatch.setattr(states, "_check_subset_phase", lambda s, A, *rest: calls.append(A) or check(s, A, *rest))
     n = 40
     w = PureState.from_phases(n, 2, {tuple(int(i == j) for j in range(n)): 0 for i in range(n)})
     one = verify_uniform(w, 3)
