@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import fileio
@@ -112,6 +114,22 @@ def cmd_verify(args) -> int:
     return 4
 
 
+def _exact(x: Fraction | int) -> str | None:
+    """str(x), or None past the interpreter's limit on digits in an int-to-string conversion."""
+    try:
+        return str(x)
+    except ValueError:
+        return None
+
+
+def _approx(x: Fraction | int) -> str:
+    """x to six significant digits, also where float(x) overflows."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return f"{Decimal(x.numerator) / x.denominator:.6g}"
+
+
 def cmd_bounds(args) -> int:
     if args.lam:
         rep = bounds_mod.bound_report(args.p, tol=args.tol)
@@ -127,13 +145,14 @@ def cmd_bounds(args) -> int:
     print(f"p={args.p} n={args.n}" + (f" k={args.k}" if args.k is not None else ""))
     if rep.np_bound is not None:
         sign = "positive (witness exists)" if rep.np_bound > 0 else "not positive (no claim)"
-        print(f"count_bound: {rep.np_bound} = {float(rep.np_bound):.6g} [{sign}]")
+        exact = _exact(rep.np_bound)
+        print(f"count_bound: {exact + ' = ' if exact else ''}{_approx(rep.np_bound)} [{sign}]")
         print(f"cor3: {rep.cor3_holds}")
     if rep.thm3_threshold is not None:
         note = ""
         if args.p % 2 == 1 and args.p >= rep.thm3_threshold:
             note = f"  (odd p={args.p} >= threshold: k=n/2 achievable)"
-        print(f"halfrank_prime_threshold: {rep.thm3_threshold}{note}")
+        print(f"halfrank_prime_threshold: {_exact(rep.thm3_threshold) or '~' + _approx(rep.thm3_threshold)}{note}")
     return 0
 
 

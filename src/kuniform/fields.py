@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import digits, from_digits, gf_mul, is_prime, null_space_rows, rank_mod_p, row_reduce
+from .modular import digits, from_digits, gf_mul, is_prime, null_space_rows, prime_factors, rank_mod_p, row_reduce
 
 _MAX_FIELD = 1 << 20
 _BLOCK = 1 << 15  # elements per vectorized step of the table builds
@@ -85,19 +85,8 @@ def _is_irreducible(modulus, p: int) -> bool:
     eye = np.eye(r, dtype=np.int64)
     return all(
         rank_mod_p(_mulmod(eye, (_powmod(x, p ** (r // s), red, p) - x) % p, red, p), p) == r
-        for s in _prime_factors(r)
+        for s in prime_factors(r)
     )
-
-
-def _prime_factors(n):
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] * (n > 1)
 
 
 class GF:
@@ -108,13 +97,14 @@ class GF:
     """
 
     def __init__(self, p: int, r: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if r < 1:
             raise ValueError(f"invalid extension degree {r}")
+        # sizes first, so a huge p or r costs no primality test or big power
+        if abs(p) ** min(r, _MAX_FIELD.bit_length()) > _MAX_FIELD:
+            raise ValueError(f"field size {p}^{r} exceeds enumeration budget {_MAX_FIELD}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         q = p**r
-        if q > _MAX_FIELD:
-            raise ValueError(f"field size {q} exceeds enumeration budget {_MAX_FIELD}")
         self.p = p
         self.r = r
         self.q = q
@@ -136,7 +126,7 @@ class GF:
         red = _reduction(self.modulus, p)
         one = digits(1, p, r)[0]
         # the smallest generator: a^((q-1)/s) != 1 for every prime s | q-1
-        exponents = [(q - 1) // s for s in _prime_factors(q - 1)]
+        exponents = [(q - 1) // s for s in prime_factors(q - 1)]
         for lo in range(1, q, 64):
             cands = np.arange(lo, min(lo + 64, q))
             rows = digits(cands, p, r)
@@ -185,7 +175,11 @@ class GF:
         return tuple(digits(a, self.p, self.r)[0, ::-1].tolist())
 
     def from_coeffs(self, coeffs) -> int:
-        return int(from_digits(np.array(list(coeffs), dtype=np.int64)[::-1] % self.p, self.p))
+        """Inverse of coeffs_of: at most r coefficients in 0..p-1, lowest power first."""
+        coeffs = [int(c) for c in coeffs]
+        if len(coeffs) > self.r or not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"{coeffs} are not the coefficients of an element of {self}")
+        return int(from_digits(np.array(coeffs[::-1], dtype=np.int64), self.p))
 
     def add(self, a: int, b: int) -> int:
         return int(from_digits(digits([a, b], self.p, self.r).sum(axis=0) % self.p, self.p))

@@ -1,24 +1,26 @@
 """Text file formats: states, witness matrices, codes, and the search registry.
 
-Every writer's output re-parses to an equal in-memory value.  Lines starting
-with '#' are comments everywhere; the witness format uses one to carry
-provenance, which round-trips too.  Readers refuse data they would not use
-(a line past the declared rows, a token after an amplitude) with a
-ValueError naming the line.
-
 state file     header "n d", then one line per nonzero amplitude: n basis
                digits followed either by "^e" (amplitude zeta_d^e, written
                whenever possible) or by d integer coefficients.
-witness file   header "n d k", then n matrix rows, then a provenance comment.
+witness file   header "n d k", n matrix rows, "# method=M seed=S index=I".
 code file      header "n m p r", then m generator rows; an entry is r
                comma-separated base-p digits (a plain digit when r = 1).
-registry       append-only; one witness per line:
-               n d k method seed index then the upper-triangle entries.
+registry       append-only; per witness, "n d k method seed index" + triangle.
+
+Writers' output re-parses to an equal value; "-" is an absent seed or index.
+The readers share one record layer -- _records, _ints and _header_body -- so
+each refuses, with a ValueError naming the line, an empty file, a wrong token
+count, a non-integer token and a missing or extra row (an integer past int64
+may raise OverflowError).  The state reader also refuses a repeated basis
+string; the code reader an entry of neither 1 nor r digits or a digit
+outside 0..p-1; the registry reader a line of fewer than six fields.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +32,52 @@ from .modular import digits, from_digits
 from .states import PureState
 
 
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+class _Line(NamedTuple):
+    no: int  # counted from 1
+    text: str  # stripped
+    tokens: list[str]
+
+    def error(self, msg: str) -> ValueError:
+        return ValueError(f"line {self.no}: {msg}: {self.text!r}")
+
+
+def _records(text: str) -> tuple[list[_Line], list[_Line]]:
+    """The data lines and the '#' comment lines of a text, blank lines dropped."""
+    data, comments = [], []
+    for no, raw in enumerate(text.splitlines(), 1):
+        if line := raw.strip():
+            (comments if line.startswith("#") else data).append(_Line(no, line, line.split()))
+    return data, comments
+
+
+def _count(line: _Line, tokens: list[str], count: int, what: str) -> list[str]:
+    if len(tokens) != count:
+        raise line.error(f"{what} has {len(tokens)} entries, expected {count}")
+    return tokens
+
+
+def _ints(line: _Line, tokens: list[str], count: int, what: str) -> list[int]:
+    """Exactly count integer tokens, or a ValueError naming the line."""
+    _count(line, tokens, count, what)
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise line.error(f"{what} has a non-integer entry") from None
+
+
+def _header_body(text: str, kind: str, fields: str, rows: str | None = None):
+    """(header integers, body lines, comments) of a kind file; rows names the header field counting the body."""
+    data, comments = _records(text)
+    if not data:
+        raise ValueError(f"no data in {kind} file")
+    names, body = fields.split(), data[1:]
+    head = _ints(data[0], data[0].tokens, len(names), f"{kind} header '{fields}'")
+    want = head[names.index(rows)] if rows else len(body)
+    if not 0 <= want <= len(body):
+        raise ValueError(f"{kind} file has {len(body)} rows after its header, expected {want}")
+    if len(body) > want:
+        raise body[want].error(f"line after the {want} {kind} rows")
+    return head, body, comments
 
 
 # --- states -------------------------------------------------------------------
@@ -55,33 +96,20 @@ def state_to_text(state: PureState) -> str:
 
 
 def state_from_text(text: str) -> PureState:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("empty state file")
-    n, d = (int(x) for x in lines[0].split())
-    keys, amps, seen = [], [], set()
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) < n + 1:
-            raise ValueError(f"short amplitude line: {line!r}")
-        key = tuple(int(x) for x in parts[:n])
-        if key in seen:
-            raise ValueError(f"basis string repeated in line {line!r}")
-        seen.add(key)
-        rest = parts[n:]
-        if rest[0].startswith("^"):
-            if len(rest) != 1:
-                raise ValueError(f"data after the amplitude: {line!r}")
-            amps.append(int(rest[0][1:]))
-        else:
-            if len(rest) != d:
-                raise ValueError(f"expected {d} coefficients: {line!r}")
-            amps.append(CycInt(d, tuple(int(x) for x in rest)))
-        keys.append(key)
-    if all(isinstance(e, int) for e in amps):
-        return PureState._from_arrays(n, d, keys, exponents=amps)
-    values = [root_power(d, e) if isinstance(e, int) else e for e in amps]
-    return PureState._from_arrays(n, d, keys, values=values)
+    (n, d), body, _ = _header_body(text, "state", "n d")
+    amps = {}
+    for line in body:
+        *front, last = line.tokens
+        compact = last.startswith("^")  # n digits and "^e", else n digits and d coefficients
+        values = _ints(line, [*front, last.removeprefix("^")], n + (1 if compact else d), "amplitude line")
+        amp = values[n] if compact else CycInt(d, tuple(values[n:]))
+        if (key := tuple(values[:n])) in amps:
+            raise line.error("basis string repeated")
+        amps[key] = amp
+    if all(isinstance(e, int) for e in amps.values()):
+        return PureState._from_arrays(n, d, list(amps), exponents=list(amps.values()))
+    values = [root_power(d, e) if isinstance(e, int) else e for e in amps.values()]
+    return PureState._from_arrays(n, d, list(amps), values=values)
 
 
 def write_state(path, state: PureState) -> None:
@@ -94,42 +122,29 @@ def read_state(path) -> PureState:
 
 # --- witnesses ------------------------------------------------------------------
 
+def _provenance_tokens(prov: Provenance) -> list[str]:
+    return [prov.method] + ["-" if v is None else str(v) for v in (prov.seed, prov.index)]
+
+
+def _provenance_from_tokens(line: _Line, method: str, seed: str, index: str) -> Provenance:
+    seed, index = (None if t == "-" else _ints(line, [t], 1, "seed or index")[0] for t in (seed, index))
+    return Provenance(method, seed, index)
+
+
 def witness_to_text(w: SymWitness) -> str:
-    lines = [f"{w.n} {w.d} {w.k}"]
-    for row in w.H:
-        lines.append(" ".join(str(int(x)) for x in row))
-    prov = w.provenance
-    seed = "-" if prov.seed is None else str(prov.seed)
-    index = "-" if prov.index is None else str(prov.index)
-    lines.append(f"# method={prov.method} seed={seed} index={index}")
+    lines = [f"{w.n} {w.d} {w.k}"] + [" ".join(str(int(x)) for x in row) for row in w.H]
+    lines.append("# method={} seed={} index={}".format(*_provenance_tokens(w.provenance)))
     return "\n".join(lines) + "\n"
 
 
 def witness_from_text(text: str) -> SymWitness:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty witness file")
-    data = [ln for ln in lines if not ln.startswith("#")]
-    n, d, k = (int(x) for x in data[0].split())
-    rows = [[int(x) for x in ln.split()] for ln in data[1 : n + 1]]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} matrix rows")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"matrix row {i + 1} has {len(row)} entries, expected {n}: {data[i + 1]!r}")
-    if len(data) > n + 1:
-        raise ValueError(f"line after the {n} matrix rows: {data[n + 1]!r}")
+    (n, d, k), body, comments = _header_body(text, "witness", "n d k", rows="n")
+    rows = [_ints(line, line.tokens, n, f"matrix row {i}") for i, line in enumerate(body, 1)]
     prov = Provenance("fixture")
-    for ln in lines:
-        if ln.startswith("#") and "method=" in ln:
-            fields = dict(part.split("=", 1) for part in ln[1:].split() if "=" in part)
-            seed = fields.get("seed", "-")
-            index = fields.get("index", "-")
-            prov = Provenance(
-                fields.get("method", "fixture"),
-                None if seed == "-" else int(seed),
-                None if index == "-" else int(index),
-            )
+    for line in comments:
+        fields = dict(part.split("=", 1) for part in line.text[1:].split() if "=" in part)
+        if "method" in fields:
+            prov = _provenance_from_tokens(line, *(fields.get(key, "-") for key in ("method", "seed", "index")))
     return SymWitness(n=n, d=d, H=np.array(rows), k=k, provenance=prov)
 
 
@@ -152,29 +167,17 @@ def code_to_text(code: LinearCode) -> str:
 
 
 def code_from_text(text: str) -> LinearCode:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("empty code file")
-    n, m, p, r = (int(x) for x in lines[0].split())
+    (n, m, p, r), body, _ = _header_body(text, "code", "n m p r", rows="m")
     field = get_field(p, r)
     rows = []
-    for ln in lines[1 : m + 1]:
-        parts = ln.split()
-        if len(parts) != n:
-            raise ValueError(f"expected {n} entries per row: {ln!r}")
+    for line in body:
         row = []
-        for part in parts:
-            coeffs = [int(x) for x in part.split(",")]
-            if len(coeffs) not in (1, r):
-                raise ValueError(f"bad entry {part!r} for extension degree {r}")
-            row.append(coeffs + [0] * (r - len(coeffs)))
-        if not all(0 <= c < p for entry in row for c in entry):
-            raise ValueError(f"digit outside 0..{p - 1}: {ln!r}")
+        for entry in _count(line, line.tokens, n, "generator row"):
+            coeffs = entry.split(",")
+            row += _ints(line, coeffs + ["0"] * (r - 1) if len(coeffs) == 1 else coeffs, r, f"entry {entry!r}")
+        if not all(0 <= c < p for c in row):
+            raise line.error(f"digit outside 0..{p - 1}")
         rows.append(row)
-    if len(rows) != m:
-        raise ValueError(f"expected {m} generator rows")
-    if len(lines) > m + 1:
-        raise ValueError(f"line after the {m} generator rows: {lines[m + 1]!r}")
     g = from_digits(np.array(rows, dtype=np.int64).reshape(m, n, r)[..., ::-1], p)
     return LinearCode(field, g)
 
@@ -190,23 +193,17 @@ def read_code(path) -> LinearCode:
 # --- search registry --------------------------------------------------------------
 
 def append_registry(path, w: SymWitness) -> None:
-    prov = w.provenance
-    seed = "-" if prov.seed is None else str(prov.seed)
-    index = "-" if prov.index is None else str(prov.index)
-    tri = " ".join(str(x) for x in w.upper_triangle())
+    fields = [w.n, w.d, w.k, *_provenance_tokens(w.provenance), *w.upper_triangle()]
     with open(path, "a") as fp:
-        fp.write(f"{w.n} {w.d} {w.k} {prov.method} {seed} {index} {tri}\n")
+        fp.write(" ".join(map(str, fields)) + "\n")
 
 
 def read_registry(path) -> list[SymWitness]:
     out = []
-    for line in _data_lines(Path(path).read_text()):
-        parts = line.split()
-        n, d, k = int(parts[0]), int(parts[1]), int(parts[2])
-        method = parts[3]
-        seed = None if parts[4] == "-" else int(parts[4])
-        index = None if parts[5] == "-" else int(parts[5])
-        tri = [int(x) for x in parts[6:]]
-        H = upper_triangle_to_matrix(tri, n, d)
-        out.append(SymWitness(n=n, d=d, H=H, k=k, provenance=Provenance(method, seed, index)))
+    for line in _records(Path(path).read_text())[0]:
+        head = _count(line, line.tokens[:6], 6, "registry line 'n d k method seed index'")
+        n, d, k = _ints(line, head[:3], 3, "registry line")
+        tri = _ints(line, line.tokens[6:], n * (n - 1) // 2, "upper triangle")
+        prov = _provenance_from_tokens(line, *head[3:])
+        out.append(SymWitness(n=n, d=d, H=upper_triangle_to_matrix(tri, n, d), k=k, provenance=prov))
     return out

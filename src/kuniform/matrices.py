@@ -23,6 +23,8 @@ DEFAULT_MAX_KETS = 10**6
 
 
 def _validated(H, d: int) -> np.ndarray:
+    if d < 2:
+        raise ValueError(f"invalid level d={d}")
     m = np.atleast_2d(np.asarray(H, dtype=np.int64))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -123,13 +125,11 @@ class SymWitness:
 
 def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:
     """Rebuild the symmetric zero-diagonal matrix from its upper triangle."""
-    entries = [int(x) % d for x in entries]
     if len(entries) != n * (n - 1) // 2:
         raise ValueError(f"need {n * (n - 1) // 2} entries, got {len(entries)}")
     m = np.zeros((n, n), dtype=np.int64)
-    for (i, j), v in zip(itertools.combinations(range(n), 2), entries):
-        m[i, j] = m[j, i] = v
-    return m
+    m[np.triu_indices(n, 1)] = entries
+    return _validated(m + m.T, d)
 
 
 def all_phases(H, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:

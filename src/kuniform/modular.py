@@ -36,6 +36,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] * (n > 1)
+
+
 def digits(idx, base: int, width: int) -> np.ndarray:
     """Base-`base` digits of each index, most significant first, shape (len(idx), width).
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .fileio import append_registry, read_registry
 from .matrices import Provenance, SymWitness, check_certificate, upper_triangle_to_matrix
-from .modular import digits, is_prime, row_reduce
+from .modular import digits, prime_factors, row_reduce
 
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
@@ -134,7 +134,7 @@ def _screen_level2(digits: np.ndarray, n: int, k: int) -> np.ndarray:
 def _screen_rank(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
     """Boolean mask: for every prime p | d and every A, H[A x complement] mod p has rank k."""
     alive = np.ones(digits.shape[0], dtype=bool)
-    primes = [p for p in range(2, d + 1) if d % p == 0 and is_prime(p)]
+    primes = prime_factors(d)
     for cols in _blocks(n, k):
         for p in primes:
             idx = np.flatnonzero(alive)

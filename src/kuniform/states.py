@@ -84,7 +84,7 @@ class PureState:
 
     def _assign(self, n, d, keys, exponents=None, values=None):
         """Validate and store: exactly one of exponents and values is given, aligned with keys."""
-        if n < 1 or d < 2:
+        if n < 1 or not 2 <= d <= 1 << 62:  # digits and packed words are int64
             raise ValueError(f"invalid shape n={n} d={d}")
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:

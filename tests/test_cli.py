@@ -141,6 +141,28 @@ def test_bounds_point(capsys):
     assert "k=n/2 achievable" in out
 
 
+def test_bounds_small_point_output_is_exact(capsys):
+    assert run("bounds", "--p", "2", "--n", "8", "--k", "3") == 0
+    assert capsys.readouterr().out == (
+        "p=2 n=8 k=3\n"
+        "count_bound: -5375/512 = -10.498 [not positive (no claim)]\n"
+        "cor3: False\n"
+        "halfrank_prime_threshold: 71\n"
+    )
+
+
+@pytest.mark.parametrize("n,k,line", [
+    # exact values past the interpreter's int-to-string digit limit
+    ("8000", "2", "count_bound: 1 [positive (witness exists)]"),
+    ("16000", "2", "halfrank_prime_threshold: ~1.90460e+4814"),
+    # and a count bound past the float range
+    ("1200", "550", "count_bound: -4.84291e+327 [not positive (no claim)]"),
+])
+def test_bounds_at_large_points(capsys, n, k, line):
+    assert run("bounds", "--p", "2", "--n", n, "--k", k) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_bounds_needs_args():
     assert run("bounds", "--p", "2") == 2
 
@@ -250,6 +272,39 @@ def test_unreadable_or_unwritable_files_exit_2(tmp_path, capsys, argv):
     assert run(*(arg.format(**paths) for arg in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / "missing") in err
+
+
+_MALFORMED = {
+    "wrong header arity": "2 2 1 0\n",
+    "short row": "2 2 1\n0\n1 0\n",
+    "long row": "2 2 1\n0 1 1\n1 0\n",
+    "non-integer": "2 2 1\n0 x\n1 0\n",
+    "caret without exponent": "2 2\n0 0 ^\n",
+    "stray commas": "2 1 4 2\n1,,0 1\n",
+    "comment-only": "# nothing here\n",
+    "short registry line": "2 2 1 random 0\n",
+}
+_READING_COMMANDS = {
+    "verify": ["verify", "--state", "{file}"],
+    "emit-state": ["emit-state", "--witness", "{file}", "--out", "{out}"],
+    "construct-code": ["construct-code", "--code", "{file}", "--out", "{out}"],
+    "concat": ["concat", "--code", "{file}", "--out", "{out}"],
+    "table": ["table", "--d", "2", "--n-max", "3", "--from-registry", "{file}"],
+}
+
+
+# a registry of comments only is an empty registry, which table reads fine
+@pytest.mark.parametrize("command,kind", [
+    (command, kind) for command in _READING_COMMANDS for kind in _MALFORMED
+    if (command, kind) != ("table", "comment-only")
+])
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "in.txt"
+    path.write_text(_MALFORMED[kind])
+    argv = [arg.format(file=path, out=tmp_path / "out.txt") for arg in _READING_COMMANDS[command]]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_usage_error_exit_code():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kuniform.fields import find_trace_orthogonal_basis, get_field
+from kuniform.fields import GF, find_trace_orthogonal_basis, get_field
 
 
 def test_gf4_layout():
@@ -20,6 +20,24 @@ def test_gf4_layout():
 def test_gf9_modulus_is_lowest():
     f = get_field(3, 2)
     assert f.modulus == (1, 0, 1)  # x^2 + 1 is irreducible mod 3 and comes first
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2)])
+def test_coefficients_round_trip(p, r):
+    f = get_field(p, r)
+    assert [f.from_coeffs(f.coeffs_of(a)) for a in range(f.q)] == list(range(f.q))
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [3, 1], [-1, 0], [2]])
+def test_from_coeffs_refuses_non_elements(coeffs):
+    # over GF(4): more than r = 2 coefficients, or a digit outside 0..1
+    with pytest.raises(ValueError, match="not the coefficients"):
+        get_field(2, 2).from_coeffs(coeffs)
+
+
+def test_field_size_is_checked_before_the_power_is_formed():
+    with pytest.raises(ValueError, match="exceeds enumeration budget"):
+        GF(2, 10**5)
 
 
 def test_field_axioms_random():

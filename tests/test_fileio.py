@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kuniform.cyclotomic import CycInt, root_power
 from kuniform.codes import LinearCode, reed_solomon
 from kuniform.fields import get_field
 from kuniform.fileio import (
+    append_registry,
     code_from_text,
     code_to_text,
     read_code,
+    read_registry,
     read_state,
     read_witness,
     state_from_text,
@@ -152,3 +156,139 @@ def test_code_parse_errors():
 def test_code_reader_refuses_out_of_range_digits(text, line):
     with pytest.raises(ValueError, match=f"digit outside.*{line}"):
         code_from_text(text)
+
+
+# "-" is an absent seed or index, as in the witness comment
+_REGISTRY_LINES = "6 2 3 fixture - - 1 1 1 0 0 0 1 0 1 1 1 0 1 1 1\n2 6 1 random 7 42 1\n"
+
+
+def test_registry_lines_are_pinned_and_read_back(tmp_path):
+    path = tmp_path / "reg.txt"
+    fixture = read_witness(fixture_path("witness_6x6_d2.txt"))
+    found = SymWitness(n=2, d=6, H=np.array([[0, 1], [1, 0]]), k=1, provenance=Provenance("random", 7, 42))
+    append_registry(path, fixture)
+    append_registry(path, found)
+    assert path.read_text() == _REGISTRY_LINES
+    got = read_registry(path)
+    assert [w.provenance for w in got] == [fixture.provenance, found.provenance]
+    assert all((a.H == b.H).all() and (a.n, a.d, a.k) == (b.n, b.d, b.k) for a, b in zip(got, [fixture, found]))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# only comments\n", "no data in witness file"),  # was IndexError
+        ("2 2\n0 1\n1 0\n", "line 1: witness header 'n d k' has 2 entries"),
+        ("2 2 1\n0 x\n1 0\n", "line 2: matrix row 1 has a non-integer entry: '0 x'"),
+        ("2 2 1\n0 1\n\n# note\n1 0\n0 1\n", "line 6: line after the 2 witness rows"),
+        ("2 2 1\n0 1\n1 0\n# method=random seed=x index=-\n", "line 4: seed or index has a non-integer"),
+        ("2 0 1\n0 1\n1 0\n", "invalid level d=0"),
+        ("2 1 1\n0 1\n1 0\n", "invalid level d=1"),
+    ],
+)
+def test_witness_reader_refusals(text, message):
+    with pytest.raises(ValueError, match=message):
+        witness_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 2 1 random 0\n", "line 1: registry line 'n d k method seed index' has 5 entries"),  # was IndexError
+        ("2 0 1 random 0 0 1\n", "invalid level d=0"),  # was ZeroDivisionError
+        ("2 2 1 random 0 0 1 1\n", "line 1: upper triangle has 2 entries, expected 1"),
+        ("2 2 1 random x 0 1\n", "line 1: seed or index has a non-integer"),
+        ("# header\n\n2 2 1 random 0 0 1\n2 2 q random 0 0 1\n", "line 4: registry line has a non-integer"),
+    ],
+)
+def test_registry_reader_refusals(tmp_path, text, message):
+    path = tmp_path / "reg.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_registry(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2\n", "line 1: state header 'n d' has 1 entries"),
+        ("2 2\n0 0 ^\n", "line 2: amplitude line has a non-integer entry: '0 0 \\^'"),
+        ("2 2\n0 0 0 ^1\n", "line 2: amplitude line has 4 entries, expected 3"),
+        ("2 99999999999999999999\n0 0 ^0\n", "invalid shape"),  # was StopIteration
+    ],
+)
+def test_state_reader_refusals(text, message):
+    with pytest.raises(ValueError, match=message):
+        state_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 1 2\n1 1\n", "line 1: code header 'n m p r' has 3 entries"),
+        ("2 1 3 3\n1,,0 1\n", "line 2: entry '1,,0' has a non-integer entry"),
+        ("2 1 3 2\n1, 1\n", "line 2: entry '1,' has a non-integer entry"),
+        ("2 1 3 2\n1,0,1 1\n", "line 2: entry '1,0,1' has 3 entries, expected 2"),
+        ("2 1 2 100000\n1 1\n", "exceeds enumeration budget"),  # formed 2^100000 before
+        ("2 -1 2 1\n", "has 0 rows after its header, expected -1"),
+    ],
+)
+def test_code_reader_refusals(text, message):
+    with pytest.raises(ValueError, match=message):
+        code_from_text(text)
+
+
+_VALID = [
+    state_to_text(PureState(2, 3, {(0, 0): CycInt(3, (1, 2, 0)), (1, 2): root_power(3, 1)})),
+    state_to_text(state_from_matrix(read_witness(fixture_path("witness_2x2_d4.txt")))),
+    witness_to_text(read_witness(fixture_path("witness_6x6_d2.txt"))),
+    code_to_text(reed_solomon(get_field(3, 2), 4, 2)),
+    code_to_text(reed_solomon(get_field(5), 4, 2)),
+    _REGISTRY_LINES,
+]
+_TOKEN = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["^", "^1", "^-3", "x", "1.5", ",", "1,", ",1", "1,,0", "0,1", "2,1,0", "-", "#",
+                     "method=random", "seed=-", "index=x", str(2**64), str(-(2**63) - 1), "9" * 30]),
+)
+
+
+@st.composite
+def _soup(draw):
+    """Token soup: random lines, or a valid file of any format with a few lines or tokens changed."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(st.lists(_TOKEN, max_size=8).map(" ".join), max_size=10)))
+    lines = [ln.split() for ln in draw(st.sampled_from(_VALID)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop line", "repeat line", "drop token", "add token", "replace token"]))
+        if op == "drop line":
+            del lines[i]
+        elif op == "repeat line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if op == "drop token":
+                del lines[i][j]
+            else:
+                lines[i][j : j + (op == "replace token")] = [draw(_TOKEN)]
+        if not lines:
+            break
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+@pytest.mark.parametrize("reader", ["state", "witness", "code", "registry"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_soup())
+@example(text="# only comments\n\n# more\n")
+@example(text="2 2 1 random 0\n")
+@example(text="2 0 1\n0 1\n1 0\n")
+@example(text="2 99999999999999999999\n0 0 ^0\n")
+def test_readers_raise_only_value_or_overflow_errors(tmp_path, reader, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    parse = {"state": read_state, "witness": read_witness, "code": read_code, "registry": read_registry}[reader]
+    try:
+        parse(path)
+    except (ValueError, OverflowError):
+        pass

@@ -11,7 +11,9 @@ from kuniform.modular import (
     count_linear_solutions,
     det_mod_d,
     invertible_mod_d,
+    is_prime,
     null_space_mod_p,
+    prime_factors,
     rank_mod_p,
     row_reduce,
 )
@@ -42,6 +44,11 @@ def _span_rank(mat, p):
         r += 1
     assert p**r == size
     return r
+
+
+def test_prime_factors_match_a_divisor_scan():
+    for n in range(1, 400):
+        assert prime_factors(n) == [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
 
 
 def test_rank_examples():
