@@ -31,10 +31,11 @@ def np_lower_bound(n: int, k: int, p: int) -> Fraction:
         raise ValueError(f"need 1 <= k and n-k-(k-1) >= 1, got n={n} k={k}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= 1 - Fraction(1, p ** (n - k - i))
-    return 1 - math.comb(n, k) * (1 - prod)
+    # prod (1 - p^-e) = prod (p^e - 1) / p^(sum e), reduced once
+    exps = range(n - 2 * k + 1, n - k + 1)
+    den = p ** sum(exps)
+    num = math.prod(p**e - 1 for e in exps)
+    return Fraction(den - math.comb(n, k) * (den - num), den)
 
 
 def cor3_predicate(n: int, k: int, p: int) -> bool:

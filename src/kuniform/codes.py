@@ -8,19 +8,21 @@ by codeword enumeration before a state is issued -- externally supplied
 distances are never trusted for certificates.
 
 Every enumeration (codewords, min_distance, state_from_code) runs through
-one block generator in a single thread, for GF(p) and GF(p^r) alike; there
-is no thread pool, and the workers arguments are accepted but have no
-effect.
+one block generator, with one code path for GF(p) and GF(p^r) alike, in a
+single thread; there is no thread pool, and the workers arguments are
+accepted but have no effect.
 
 Extension-field codes enter through concatenation: a trace-orthogonal basis
 turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
 code, weight-scaled expansion for its dual), and the two expansions are dual
 to each other over F_p.
 
-Field arithmetic on code entries -- the evaluation powers of reed_solomon,
-the products of an expansion, the sums of the codeword enumerator -- runs on
-whole arrays through the field's tables (GF.mul_array, GF.pow_array) and
-modular.digits, never one element at a time.
+Field arithmetic on code entries belongs to GF (pow_array for
+reed_solomon, the kernel's array forms for eliminations).  A GF(p^r)
+generator becomes F_p rows in one place, _fp_image: the base-p digits of
+each row times r field elements.  With the powers x^(r-1), ..., 1 every
+codeword is a message's base-p digits times that image; expand_code uses
+the trace-orthogonal basis instead.
 """
 
 from __future__ import annotations
@@ -89,31 +91,33 @@ class LinearCode:
         return f"LinearCode([{self.n}, {self.m}] over {self.field})"
 
 
+def _fp_image(field: GF, generator: np.ndarray, elems) -> np.ndarray:
+    """Base-p digits of elems[t] * generator[i, j], shape (m, r, n, r): row (i, t), symbol j's digits."""
+    products = field.mul_array(np.asarray(elems)[:, None], generator[:, None, :])
+    return digits(products, field.p, field.r).reshape(*products.shape, field.r)
+
+
 def _word_blocks(code: LinearCode, max_codewords: int):
     """All q^m codewords as int64 blocks of rows, first message symbol most significant.
 
-    Over GF(p) a block is msgs @ G mod p.  Over GF(p^r), r > 1, products go
-    through the field's log/exp tables and sums add the r base-p digits of
-    each element mod p.
+    A block is the base-p digits of the message indices times the F_p image
+    whose row (i, t) holds x^(r-1-t) g_i: r base-p digits of an index are
+    one q-ary digit.  Over GF(p) that is msgs @ G mod p; for r > 1 the
+    word digits are packed back into symbols.
     """
-    f, g = code.field, code.generator
-    total = f.q**code.m
+    f, m, n = code.field, code.m, code.n
+    total = f.q**m
     if total > max_codewords:
         raise TooLargeError(
             f"{total} codewords exceed the enumeration budget {max_codewords}",
             estimate=total,
             ceiling=max_codewords,
         )
-    chunk = max(1, (1 << 18) // max(1, code.n * f.r))  # bounds each block's memory
+    image = _fp_image(f, code.generator, f.p ** np.arange(f.r - 1, -1, -1)).reshape(m * f.r, n * f.r)
+    chunk = max(1, (1 << 18) // max(1, n * f.r))  # bounds each block's memory
     for s in range(0, total, chunk):
-        msgs = digits(np.arange(s, min(s + chunk, total)), f.q, code.m)
-        if f.r == 1:
-            yield (msgs @ g) % f.p
-            continue
-        acc = np.zeros((msgs.shape[0], code.n, f.r), dtype=np.int64)
-        for c, row in zip(msgs.T, g):
-            acc += digits(f.mul_array(c[:, None], row), f.p, f.r).reshape(acc.shape)
-        yield from_digits(acc % f.p, f.p)
+        words = digits(np.arange(s, min(s + chunk, total)), f.p, m * f.r) @ image % f.p
+        yield words if f.r == 1 else from_digits(words.reshape(-1, n, f.r), f.p)
 
 
 def codewords(code: LinearCode, max_codewords: int = DEFAULT_MAX_CODEWORDS):
@@ -151,8 +155,7 @@ def dual_code(code: LinearCode) -> LinearCode:
     if code.m == 0:
         return LinearCode(f, np.eye(code.n, dtype=np.int64))
     basis = null_space_over_field(f, code.generator)
-    g = np.array(basis, dtype=np.int64).reshape(len(basis), code.n)
-    return LinearCode(f, g)
+    return LinearCode(f, np.array(basis, dtype=np.int64).reshape(len(basis), code.n))
 
 
 def is_self_dual(code: LinearCode) -> bool:
@@ -168,18 +171,15 @@ def shorten_last(code: LinearCode) -> LinearCode:
     if not code.generator[:, -1].any():
         raise ValueError("all codewords already end in 0")
     # reduced with the last coordinate first, only row 0 is nonzero there
-    red, _ = row_reduce(code.generator[:, ::-1], code.p, code.field.tables)
+    red, _ = row_reduce(code.generator[:, ::-1], code.p, code.field)
     return LinearCode(code.field, red[1:, :0:-1])
 
 
 def puncture_last(code: LinearCode) -> LinearCode:
     """Delete the last coordinate of every codeword."""
-    f = code.field
-    g = code.generator[:, :-1]
-    rows, pivots = rref_over_field(f, g) if code.m else ([], [])
-    kept = [rows[i] for i in range(len(pivots))]
-    g2 = np.array(kept, dtype=np.int64).reshape(len(kept), code.n - 1)
-    return LinearCode(f, g2)
+    rows, pivots = rref_over_field(code.field, code.generator[:, :-1]) if code.m else ([], [])
+    kept = np.array(rows[: len(pivots)], dtype=np.int64)
+    return LinearCode(code.field, kept.reshape(len(pivots), code.n - 1))
 
 
 def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") -> LinearCode:
@@ -203,8 +203,7 @@ def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") 
         raise ValueError("basis is not a basis: its coordinate matrix is singular mod p")
     binv = red[:, r:]
     # row (i, a) is alpha_a times generator row i; symbol j becomes coordinates (j, 0..r-1)
-    products = f.mul_array(np.array(basis.basis)[:, None], code.generator[:, None, :])
-    coords = digits(products, p, r) @ binv.T % p
+    coords = _fp_image(f, code.generator, basis.basis) @ binv.T % p
     if which == "dual":
         coords = coords * np.array(basis.weights) % p
     return LinearCode(get_field(p), coords.reshape(r * code.m, r * code.n))

@@ -6,16 +6,16 @@ significant digit first.  The modulus is the lowest monic irreducible of
 degree r in this integer encoding, found by scanning with Rabin's test, so
 the encoding is identical across runs.
 
-The field has one arithmetic.  A single vectorized product, _mulmod, of
-coefficient rows modulo the modulus and p builds every table once per
-field: the smallest generator (candidates in small ascending batches), the
-exp table by doubling (multiplying by g^s is an r x r matrix over F_p,
-applied in bounded blocks), the log table, and a q-entry trace table.
-After that every product, inverse, power and trace is a table lookup, and
-every sum is digit-wise mod p through modular.digits and from_digits; the
-scalar methods and their array forms (mul_array, pow_array, trace_array)
-read the same tables, which are immutable after construction.  The
-trace-orthogonal basis searches work on whole arrays of candidates.
+GF is the package's one owner of extension-field arithmetic.  A single
+vectorized product, _mulmod, of coefficient rows modulo the modulus and p
+builds every table once per field: the smallest generator, the exp table
+by doubling (times g^s is an r x r matrix over F_p, applied in bounded
+blocks), the log table and a q-entry trace table.  The array forms are
+table lookups (mul_array, inv_array, pow_array, trace_array) or digit-wise
+mod p (add_array, sub_array); the kernel, the code enumerator and the basis
+searches call them.  The scalar methods are the pure-Python reference: add,
+neg and sub are digit loops independent of the array forms, and mul, inv
+and pow read the same immutable tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import digits, from_digits, gf_mul, is_prime, null_space_rows, prime_factors, rank_mod_p, row_reduce
+from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, row_reduce
 
 _MAX_FIELD = 1 << 20
 _BLOCK = 1 << 15  # elements per vectorized step of the table builds
@@ -92,8 +92,8 @@ def _is_irreducible(modulus, p: int) -> bool:
 class GF:
     """The field GF(p^r) with deterministic element encoding and tables.
 
-    The scalar methods take and return Python ints; mul_array, pow_array and
-    trace_array are their elementwise forms on integer arrays of any shape.
+    The scalar methods take and return Python ints; the *_array methods
+    are their elementwise forms on integer arrays of any shape.
     """
 
     def __init__(self, p: int, r: int = 1):
@@ -104,10 +104,7 @@ class GF:
             raise ValueError(f"field size {p}^{r} exceeds enumeration budget {_MAX_FIELD}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        q = p**r
-        self.p = p
-        self.r = r
-        self.q = q
+        self.p, self.r, self.q = p, r, p**r
         self.modulus = self._find_modulus()
         self._build_tables()
 
@@ -155,18 +152,33 @@ class GF:
         for _ in range(r):
             trace[1:] += exp[logs] % p
             logs = logs * p % (q - 1)
-        self._tables = (exp, log)
-        self._trace = trace % p
-        # the tables the elimination kernel takes; None over a prime field
-        self.tables = None if r == 1 else self._tables
+        self._exp, self._log, self._trace = exp, log, trace % p
 
     def mul_array(self, a, b) -> np.ndarray:
-        return gf_mul(a, b, self._tables)
+        """a * b elementwise, broadcast; a product with a zero factor is zero."""
+        a, b = np.asarray(a), np.asarray(b)
+        return np.where((a == 0) | (b == 0), 0, self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+
+    def inv_array(self, a) -> np.ndarray:
+        if (np.asarray(a) == 0).any():
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[-self._log[a] % (self.q - 1)]
+
+    def add_array(self, a, b) -> np.ndarray:
+        """a + b elementwise, broadcast: base-p digits added mod p."""
+        return self._digitwise(np.add, a, b)
+
+    def sub_array(self, a, b) -> np.ndarray:
+        return self._digitwise(np.subtract, a, b)
+
+    def _digitwise(self, op, a, b) -> np.ndarray:
+        (a, b), p, r = np.broadcast_arrays(a, b), self.p, self.r
+        return from_digits(op(digits(a, p, r), digits(b, p, r)) % p, p).reshape(a.shape)
 
     def pow_array(self, a, e) -> np.ndarray:
         """a^e elementwise, with 0^0 = 1 and 0^e = 0 otherwise."""
-        (exp, log), a, e = self._tables, np.asarray(a), np.asarray(e)
-        return np.where(a == 0, e == 0, exp[log[a] * e % (self.q - 1)])
+        a, e = np.asarray(a), np.asarray(e)
+        return np.where(a == 0, e == 0, self._exp[self._log[a] * e % (self.q - 1)])
 
     def trace_array(self, a) -> np.ndarray:
         return self._trace[a]
@@ -182,31 +194,32 @@ class GF:
         return int(from_digits(np.array(coeffs[::-1], dtype=np.int64), self.p))
 
     def add(self, a: int, b: int) -> int:
-        return int(from_digits(digits([a, b], self.p, self.r).sum(axis=0) % self.p, self.p))
+        return self._digit_sum(a, b, 1)
 
     def neg(self, a: int) -> int:
-        return int(from_digits(-digits(a, self.p, self.r)[0] % self.p, self.p))
+        return self._digit_sum(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digit_sum(a, b, -1)
+
+    def _digit_sum(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b digit by digit mod p, on Python ints (independent of the array forms)."""
+        p, out, place = self.p, 0, 1
+        for _ in range(self.r):
+            out += (a % p + sign * (b % p)) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        exp, log = self._tables
-        return int(exp[(log[a] + log[b]) % (self.q - 1)])
+        return 0 if a == 0 or b == 0 else int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        exp, log = self._tables
-        return int(exp[-log[a] % (self.q - 1)])
+        return int(self._exp[-self._log[a] % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        exp, log = self._tables
-        return int(exp[int(log[a]) * e % (self.q - 1)])
+        return int(e == 0) if a == 0 else int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Trace down to F_p: sum of a^(p^i) for i < r, always in [0, p)."""
@@ -214,7 +227,7 @@ class GF:
 
     def eval_point_order(self) -> list[int]:
         """Fixed enumeration 0, 1, g, g^2, ... used for evaluation codes."""
-        return [0] + self._tables[0].tolist()
+        return [0] + self._exp.tolist()
 
     def scalar_embed(self, c: int) -> int:
         """Element of the prime subfield F_p as a field element."""
@@ -295,18 +308,18 @@ def _orthogonalize_odd(field: GF) -> TraceOrthBasis:
             v = vecs[(norms != 0).argmax()]
         else:
             # nondegeneracy guarantees some pair sum works in odd characteristic
-            rows = digits(vecs, p, r)
-            sums = from_digits((rows[:, None] + rows) % p, p)
+            sums = f.add_array(vecs[:, None], vecs)
             ok = np.triu(_trace_form(f, sums, sums) != 0, 1)
             if not ok.any():
                 raise RuntimeError("orthogonalization stalled; form degenerate?")
             v = sums.flat[ok.argmax()]
         chosen.append(int(v))
+        # c lies in F_p, so it is also the field element c
         c = _trace_form(f, vecs, v) * pow(int(_trace_form(f, v, v)), -1, p) % p
-        projected = (digits(vecs, p, r) - c[:, None] * digits(v, p, r)) % p
-        projected = projected[projected.any(axis=1)]
-        # keep the rows that are independent of the rows before them
-        vecs = from_digits(projected[_independent_prefix(projected, p)][: r - len(chosen)], p)
+        projected = f.sub_array(vecs, f.mul_array(c, v))
+        projected = projected[projected != 0]
+        # keep the elements that are independent of the elements before them
+        vecs = projected[_independent_prefix(digits(projected, p, r), p)][: r - len(chosen)]
     weights = tuple(_trace_form(f, chosen, chosen).tolist())
     return TraceOrthBasis(f, tuple(chosen), weights)
 
@@ -350,10 +363,10 @@ def _random_basis_char2(field: GF, seed: int, max_restarts: int) -> TraceOrthBas
 
 def rref_over_field(field: GF, mat) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over an arbitrary GF, with pivot columns."""
-    red, rank = row_reduce(np.atleast_2d(mat), field.p, field.tables)
+    red, rank = row_reduce(np.atleast_2d(mat), field.p, field)
     return red.tolist(), (red[:rank] != 0).argmax(axis=1).tolist()
 
 
 def null_space_over_field(field: GF, mat) -> list[list[int]]:
     """Rows spanning {x : mat @ x = 0} over the field."""
-    return null_space_rows(mat, field.p, field.tables).tolist()
+    return null_space_mod_p(mat, field.p, field).tolist()

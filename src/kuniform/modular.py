@@ -7,10 +7,11 @@ Every elimination in the package runs through one Gauss-Jordan kernel,
 row_reduce, which reduces a whole stack of matrices (..., R, C) at once and
 reports each one's rank.  Over F_p it uses plain mod-p int64 arithmetic, so
 it refuses with OverflowError any p with (p-1)^2 >= 2^63, where a product of
-two residues could wrap.  Over GF(p^r), r > 1, it takes the field's log/exp
-tables (passed in: this module does not import fields) and adds elements
-digit by digit mod p.  rank_mod_p, null_space_mod_p and the field-level
-row reduction and null space are thin layers over it.
+two residues could wrap.  Over GF(p^r), r > 1, it takes the field itself
+and calls its array forms (mul_array, sub_array, inv_array); this module
+holds no extension-field arithmetic and does not import fields.
+rank_mod_p, null_space_mod_p and the field-level row reduction and null
+space are thin layers over it.
 
 Over composite moduli the one determinant, det_mod_d, uses fraction-free
 (Bareiss) elimination on integer lifts -- Z_d has zero divisors, so modular
@@ -25,25 +26,41 @@ from math import gcd, prod
 import numpy as np
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # no strong pseudoprime to all of _MR_BASES below this
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    """Primality by Miller-Rabin over the first 13 prime bases.
+
+    Exact below _MR_LIMIT (Sorenson and Webster, 2015); larger n raise
+    ValueError rather than return an unproved answer.
+    """
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided at this size")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        # a witness: x^(2^j) != -1 for every j < s, and x itself is not 1
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
-        i += 1
     return True
 
 
 def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending."""
-    out, f = [], 2
-    while f * f <= n:
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division, stopped as soon as the remaining cofactor is prime.
+    """
+    out, f, done = [], 2, is_prime(n)
+    while not done and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
+            done = is_prime(n)
         f += 1
     return out + [n] * (n > 1)
 
@@ -75,54 +92,36 @@ def from_digits(rows, base: int) -> np.ndarray:
     return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def gf_mul(a, b, tables) -> np.ndarray:
-    """Elementwise product of integer-encoded GF(p^r) elements, broadcast.
+def _arithmetic(p: int, field):
+    """(q, mul, sub, inv) on int64 arrays: plain mod p, or the array forms of a GF(p^r) field."""
+    if field is not None and field.r > 1:
+        return field.q, field.mul_array, field.sub_array, field.inv_array
 
-    tables = (exp, log) are the field's discrete exp and log tables as int64
-    arrays; a product with a zero factor is zero.
-    """
-    exp, log = tables
-    a, b = np.asarray(a), np.asarray(b)
-    return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % exp.size])
+    def inv(a):  # a^(p-2) by square and multiply
+        out, e = np.ones_like(a), p - 2
+        while e:
+            if e & 1:
+                out = out * a % p
+            a, e = a * a % p, e >> 1
+        return out
 
-
-def _arithmetic(p: int, tables):
-    """(q, mul, sub, inv) on int64 arrays over GF(p), or over GF(p^r) given its tables."""
-    if tables is None:
-
-        def inv(a):  # a^(p-2) by square and multiply
-            out, e = np.ones_like(a), p - 2
-            while e:
-                if e & 1:
-                    out = out * a % p
-                a, e = a * a % p, e >> 1
-            return out
-
-        return p, lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv
-    exp, log = tables
-    q, r = log.size, len(np.base_repr(log.size - 1, p))
-
-    def sub(a, b):  # digit-wise mod p
-        a, b = np.broadcast_arrays(a, b)
-        return from_digits((digits(a, p, r) - digits(b, p, r)) % p, p).reshape(a.shape)
-
-    return q, lambda a, b: gf_mul(a, b, tables), sub, lambda a: exp[-log[a] % (q - 1)]
+    return p, lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv
 
 
-def row_reduce(stack, p: int, tables=None) -> tuple[np.ndarray, np.ndarray]:
+def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan reduction of every matrix of a stack of shape (..., R, C).
 
     Returns the reduced row echelon forms, in the input's shape, and the rank
-    of each matrix, in shape (...).  Over GF(p) (tables None) the arithmetic
-    is plain mod p, so p must satisfy (p-1)^2 < 2^63 or OverflowError is
-    raised.  Over GF(p^r), r > 1, entries are integer-encoded field elements
-    and tables = (exp, log) are the field's tables.
+    of each matrix, in shape (...).  Over GF(p) (field None, or of degree 1)
+    the arithmetic is plain mod p, so p must satisfy (p-1)^2 < 2^63 or
+    OverflowError is raised.  Over a field GF(p^r), r > 1, entries are its
+    integer-encoded elements and the field's array forms do the arithmetic.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"modulus {p} is too large: products of residues would wrap in int64")
     if not is_prime(p):
         raise ValueError(f"elimination needs a prime modulus, got {p}; use the determinant path")
-    q, mul, sub, inv = _arithmetic(p, tables)
+    q, mul, sub, inv = _arithmetic(p, field)
     m = np.array(stack, dtype=np.int64) % q
     shape = m.shape
     R, C = shape[-2:]
@@ -152,22 +151,17 @@ def rank_mod_p(mat, p: int):
     return int(rank) if m.ndim <= 2 else rank
 
 
-def null_space_rows(mat, p: int, tables=None) -> np.ndarray:
+def null_space_mod_p(mat, p: int, field=None) -> np.ndarray:
     """Basis rows of the right null space {x : mat @ x = 0}, over GF(p) or GF(p^r) as in row_reduce."""
-    red, rank = row_reduce(np.atleast_2d(mat), p, tables)
+    red, rank = row_reduce(np.atleast_2d(mat), p, field)
     red = red[:rank]
     pivots = (red != 0).argmax(axis=1)
     free = np.setdiff1d(np.arange(red.shape[1]), pivots)
     basis = np.zeros((free.size, red.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    _, _, sub, _ = _arithmetic(p, tables)
+    _, _, sub, _ = _arithmetic(p, field)
     basis[:, pivots] = sub(0, red[:, free].T)
     return basis
-
-
-def null_space_mod_p(mat, p: int) -> np.ndarray:
-    """Basis (as rows) of the right null space {x : mat @ x = 0} over F_p."""
-    return null_space_rows(mat, p)
 
 
 def det_mod_d(mat, d: int) -> int:
@@ -186,11 +180,7 @@ def det_mod_d(mat, d: int) -> int:
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    swap = i
-                    break
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
@@ -219,8 +209,5 @@ def count_linear_solutions(coeffs, d: int, target: int = 0) -> int:
         raise ValueError("need at least one coefficient")
     if d < 2:
         raise ValueError(f"invalid modulus {d}")
-    e = d
-    for c in coeffs:
-        e = gcd(e, c)
-    m = len(coeffs)
-    return e * d ** (m - 1) if target % e == 0 else 0
+    e = gcd(d, *coeffs)
+    return e * d ** (len(coeffs) - 1) if target % e == 0 else 0

@@ -36,6 +36,16 @@ def test_np_lower_bound_examples():
     assert np_lower_bound(6, 3, 2) < 0
 
 
+def test_np_lower_bound_matches_the_per_factor_product():
+    for p in (2, 3, 5, 7):
+        for n in range(2, 16):
+            for k in range(1, n // 2 + 1):
+                prod = Fraction(1)
+                for i in range(k):
+                    prod *= 1 - Fraction(1, p ** (n - k - i))
+                assert np_lower_bound(n, k, p) == 1 - math.comb(n, k) * (1 - prod), (n, k, p)
+
+
 def test_np_lower_bound_range():
     with pytest.raises(ValueError):
         np_lower_bound(4, 0, 2)

@@ -318,3 +318,23 @@ def test_console_entry_smoke():
     )
     assert proc.returncode == 0
     assert "construct-matrix" in proc.stdout
+
+
+_HUGE_PRIME = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["emit-state", "--witness", "{file}", "--out", "{out}"], 2),
+    (["bounds", "--p", _HUGE_PRIME, "--n", "8", "--k", "3"], 0),
+    (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 2),
+])
+def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
+    path = tmp_path / "in.txt"
+    path.write_text(f"2 {_HUGE_PRIME} 1\n0 1\n1 0\n")
+    argv = [arg.format(file=path, out=tmp_path / "out.txt") for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kuniform.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == want, proc.stderr
+    if want == 2:
+        assert "too large" in proc.stderr

@@ -255,7 +255,7 @@ def test_selfdual_special_case(selfdual8):
 
 @st.composite
 def _small_code(draw):
-    field = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])))
+    field = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])))
     m = draw(st.integers(1, 3))
     assume(field.q**m <= 4096)
     n = draw(st.integers(m, 6))

@@ -1,8 +1,12 @@
 import random
 
+import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_sub
 
 from kuniform.fields import GF, find_trace_orthogonal_basis, get_field
+from kuniform.modular import is_prime
 
 
 def test_gf4_layout():
@@ -119,3 +123,60 @@ def test_trace_orthogonal_deterministic():
     a = find_trace_orthogonal_basis(2, 4, seed=11)
     b = find_trace_orthogonal_basis(2, 4, seed=11)
     assert a.basis == b.basis
+
+
+def _prime_powers(lo, hi):
+    return [(p, r) for p in range(2, hi + 1) if is_prime(p) for r in range(1, 11) if lo < p**r <= hi]
+
+
+def _poly(a, p):
+    """Element code as a galoistools polynomial: dense, highest degree first."""
+    out = []
+    while a:
+        a, c = divmod(a, p)
+        out.append(c)
+    return out[::-1]
+
+
+def _code(poly, p):
+    out = 0
+    for c in poly:
+        out = out * p + int(c)
+    return out
+
+
+def _check_against_galoistools(f, a, b):
+    p, mod = f.p, list(f.modulus[::-1])
+    ref_add = [_code(gf_add(_poly(x, p), _poly(y, p), p, ZZ), p) for x, y in zip(a, b)]
+    ref_sub = [_code(gf_sub(_poly(x, p), _poly(y, p), p, ZZ), p) for x, y in zip(a, b)]
+    ref_mul = [_code(gf_rem(gf_mul(_poly(x, p), _poly(y, p), p, ZZ), mod, p, ZZ), p) for x, y in zip(a, b)]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs] == ref_add
+    assert f.sub_array(a, b).tolist() == [f.sub(x, y) for x, y in pairs] == ref_sub
+    assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs] == ref_mul
+    nonzero = a[a != 0]
+    inv = f.inv_array(nonzero)
+    assert inv.tolist() == [f.inv(x) for x in nonzero.tolist()]
+    assert all(
+        gf_rem(gf_mul(_poly(x, p), _poly(y, p), p, ZZ), mod, p, ZZ) == [1] for x, y in zip(nonzero.tolist(), inv.tolist())
+    )
+
+
+@pytest.mark.parametrize("p,r", _prime_powers(1, 64))
+def test_arithmetic_matches_galoistools_on_every_pair(p, r):
+    f = get_field(p, r)
+    a, b = np.divmod(np.arange(f.q * f.q), f.q)
+    _check_against_galoistools(f, a, b)
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in _prime_powers(64, 1 << 10) if r > 1 or p in (67, 509, 1021)])
+def test_arithmetic_matches_galoistools_on_random_pairs(p, r):
+    f = get_field(p, r)
+    rng = np.random.default_rng(p**r)
+    a, b = rng.integers(0, f.q, size=(2, 400))
+    _check_against_galoistools(f, a, b)
+
+
+def test_inv_array_refuses_zero():
+    with pytest.raises(ZeroDivisionError):
+        get_field(2, 3).inv_array([1, 0])
