@@ -127,7 +127,9 @@ class BoundReport:
 
 
 def bound_report(p: int, n: int | None = None, k: int | None = None, tol: float = 1e-9) -> BoundReport:
-    """Evaluate every applicable bound at (p, n, k); n and k are optional."""
+    """Evaluate every applicable bound at a prime p and (n, k); n and k are optional."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     np_b = cor3 = thr = None
     if n is not None and k is not None:
         np_b = np_lower_bound(n, k, p)

@@ -21,6 +21,7 @@ the rank path is tested against.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd, prod
 
 import numpy as np
@@ -52,17 +53,56 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending.
 
-    Trial division, stopped as soon as the remaining cofactor is prime.
+    Trial division by the numbers below 2^10, then Pollard-Brent rho on the
+    cofactor; is_prime decides every factor.
     """
-    out, f, done = [], 2, is_prime(n)
-    while not done and f * f <= n:
+    out, f = set(), 2
+    while f < 1 << 10 and f * f <= n:
         if n % f == 0:
-            out.append(f)
+            out.add(f)
             while n % f == 0:
                 n //= f
-            done = is_prime(n)
         f += 1
-    return out + [n] * (n > 1)
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            f = _rho(m)
+            rest += [f, m // f]
+    return sorted(out)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 2^10.
+
+    Pollard's rho with Brent's cycle detection and batched gcds, over the
+    maps x -> x^2 + c for c = 1, 2, ... until one splits n, so the factor
+    returned is the same on every run.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for s in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - s)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: step again one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def digits(idx, base: int, width: int) -> np.ndarray:

@@ -23,13 +23,20 @@ TooLargeError unless d^(2k+1) <= max_ops, which also bounds the histogram
 index (cA, cA2, exponent).  The complementary strings, which can be far
 longer than 63 bits, are packed into words of at most w digits with
 d^w <= 2^62 and sorted word by word, so they never wrap.
+
+Work is charged against max_ops.  Each subset check returns its failing
+pair (or None) and its pair count, the sum of g^2 over its group sizes g,
+and refuses against the total settled so far before it builds any pairs.
+One scan loop settles that total in lexicographic order, so which subset a
+refusal names does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from math import comb
 
@@ -218,32 +225,25 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     return total
 
 
-class _Budget:
-    """Work charged against max_ops: sort and histogram entries up front, then
-    the pairs within each group of kets.
+def _in_order(fn, items, workers: int):
+    """(x, fn(x)) for each x of items, lazily and in order.
 
-    A subset check charges its sum of g^2 over group sizes g before building
-    the pairs, and refuses if that alone passes what the subsets settled so
-    far have left.  verify_uniform settles the subsets in scan order, so a
-    refusal does not depend on how many subsets the pool runs ahead.
+    Above one worker, fn runs in a pool with at most 2 * workers calls ahead
+    of the one consumed; closing the generator cancels those not started.
     """
-
-    def __init__(self, spent: int, ceiling: int):
-        self.spent, self.ceiling, self._pairs, self._lock = spent, ceiling, {}, threading.Lock()
-
-    def refuse(self, total: int, what: str = "sort, histogram and pair entries") -> None:
-        if total > self.ceiling:
-            raise TooLargeError(f"{total} {what} exceed ceiling {self.ceiling}", estimate=total, ceiling=self.ceiling)
-
-    def charge(self, A, pairs: int) -> None:
-        with self._lock:
-            self._pairs[A] = pairs
-            self.refuse(self.spent + pairs)
-
-    def settle(self, A) -> None:
-        with self._lock:
-            self.spent += self._pairs.pop(A)
-            self.refuse(self.spent)
+    if workers <= 1:
+        yield from ((x, fn(x)) for x in items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque((x, pool.submit(fn, x)) for x in itertools.islice(items, 2 * workers))
+        try:
+            while window:
+                x, future = window.popleft()
+                yield x, future.result()
+                window.extend((x, pool.submit(fn, x)) for x in itertools.islice(items, 1))
+        finally:
+            for _, future in window:
+                future.cancel()
 
 
 def verify_uniform(
@@ -256,45 +256,36 @@ def verify_uniform(
     rejected (no state can be uniform beyond n/2).  An instance whose
     per-subset table of d^(2k+1) pair-and-exponent entries, or whose sort and
     histogram work over all subsets, exceeds max_ops raises TooLargeError
-    before starting; the pairs within each group of kets are charged as the
-    groups are found, and the scan raises TooLargeError once the running
-    total passes max_ops.
+    before starting.  The pairs within each group of kets are charged as
+    they are found: one loop settles them into a running total in scan
+    order, and a check refuses against the settled total before it builds
+    any pairs, so the subset a refusal names does not depend on the worker
+    count.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
         raise ValueError(f"k={k} out of range for n={n} (need 0 <= k <= n/2)")
-    budget = _Budget(comb(n, k) * (len(state) + d ** (2 * k + 1)), max_ops)
-    budget.refuse(d ** (2 * k + 1), "histogram entries per subset")
-    budget.refuse(budget.spent, "sort and histogram entries")
+
+    def refuse(total, what):
+        if total > max_ops:
+            raise TooLargeError(f"{total} {what} exceed ceiling {max_ops}", estimate=total, ceiling=max_ops)
+
+    def charge(A, pairs):  # reads the settled total; only the scan loop below adds to it
+        refuse(spent + pairs, f"sort, histogram and pair entries through subset {A}")
+
+    refuse(d ** (2 * k + 1), "histogram entries per subset")
+    spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
+    refuse(spent, "sort and histogram entries")
     norm = state.norm_value()
+    check = _check_subset_phase if state.exponents is not None else _check_subset_generic
+    scan = lambda A: check(state, A, lambda pairs: charge(A, pairs))  # noqa: E731
 
-    subsets = list(itertools.combinations(range(n), k))
-    if state.exponents is not None:
-        check = lambda A: _check_subset_phase(state, A, budget)  # noqa: E731
-    else:
-        check = lambda A: _check_subset_generic(state, A, budget)  # noqa: E731
-
-    if workers > 1 and len(subsets) > 1:
-        # at most 2 * workers subsets in flight, consumed in order, so the
-        # scan stops near the first failure and reports the lowest one
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ahead = 2 * workers
-            futures = [pool.submit(check, A) for A in subsets[:ahead]]
-            for i, A in enumerate(subsets):
-                fail = futures[i].result()
-                if fail is not None:
-                    for f in futures[i:]:
-                        f.cancel()
-                    return UniformityReport(k, False, norm, A, fail)
-                budget.settle(A)
-                if i + ahead < len(subsets):
-                    futures.append(pool.submit(check, subsets[i + ahead]))
-    else:
-        for A in subsets:
-            fail = check(A)
+    with closing(_in_order(scan, itertools.combinations(range(n), k), workers)) as results:
+        for A, (fail, pairs) in results:
+            charge(A, pairs)
+            spent += pairs
             if fail is not None:
                 return UniformityReport(k, False, norm, A, fail)
-            budget.settle(A)
     return UniformityReport(k, True, norm)
 
 
@@ -306,12 +297,12 @@ def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: in
     return 0
 
 
-def _check_subset_phase(state: PureState, A, budget: _Budget | None = None):
+def _check_subset_phase(state: PureState, A, charge=lambda pairs: None):
     """Histogram check of one subset for single-root amplitudes.
 
-    Returns None when the subset passes, else the first failing pair
-    (cA, cA2) in lexicographic order.  The pairs are charged to budget, if
-    given, before they are built.
+    Returns (None, pairs) when the subset passes, else (the first failing
+    pair (cA, cA2) in lexicographic order, pairs), where pairs is the sum of
+    g^2 over the group sizes g; charge(pairs) runs before any pair is built.
     """
     n, d = state.n, state.d
     k = len(A)
@@ -333,8 +324,8 @@ def _check_subset_phase(state: PureState, A, budget: _Budget | None = None):
         edge[1:-1] |= b_s[1:] != b_s[:-1]
     edges = np.flatnonzero(edge)
     starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-    if budget is not None:
-        budget.charge(A, int(sizes @ sizes))
+    pairs = int(sizes @ sizes)
+    charge(pairs)
 
     # every ordered pair (i, j) within a group, one (count, g) block per group
     # size g, binned at (a_i d^k + a_j) d + (e_j - e_i mod d), the wrap of the
@@ -359,13 +350,13 @@ def _check_subset_phase(state: PureState, A, budget: _Budget | None = None):
     bad[x, x] = T[x, x, 0] * dk != support
     fail = np.flatnonzero(bad)
     if not fail.size:
-        return None
+        return None, pairs
     ca, ca2 = digits(divmod(int(fail[0]), dk), d, k).tolist()
-    return tuple(ca), tuple(ca2)
+    return (tuple(ca), tuple(ca2)), pairs
 
 
-def _check_subset_generic(state: PureState, A, budget: _Budget | None = None):
-    """Reference check of one subset with full cyclotomic accumulation."""
+def _check_subset_generic(state: PureState, A, charge=lambda pairs: None):
+    """Reference check of one subset with full cyclotomic accumulation; returns as _check_subset_phase."""
     n, d = state.n, state.d
     k = len(A)
     aset = set(A)
@@ -373,8 +364,8 @@ def _check_subset_generic(state: PureState, A, budget: _Budget | None = None):
     groups: dict = {}
     for key, amp in zip(state.keys.tolist(), state._amplitudes()):
         groups.setdefault(_project(key, B), []).append((_project(key, A), amp))
-    if budget is not None:
-        budget.charge(A, sum(len(entries) ** 2 for entries in groups.values()))
+    pairs = sum(len(entries) ** 2 for entries in groups.values())
+    charge(pairs)
     pair_sums: dict = {}
     for entries in groups.values():
         for x, ax in entries:
@@ -391,7 +382,7 @@ def _check_subset_generic(state: PureState, A, budget: _Budget | None = None):
             s = pair_sums.get((x, y), zero)
             if x == y:
                 if not (s.scale(dk) - norm).is_zero():
-                    return (x, y)
+                    return (x, y), pairs
             elif not s.is_zero():
-                return (x, y)
-    return None
+                return (x, y), pairs
+    return None, pairs

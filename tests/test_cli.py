@@ -167,6 +167,18 @@ def test_bounds_needs_args():
     assert run("bounds", "--p", "2") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "1", "--lambda"],
+    ["--p", "1", "--n", "4"],
+    # Theorem 3 speaks of primes only: no "k=n/2 achievable" at p=9
+    ["--p", "9", "--n", "4"],
+])
+def test_bounds_refuse_a_level_that_is_not_prime(capsys, argv):
+    assert run("bounds", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "is not prime" in err
+
+
 def test_construct_code(tmp_path, capsys):
     out_file = tmp_path / "state.txt"
     code = run("construct-code", "--code", str(fixture_path("code_8_4_4_binary.txt")), "--out", str(out_file))
@@ -327,6 +339,8 @@ _HUGE_PRIME = str(2**61 - 1)
     (["emit-state", "--witness", "{file}", "--out", "{out}"], 2),
     (["bounds", "--p", _HUGE_PRIME, "--n", "8", "--k", "3"], 0),
     (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 2),
+    # the level (2^31 - 1)^2 has no small factor and no prime cofactor
+    (["search", "--n", "2", "--d", str((2**31 - 1) ** 2), "--k", "1", "--budget", "10"], 0),
 ])
 def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
     path = tmp_path / "in.txt"

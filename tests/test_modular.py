@@ -76,6 +76,17 @@ def test_prime_factors_stop_at_a_prime_cofactor():
     assert prime_factors(12 * (2**61 - 1)) == [2, 3, 2**61 - 1]
 
 
+def test_prime_factors_split_two_large_primes():
+    # no small factor and no prime cofactor to stop at: the rho step splits them
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = (sympy.nextprime(rng.getrandbits(rng.randint(25, 31))) for _ in range(2))
+        for n in (a * b, a * a, 6 * a * b, 1031**2 * a * b):
+            assert prime_factors(n) == sorted(sympy.factorint(n)), n
+    assert prime_factors((2**31 - 1) ** 2) == [2**31 - 1]
+    assert prime_factors(2147483647 * 2147483659) == [2147483647, 2147483659]
+
+
 def test_rank_examples():
     assert rank_mod_p([[0, 1], [1, 0]], 2) == 2
     assert rank_mod_p(np.zeros((3, 3), dtype=int), 5) == 0

@@ -59,6 +59,16 @@ def test_random_stream_is_stable():
     assert splitmix64(0) == 0xE220A8397B1DCDAF  # published splitmix64 vector
 
 
+def test_random_stream_matches_scalar_splitmix64():
+    # digit t of candidate i is splitmix64((base + i*T + t) mod 2^64) mod d,
+    # also where the uint64 sum wraps
+    T = 6
+    for base, start, d in ((_stream_base(7, 6, 2, 3), 0, 2), (12345, 1000, 5), (2**64 - 9, 0, 3), (2**64 - 1, 3, 7)):
+        rows = _digits_batch(base, start, 4, T, d, "random")
+        want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + 4)]
+        assert rows.tolist() == want
+
+
 def test_exhaustive_order_is_lexicographic():
     digits = _digits_batch(0, 0, 9, 2, 3, "exhaustive")
     assert digits.tolist() == [

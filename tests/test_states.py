@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -248,10 +250,10 @@ def test_long_complements_do_not_wrap():
     e1 = (1,) + (0,) * 27
     tails = [(0,) * 28, _base_digits(2**64, 5, 28), e1, tuple(2 * x for x in e1), tuple(3 * x for x in e1)]
     s = PureState.from_phases(29, 5, {(a,) + t: 0 for a, t in enumerate(tails)})
-    assert _check_subset_phase(s, (0,)) is None
-    first = next(A for A in itertools.combinations(range(29), 1) if _check_subset_generic(s, A))
+    assert _check_subset_phase(s, (0,))[0] is None
+    first = next(A for A in itertools.combinations(range(29), 1) if _check_subset_generic(s, A)[0] is not None)
     r = verify_uniform(s, 1)
-    assert (r.failing_subset, r.failing_pair) == (first, _check_subset_generic(s, first))
+    assert (r.failing_subset, r.failing_pair) == (first, _check_subset_generic(s, first)[0])
 
 
 @st.composite
@@ -289,3 +291,59 @@ def _sparse_phase_state(draw):
 def test_phase_path_matches_generic_on_sparse_states(case):
     s, A = case
     assert _check_subset_phase(s, A) == _check_subset_generic(s, A)
+
+
+@st.composite
+def _scan_case(draw):
+    """(state, k): full-support quadratic phases, sparse phases, or general amplitudes."""
+    if draw(st.booleans()):
+        n, d = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]))
+        tri = draw(st.lists(st.integers(0, d - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
+        phases = dict(zip(map(tuple, strings.tolist()), exps.tolist()))
+    else:
+        n, d = draw(st.integers(2, 6)), draw(st.sampled_from([2, 3, 5]))
+        ket = st.tuples(*[st.integers(0, d - 1)] * n)
+        phases = draw(st.dictionaries(ket, st.integers(0, d - 1), min_size=1, max_size=8))
+    k = draw(st.integers(1, min(2, n // 2)))
+    if draw(st.booleans()):
+        return PureState.from_phases(n, d, phases), k
+    factor = st.builds(CycInt, st.just(d), st.tuples(*[st.integers(-2, 2)] * d)).filter(lambda c: not c.is_zero())
+    # one shared factor keeps a uniform state uniform
+    common = draw(factor) if draw(st.booleans()) else None
+    return PureState(n, d, {key: root_power(d, e) * (common or draw(factor)) for key, e in phases.items()}), k
+
+
+def _first_failure(s, k):
+    """(subset, pair) of the first failing marginal sum in (A, cA, cA2) order, or (None, None)."""
+    norm, dk = s.norm(), s.d**k
+    for A in itertools.combinations(range(s.n), k):
+        for ca in itertools.product(range(s.d), repeat=k):
+            for ca2 in itertools.product(range(s.d), repeat=k):
+                m = marginal_sum(s, A, ca, ca2)
+                if not (m.scale(dk) - norm if ca == ca2 else m).is_zero():
+                    return A, (ca, ca2)
+    return None, None
+
+
+def _pair_count(s, A):
+    """Sum of g^2 over the groups of kets that agree off A."""
+    B = [i for i in range(s.n) if i not in A]
+    return sum(g * g for g in collections.Counter(tuple(key[i] for i in B) for key in s.keys.tolist()).values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scan_case())
+def test_scan_matches_brute_force_at_every_worker_count(case):
+    s, k = case
+    subset, pair = _first_failure(s, k)
+    scanned = itertools.combinations(range(s.n), k)
+    if subset is not None:
+        scanned = itertools.takewhile(lambda A: A <= subset, scanned)
+    # sort and histogram entries up front, then the pairs of every subset scanned
+    total = comb(s.n, k) * (len(s) + s.d ** (2 * k + 1)) + sum(_pair_count(s, A) for A in scanned)
+    for workers in (1, 2, 3):
+        r = verify_uniform(s, k, max_ops=total, workers=workers)
+        assert (r.uniform, r.failing_subset, r.failing_pair) == (subset is None, subset, pair)
+        with pytest.raises(TooLargeError):
+            verify_uniform(s, k, max_ops=total - 1, workers=workers)
