@@ -11,19 +11,29 @@ reduction bias is below 2^-60 and identical across runs).
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
-stream costs a small block while long scans still run on large ones.  Each
-chunk first passes through a vectorized screen, chosen from (d, k) alone:
+stream costs a small block while long scans still run on large ones.  The
+hashes of one random chunk are the contiguous run of count*T inputs from
+base + start*T; they are computed a few candidates at a time, in blocks of
+about 2^16 inputs, so the uint64 temporaries stay in cache.  Each chunk
+first passes through a vectorized screen, chosen from (n, d, k) alone:
 
-- d = 2 and k <= 4: the bit screen.  The rows of each H[A x complement]
-  are packed into integers, and the rank is k iff no nonempty XOR of rows
-  is zero.
-- every other (d, k): a batched rank screen.  For each prime p dividing d
-  and each k-subset A, the blocks H[A x complement] mod p of all candidates
-  still alive are row-reduced as one stack, and those of rank below k drop.
-  At a prime power d = p^e the screen is exact: a k x k block is
-  invertible over Z_(p^e) iff its determinant is nonzero mod p, and some
-  k x k block of H[A x complement] has that iff its rank mod p is k.  At
-  other levels (6, 10, ...) it is only a necessary condition.
+- d = 2, k <= 4 and n <= 64: the bit screen.  It never forms the digit
+  table: bit t of candidate i is bit T-1-t of i (exhaustive) or the low
+  bit of its hash (random), stored as a (T, count) uint8 array.  Row v of
+  each candidate packs into one n-bit word (uint8 to uint64 by n), and
+  H[A x complement] has rank k over GF(2) iff every nonempty XOR of A's row
+  words has a bit outside A.  The 2^k - 1 XORs of each k-subset A are
+  walked in Gray-code order, and the survivors are compacted after each A.
+  Only the survivors' bit columns become digit rows.  Wider n would need
+  more than one word, so d = 2 with n > 64 takes the rank screen.
+- every other (n, d, k): a batched rank screen over the digit table.  For
+  each prime p dividing d and each k-subset A, the blocks H[A x complement]
+  mod p of all candidates still alive are row-reduced as one stack, and
+  those of rank below k drop.  At a prime power d = p^e the screen is
+  exact: a k x k block is invertible over Z_(p^e) iff its determinant is
+  nonzero mod p, and some k x k block of H[A x complement] has that iff its
+  rank mod p is k.  At other levels (6, 10, ...) it is only a necessary
+  condition.
 
 Every survivor, in index order, is rechecked with the public certificate
 check, which alone decides a hit, and a returned matrix passes that check
@@ -48,6 +58,7 @@ from .modular import digits, prime_factors, row_reduce
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
 _FIRST_CHUNK = 1 << 10
+_HASH_BLOCK = 1 << 16
 
 
 def splitmix64(x: int) -> int:
@@ -55,13 +66,6 @@ def splitmix64(x: int) -> int:
     z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-def _splitmix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def _stream_base(seed: int, n: int, d: int, k: int) -> int:
@@ -83,16 +87,46 @@ class SearchBudget:
             raise ValueError("budget must allow at least one candidate")
 
 
+def _hashes(base: int, start: int, count: int, T: int):
+    """(offset, hashes) blocks of the random stream for candidates [start, start+count).
+
+    Row i of a block holds splitmix64((base + (start+offset+i)*T + t) mod 2^64)
+    for t < T; a block spans about _HASH_BLOCK inputs.
+    """
+    step = max(1, _HASH_BLOCK // T)
+    for lo in range(0, count, step):
+        rows = min(step, count - lo)
+        with np.errstate(over="ignore"):
+            x = np.arange(rows * T, dtype=np.uint64)
+            x += np.uint64((base + (start + lo) * T + 0x9E3779B97F4A7C15) & _MASK)
+            x ^= x >> np.uint64(30)
+            x *= np.uint64(0xBF58476D1CE4E5B9)
+            x ^= x >> np.uint64(27)
+            x *= np.uint64(0x94D049BB133111EB)
+            x ^= x >> np.uint64(31)
+        yield lo, x.reshape(rows, T)
+
+
 def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) -> np.ndarray:
     """Candidate digit rows for indices [start, start+count)."""
     if mode == "exhaustive":
         return digits(np.arange(start, start + count), d, T)
-    with np.errstate(over="ignore"):
-        u = np.arange(start, start + count, dtype=np.uint64) * np.uint64(T)
-        out = np.empty((count, T), dtype=np.int64)
+    out = np.empty((count, T), dtype=np.int64)
+    for lo, h in _hashes(base, start, count, T):
+        out[lo:lo + len(h)] = h % np.uint64(d)
+    return out
+
+
+def _level2_bits(base: int, start: int, count: int, T: int, mode: str) -> np.ndarray:
+    """The level-2 digits of candidates [start, start+count) as a (T, count) uint8 array."""
+    out = np.empty((T, count), dtype=np.uint8)
+    if mode == "exhaustive":
+        idx = np.arange(start, start + count)
         for t in range(T):
-            h = _splitmix64_np(np.uint64(base) + u + np.uint64(t))
-            out[:, t] = (h % np.uint64(d)).astype(np.int64)
+            out[t] = (idx >> (T - 1 - t)) & 1
+        return out
+    for lo, h in _hashes(base, start, count, T):
+        out[:, lo:lo + len(h)] = h.T & np.uint64(1)
     return out
 
 
@@ -107,28 +141,42 @@ def _blocks(n: int, k: int):
         yield pos[np.ix_(A, [j for j in range(n) if j not in A])]
 
 
-def _screen_level2(digits: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Boolean pass mask for level-2 candidates (rank certificate, k <= 4).
+def _row_words(bits: np.ndarray, n: int) -> np.ndarray:
+    """Row v of each candidate's H as an n-bit word (bit j is H[v, j]), shape (n, count)."""
+    word = np.min_scalar_type((1 << n) - 1).type  # uint8 .. uint64
+    words = np.zeros((n, bits.shape[1]), dtype=word)
+    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        col = bits[t].astype(word)
+        words[i] |= col << word(j)
+        words[j] |= col << word(i)
+    return words
 
-    Rows of each k x (n-k) submatrix are packed into integers; the rank is k
-    iff every nonempty XOR combination of rows is nonzero.
+
+def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Boolean pass mask of the level-2 bit screen (k <= 4, n <= 64) over (T, count) bits.
+
+    H[A x complement] has rank k over GF(2) iff every nonempty XOR of A's
+    row words has a bit outside A.
     """
-    alive = np.ones(digits.shape[0], dtype=bool)
-    for cols in _blocks(n, k):
-        if not alive.any():
+    words = _row_words(bits, n)
+    alive = np.arange(bits.shape[1])
+    full = (1 << n) - 1
+    # Gray code: after row A[0], step g = 2 .. 2^k - 1 flips row A[lowest set bit of g]
+    flips = [(g & -g).bit_length() - 1 for g in range(2, 1 << k)]
+    for A in itertools.combinations(range(n), k):
+        outside = words.dtype.type(full ^ sum(1 << a for a in A))
+        rows = [words[a] & outside for a in A]
+        acc = rows[0].copy()
+        ok = acc != 0
+        for b in flips:
+            acc ^= rows[b]
+            ok &= acc != 0
+        words, alive = words[:, ok], alive[ok]
+        if not alive.size:
             break
-        idx = np.flatnonzero(alive)
-        sub = digits[idx]
-        rows = [(sub[:, row] << np.arange(n - k)).sum(axis=1) for row in cols]
-        ok = np.ones(idx.size, dtype=bool)
-        for mask in range(1, 1 << k):
-            combo = np.zeros(idx.size, dtype=np.int64)
-            for b in range(k):
-                if mask >> b & 1:
-                    combo ^= rows[b]
-            ok &= combo != 0
-        alive[idx[~ok]] = False
-    return alive
+    mask = np.zeros(bits.shape[1], dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def _screen_rank(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
@@ -145,17 +193,22 @@ def _screen_rank(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
     return alive
 
 
-def _screen(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
-    """Pass mask of the screen that runs at (d, k); every true passer survives it."""
-    return _screen_level2(digits, n, k) if d == 2 and k <= 4 else _screen_rank(digits, n, d, k)
+def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str):
+    """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
+    T = n * (n - 1) // 2
+    if d == 2 and k <= 4 and n <= 64:
+        bits = _level2_bits(base, start, count, T, mode)
+        offs = np.flatnonzero(_screen_level2(bits, n, k))
+        return offs, bits[:, offs].T.astype(np.int64)
+    rows = _digits_batch(base, start, count, T, d, mode)
+    offs = np.flatnonzero(_screen_rank(rows, n, d, k))
+    return offs, rows[offs]
 
 
 def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str) -> int | None:
     """Index of the first certificate-passing candidate in a chunk, if any."""
-    digits = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    for off in np.flatnonzero(_screen(digits, n, d, k)):
-        H = upper_triangle_to_matrix(digits[off], n, d)
-        if check_certificate(H, d, k):
+    for off, row in zip(*_survivors(start, count, n, d, k, base, mode)):
+        if check_certificate(upper_triangle_to_matrix(row, n, d), d, k):
             return start + int(off)
     return None
 

@@ -14,12 +14,15 @@ from kuniform.matrices import (
     upper_triangle_to_matrix,
 )
 from kuniform.search import (
+    _HASH_BLOCK,
     SearchBudget,
     _digits_batch,
-    _screen,
+    _first_pass_in_chunk,
+    _level2_bits,
     _screen_level2,
     _screen_rank,
     _stream_base,
+    _survivors,
     search_witness,
     splitmix64,
     table_scan,
@@ -61,11 +64,14 @@ def test_random_stream_is_stable():
 
 def test_random_stream_matches_scalar_splitmix64():
     # digit t of candidate i is splitmix64((base + i*T + t) mod 2^64) mod d,
-    # also where the uint64 sum wraps
-    T = 6
-    for base, start, d in ((_stream_base(7, 6, 2, 3), 0, 2), (12345, 1000, 5), (2**64 - 9, 0, 3), (2**64 - 1, 3, 7)):
-        rows = _digits_batch(base, start, 4, T, d, "random")
-        want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + 4)]
+    # also where the uint64 sum wraps, where start*T alone passes 2^64, and
+    # across a hash block boundary
+    block = _HASH_BLOCK // 64
+    for base, start, count, T, d in ((_stream_base(7, 6, 2, 3), 0, 4, 6, 2), (12345, 1000, 4, 6, 5),
+                                     (2**64 - 9, 0, 4, 6, 3), (2**64 - 1, 3, 4, 6, 7), (99, 2**61 + 5, 4, 6, 2),
+                                     (2**64 - 3, 2**58 - 1, block + 2, 64, 2), (7, 11, block + 2, 64, 3)):
+        rows = _digits_batch(base, start, count, T, d, "random")
+        want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + count)]
         assert rows.tolist() == want
 
 
@@ -122,6 +128,8 @@ def test_seed_replays_identically():
         ((4, 3, 2), SearchBudget(3**6, seed=0, mode="exhaustive"), 123),
         ((5, 6, 2), SearchBudget(10**5, seed=0, mode="random"), 97),
         ((6, 10, 3), SearchBudget(2 * 10**4, seed=0, mode="random"), 2418),
+        ((12, 2, 4), SearchBudget(10**7, seed=0, mode="random"), 1047),
+        ((12, 2, 4), SearchBudget(10**7, seed=7777, mode="random"), 861),
     ]:
         assert search_witness(n, d, k, budget).provenance.index == index, (n, d, k)
 
@@ -142,9 +150,14 @@ def test_early_hit_draws_only_the_chunks_it_scans(monkeypatch, workers):
     assert w.provenance.index == 182
 
 
-def _assert_screen_agrees(rows, n, d, k):
-    """Against the determinant certificate: equal at prime powers, a superset elsewhere."""
-    mask = _screen(rows, n, d, k)
+def _assert_screen_agrees(n, d, k, base, start, count, mode):
+    """The scan's screen on a chunk against the determinant certificate:
+    equal at prime powers, a superset elsewhere."""
+    rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    offs, kept = _survivors(start, count, n, d, k, base, mode)
+    assert (kept == rows[offs]).all()
+    mask = np.zeros(count, dtype=bool)
+    mask[offs] = True
     want = np.array([check_certificate_general(upper_triangle_to_matrix(r, n, d), d, k) for r in rows])
     if d in (2, 3, 4, 5, 9):
         assert (mask == want).all()
@@ -156,7 +169,7 @@ def _assert_screen_agrees(rows, n, d, k):
 @pytest.mark.parametrize("n,d,k", [(5, 2, 2), (4, 3, 2), (4, 4, 1), (3, 6, 1), (2, 9, 1)])
 def test_screen_is_exact_on_whole_small_spaces(n, d, k):
     T = n * (n - 1) // 2
-    assert _assert_screen_agrees(_digits_batch(0, 0, d**T, T, d, "exhaustive"), n, d, k).any()
+    assert _assert_screen_agrees(n, d, k, 0, 0, d**T, "exhaustive").any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,16 +181,101 @@ def test_screen_is_exact_on_whole_small_spaces(n, d, k):
 )
 def test_screen_matches_the_determinant_certificate(case, seed, start):
     n, d, k = case
-    rows = _digits_batch(_stream_base(seed, n, d, k), start, 48, n * (n - 1) // 2, d, "random")
-    _assert_screen_agrees(rows, n, d, k)
+    _assert_screen_agrees(n, d, k, _stream_base(seed, n, d, k), start, 48, "random")
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(4, 1), (5, 2), (6, 3), (7, 3), (8, 4)]), st.integers(0, 2**32))
 def test_bit_screen_agrees_with_batched_screen(case, seed):
     n, k = case
-    rows = _digits_batch(_stream_base(seed, n, 2, k), 0, 512, n * (n - 1) // 2, 2, "random")
-    assert (_screen_level2(rows, n, k) == _screen_rank(rows, n, 2, k)).all()
+    T, base = n * (n - 1) // 2, _stream_base(seed, n, 2, k)
+    bits, rows = _level2_bits(base, 0, 512, T, "random"), _digits_batch(base, 0, 512, T, 2, "random")
+    assert (_screen_level2(bits, n, k) == _screen_rank(rows, n, 2, k)).all()
+
+
+def test_level2_bits_are_the_digits_transposed():
+    # counts that are not a multiple of the hash block, nonzero starts, and
+    # exhaustive indices whose leading digits lie above bit 63
+    for T in (1, 6, 28, 66):
+        count = _HASH_BLOCK // T + 3
+        for base, start in ((_stream_base(3, 8, 2, 4), 0), (2**64 - 5, 12345)):
+            want = _digits_batch(base, start, count, T, 2, "random").T
+            assert (_level2_bits(base, start, count, T, "random") == want).all()
+    for T, start, count in ((6, 0, 64), (21, 2**21 - 700, 700), (28, 98765, 3000),
+                            (64, 0, 500), (66, 0, 500), (66, 2**62 + 9, 77)):
+        want = _digits_batch(0, start, count, T, 2, "exhaustive").T
+        assert (_level2_bits(0, start, count, T, "exhaustive") == want).all()
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 2), (8, 3), (9, 3), (10, 3), (11, 3), (12, 4),
+                                 (16, 3), (17, 2), (33, 2), (64, 1)])
+def test_bit_screen_matches_rank_screen_at_every_word_width(n, k):
+    # random chunks pass almost everywhere at large n and exhaustive chunks
+    # fail almost everywhere, so sparse random bits (about 4 per row) add mixed cases
+    T = n * (n - 1) // 2
+    chunks = [_level2_bits(_stream_base(0, n, 2, k), 1000, 256, T, "random"),
+              _level2_bits(0, min(2**T, 2**62) - 300, 256, T, "exhaustive"),
+              _level2_bits(0, 12345, 256, T, "exhaustive"),
+              (np.random.default_rng(n).random((T, 256)) < 4 / n).astype(np.uint8)]
+    passed = 0
+    for bits in chunks:
+        mask = _screen_level2(bits, n, k)
+        assert (mask == _screen_rank(bits.T.astype(np.int64), n, 2, k)).all()
+        passed += mask.sum()
+    assert 0 < passed < 4 * 256
+
+
+def _first_pass_reference(start, count, n, d, k, base, mode):
+    """The rank screen over the whole digit table, then the certificate on each survivor."""
+    rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    for off in np.flatnonzero(_screen_rank(rows, n, d, k)):
+        if check_certificate(upper_triangle_to_matrix(rows[off], n, d), d, k):
+            return start + int(off)
+    return None
+
+
+@pytest.mark.parametrize("n,k,mode,seed,start,count", [
+    (5, 2, "exhaustive", 0, 0, 1024),
+    (6, 3, "exhaustive", 0, 7000, 2000),
+    (7, 2, "exhaustive", 0, 103000, 2000),
+    (7, 3, "exhaustive", 0, 2**21 - 3000, 3000),
+    (8, 3, "random", 0, 0, 1024),
+    (8, 4, "random", 7777, 5000, 2000),
+    (9, 4, "random", 3, 0, 1024),
+    (12, 4, "random", 0, 1000, 100),
+])
+def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, count):
+    base = _stream_base(seed, n, 2, k)
+    want = _first_pass_reference(start, count, n, 2, k, base, mode)
+    assert _first_pass_in_chunk(start, count, n, 2, k, base, mode) == want
+
+
+def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
+    # n = 66, k = 1: the perfect matching {0-65, 1-2, 3-4, ..., 63-64}; row 0's
+    # only entry sits in column 65, past any 64-bit word
+    n = 66
+    H = np.zeros((n, n), dtype=np.int64)
+    for i, j in [(0, 65)] + [(v, v + 1) for v in range(1, 65, 2)]:
+        H[i, j] = H[j, i] = 1
+    assert check_certificate(H, 2, 1)
+    row = H[np.triu_indices(n, 1)]
+    assert _screen_rank(row[None], n, 2, 1).all()
+    monkeypatch.setattr(search, "_digits_batch", lambda *args: row[None].copy())
+    assert _first_pass_in_chunk(0, 1, n, 2, 1, 0, "exhaustive") == 0
+
+
+def test_level2_table_replays_are_pinned():
+    # the criterion-4 row at the benchmark's budget: exhaustive cells up to
+    # n = 7 and the random n = 8 cells, whose k = 4 miss is a budget miss
+    for seed, n8 in ((0, 230), (7777, 6)):
+        cells = table_scan(2, range(2, 9), max_candidates=2**21, seed=seed)
+        got = {n: (c.best_k, c.witness.provenance.method, c.witness.provenance.index) for n, c in cells.items()}
+        assert got[5] == (2, "exhaustive", 236)
+        assert got[6] == (3, "exhaustive", 7915)
+        assert got[7] == (2, "exhaustive", 103864)
+        assert got[8] == (3, "random", n8)
+        assert cells[7].misses == [(3, "exhausted")]
+        assert cells[8].misses == [(4, "budget")]
 
 
 def test_found_witnesses_pass_recheck_and_oracle():
