@@ -58,6 +58,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if not 2 <= args.n_min <= args.n_max:
+        raise ValueError(f"need 2 <= --n-min <= --n-max, got {args.n_min} and {args.n_max}")
     ns = range(args.n_min, args.n_max + 1)
     if args.from_registry:
         cells = table_from_registry(args.from_registry, args.d, ns)

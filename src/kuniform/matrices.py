@@ -3,10 +3,17 @@
 The amplitude of basis string c is zeta_d raised to the quadratic phase
 c Ht c^T where Ht is the strict upper triangle of H (never H/2, which breaks
 for even d).  A matrix certifies k-uniformity when, for every position
-subset A of size k: over a prime modulus, the submatrix H[A x complement]
-has rank k; over any modulus, some k-subset B of the complement makes
-H[A x B] invertible over Z_d.  Both checks scan subsets in lexicographic
-order with early exit, so failure reports are reproducible.
+subset A of size k, some k-subset B of the complement makes H[A x B]
+invertible over Z_d.
+
+At a prime power d = p^e that is a rank test: a k x k block is invertible
+over Z_(p^e) iff its determinant is nonzero mod p, and some k x k block of
+H[A x complement] has that iff the block has rank k mod p.  One batched
+kernel runs the test on candidate upper triangles, a search chunk or a
+single matrix alike; at other levels (6, 10, ...) it is only a necessary
+condition, and check_certificate decides there by Bareiss determinants.
+Subsets are scanned in lexicographic order with early exit, so failure
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import digits, invertible_mod_d, is_prime, rank_mod_p
+from .modular import digits, invertible_mod_d, is_prime, prime_factors, rank_mod_p
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
+_STACK_CAP = 1 << 16  # entries of H[A x complement] gathered per rank_mod_p call
 
 
 def _validated(H, d: int) -> np.ndarray:
@@ -50,24 +58,38 @@ def quadratic_phase(H, c, d: int) -> int:
     return total % d
 
 
-def check_certificate_prime(H, p: int, k: int) -> bool:
-    """Rank-based certificate over a prime modulus, on stacks of H[A x complement] blocks."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is composite; use check_certificate_general")
-    m = _validated(H, p)
-    n = m.shape[0]
-    if not 1 <= 2 * k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
+    """Pass mask over candidate upper triangles, digit rows (N, T) in triu order.
+
+    Row i passes iff for every prime p | d and every k-subset A, its
+    H[A x complement] has rank k mod p: exact at prime powers, necessary
+    elsewhere.  Subsets go in lexicographic blocks sized so the still-alive
+    candidates gather at most _STACK_CAP entries, and failing candidates
+    drop after each block.
+    """
+    pos = np.zeros((n, n), dtype=np.int64)
+    pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    pos += pos.T
+    primes = prime_factors(d)
+    alive = np.arange(len(rows))
     subsets = itertools.combinations(range(n), k)
-    per_block = max(1, (1 << 18) // (k * (n - k)))  # bounds each stack's memory
-    while block := list(itertools.islice(subsets, per_block)):
+    while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
         A = np.array(block)
         outside = np.ones((len(A), n), dtype=bool)
         outside[np.arange(len(A))[:, None], A] = False
-        comp = np.nonzero(outside)[1].reshape(len(A), n - k)
-        if (rank_mod_p(m[A[:, :, None], comp[:, None, :]], p) != k).any():
-            return False
-    return True
+        cols = pos[A[:, :, None], np.nonzero(outside)[1].reshape(len(A), 1, n - k)]
+        for p in primes:
+            alive = alive[(rank_mod_p(rows[alive[:, None, None, None], cols], p) == k).all(axis=1)]
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def check_certificate_prime(H, p: int, k: int) -> bool:
+    """Rank certificate over a prime modulus: every H[A x complement] has rank k mod p."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is composite; use check_certificate_general")
+    return check_certificate(H, p, k)
 
 
 def check_certificate_general(H, d: int, k: int) -> bool:
@@ -86,8 +108,16 @@ def check_certificate_general(H, d: int, k: int) -> bool:
 
 
 def check_certificate(H, d: int, k: int) -> bool:
-    """Dispatch to the rank certificate for prime d, else the general one."""
-    return check_certificate_prime(H, d, k) if is_prime(d) else check_certificate_general(H, d, k)
+    """Whether H certifies k at level d: the rank kernel's verdict when d is a
+    prime power, the invertible-submatrix certificate when d has two or more
+    distinct primes (the search has already screened its survivors by rank)."""
+    m = _validated(H, d)
+    n = m.shape[0]
+    if not 1 <= 2 * k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    if len(prime_factors(d)) > 1:
+        return check_certificate_general(m, d, k)
+    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k)[0])
 
 
 @dataclass(frozen=True)
@@ -118,9 +148,7 @@ class SymWitness:
 
     def upper_triangle(self) -> tuple[int, ...]:
         """Strict upper-triangle entries in row-major (lexicographic pair) order."""
-        return tuple(
-            int(self.H[i, j]) for i, j in itertools.combinations(range(self.n), 2)
-        )
+        return tuple(self.H[np.triu_indices(self.n, 1)].tolist())
 
 
 def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:

@@ -11,29 +11,13 @@ reduction bias is below 2^-60 and identical across runs).
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
-stream costs a small block while long scans still run on large ones.  The
-hashes of one random chunk are the contiguous run of count*T inputs from
-base + start*T; they are computed a few candidates at a time, in blocks of
-about 2^16 inputs, so the uint64 temporaries stay in cache.  Each chunk
-first passes through a vectorized screen, chosen from (n, d, k) alone:
+stream costs a small block while long scans still run on large ones.  Each
+chunk first passes through a vectorized screen, chosen from (n, d, k) alone:
 
-- d = 2, k <= 4 and n <= 64: the bit screen.  It never forms the digit
-  table: bit t of candidate i is bit T-1-t of i (exhaustive) or the low
-  bit of its hash (random), stored as a (T, count) uint8 array.  Row v of
-  each candidate packs into one n-bit word (uint8 to uint64 by n), and
-  H[A x complement] has rank k over GF(2) iff every nonempty XOR of A's row
-  words has a bit outside A.  The 2^k - 1 XORs of each k-subset A are
-  walked in Gray-code order, and the survivors are compacted after each A.
-  Only the survivors' bit columns become digit rows.  Wider n would need
-  more than one word, so d = 2 with n > 64 takes the rank screen.
-- every other (n, d, k): a batched rank screen over the digit table.  For
-  each prime p dividing d and each k-subset A, the blocks H[A x complement]
-  mod p of all candidates still alive are row-reduced as one stack, and
-  those of rank below k drop.  At a prime power d = p^e the screen is
-  exact: a k x k block is invertible over Z_(p^e) iff its determinant is
-  nonzero mod p, and some k x k block of H[A x complement] has that iff its
-  rank mod p is k.  At other levels (6, 10, ...) it is only a necessary
-  condition.
+- d = 2, k <= 4 and n <= 64: the bit screen on packed n-bit row words; only
+  its survivors become digit rows.
+- every other (n, d, k): the batched rank certificate of matrices on the
+  digit table, exact at prime powers and a necessary condition elsewhere.
 
 Every survivor, in index order, is rechecked with the public certificate
 check, which alone decides a hit, and a returned matrix passes that check
@@ -52,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import append_registry, read_registry
-from .matrices import Provenance, SymWitness, check_certificate, upper_triangle_to_matrix
-from .modular import digits, prime_factors, row_reduce
+from .matrices import Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
+from .modular import digits
 
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
@@ -132,15 +116,6 @@ def _level2_bits(base: int, start: int, count: int, T: int, mode: str) -> np.nda
 
 # --- screens: drop candidates that cannot pass, a whole chunk at a time -----
 
-def _blocks(n: int, k: int):
-    """Digit columns of H[A x complement] in a candidate row, for each k-subset A in order."""
-    pos = np.zeros((n, n), dtype=np.int64)
-    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        pos[i, j] = pos[j, i] = t
-    for A in itertools.combinations(range(n), k):
-        yield pos[np.ix_(A, [j for j in range(n) if j not in A])]
-
-
 def _row_words(bits: np.ndarray, n: int) -> np.ndarray:
     """Row v of each candidate's H as an n-bit word (bit j is H[v, j]), shape (n, count)."""
     word = np.min_scalar_type((1 << n) - 1).type  # uint8 .. uint64
@@ -179,20 +154,6 @@ def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     return mask
 
 
-def _screen_rank(digits: np.ndarray, n: int, d: int, k: int) -> np.ndarray:
-    """Boolean mask: for every prime p | d and every A, H[A x complement] mod p has rank k."""
-    alive = np.ones(digits.shape[0], dtype=bool)
-    primes = prime_factors(d)
-    for cols in _blocks(n, k):
-        for p in primes:
-            idx = np.flatnonzero(alive)
-            if not idx.size:
-                return alive
-            _, rank = row_reduce(digits[idx[:, None, None], cols] % p, p)
-            alive[idx[rank < k]] = False
-    return alive
-
-
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str):
     """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
     T = n * (n - 1) // 2
@@ -201,7 +162,7 @@ def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: 
         offs = np.flatnonzero(_screen_level2(bits, n, k))
         return offs, bits[:, offs].T.astype(np.int64)
     rows = _digits_batch(base, start, count, T, d, mode)
-    offs = np.flatnonzero(_screen_rank(rows, n, d, k))
+    offs = np.flatnonzero(_rank_certificate(rows, n, d, k))
     return offs, rows[offs]
 
 
@@ -292,6 +253,9 @@ def table_scan(
     fits in the budget (so a miss is definitive) and with the seeded random
     stream otherwise (a miss only means the budget ran out).
     """
+    n_values = list(n_values)
+    if min(n_values, default=2) < 2:
+        raise ValueError(f"table sizes must be n >= 2, got {min(n_values)}")
     out = {}
     for n in n_values:
         T = n * (n - 1) // 2

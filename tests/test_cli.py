@@ -319,9 +319,15 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, kind):
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert run("construct-matrix", "--n", "4") == 2
     assert run() == 2
+    # table sizes below 2 or an empty range, scanned or read from an empty registry
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no witnesses\n")
+    assert run("table", "--d", "2", "--n-min", "-3", "--n-max", "2", "--porcelain") == 2
+    assert run("table", "--d", "2", "--n-min", "5", "--n-max", "3") == 2
+    assert run("table", "--d", "2", "--n-min", "1", "--n-max", "3", "--from-registry", str(empty)) == 2
 
 
 def test_console_entry_smoke():

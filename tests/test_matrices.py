@@ -1,13 +1,17 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
+from kuniform.modular import rank_mod_p
 from kuniform.matrices import (
+    _STACK_CAP,
     Provenance,
+    _rank_certificate,
     SymWitness,
     check_certificate,
     check_certificate_general,
@@ -63,6 +67,38 @@ def test_prime_checkers_agree():
             H = upper_triangle_to_matrix(tri, n, p)
             k = rng.choice([1, 2])
             assert check_certificate_prime(H, p, k) == check_certificate_general(H, p, k)
+    # prime powers, where the rank kernel is the certificate, and mixed
+    # levels, where it is only necessary and the determinants decide: random
+    # rows, a found witness and its one-entry changes, and the whole batch
+    # through the kernel at once
+    for n, d, k in [(5, 4, 2), (6, 4, 3), (5, 8, 2), (5, 9, 2), (6, 9, 3), (5, 25, 2),
+                    (5, 6, 2), (6, 6, 3), (5, 10, 2), (6, 10, 3), (5, 12, 2), (6, 12, 3)]:
+        T = n * (n - 1) // 2
+        w = list(search_witness(n, d, k, SearchBudget(10**5, seed=0)).upper_triangle())
+        tris = [[rng.randrange(d) for _ in range(T)] for _ in range(100)]
+        tris += [w] + [w[:t] + [(w[t] + rng.randrange(1, d)) % d] + w[t + 1:] for t in range(T)]
+        want = [check_certificate_general(upper_triangle_to_matrix(t, n, d), d, k) for t in tris]
+        assert 0 < sum(want) < len(want), (n, d, k)
+        assert [check_certificate(upper_triangle_to_matrix(t, n, d), d, k) for t in tris] == want
+        mask = _rank_certificate(np.array(tris), n, d, k)
+        if d in (4, 8, 9, 25):
+            assert mask.tolist() == want, (n, d, k)
+        else:
+            assert (mask >= want).all(), (n, d, k)
+    # one matrix whose subsets span more than one stacked block: rows 14 and
+    # 15 agree mod 2 off columns 12 and 13, so only the last subset
+    # {12, 13, 14, 15} has a singular H[A x complement] mod 2
+    n, d, k = 16, 4, 4
+    assert comb(n, k) * k * (n - k) > _STACK_CAP
+    H = np.zeros((n, n), dtype=np.int64)
+    while not check_certificate(H, d, k):  # about one random matrix in 30 passes
+        H = upper_triangle_to_matrix([rng.randrange(d) for _ in range(n * (n - 1) // 2)], n, d)
+    assert check_certificate_general(H, d, k)
+    H[15, :12] = H[:12, 15] = (H[14, :12] + 2) % d
+    H[15, 12:14] = H[12:14, 15] = (H[14, 12:14] + 1) % d
+    assert not check_certificate(H, d, k) and not check_certificate_general(H, d, k)
+    blocks = [H[np.ix_(A, [j for j in range(n) if j not in A])] for A in itertools.combinations(range(n), k)]
+    assert np.flatnonzero(rank_mod_p(np.array(blocks), 2) < k).tolist() == [comb(n, k) - 1]
 
 
 def test_certificate_permutation_invariance():

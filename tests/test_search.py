@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kuniform import modular, search
 from kuniform.fileio import append_registry, read_registry
 from kuniform.matrices import (
+    _rank_certificate,
     check_certificate,
     check_certificate_general,
     state_from_matrix,
@@ -20,7 +21,6 @@ from kuniform.search import (
     _first_pass_in_chunk,
     _level2_bits,
     _screen_level2,
-    _screen_rank,
     _stream_base,
     _survivors,
     search_witness,
@@ -130,6 +130,10 @@ def test_seed_replays_identically():
         ((6, 10, 3), SearchBudget(2 * 10**4, seed=0, mode="random"), 2418),
         ((12, 2, 4), SearchBudget(10**7, seed=0, mode="random"), 1047),
         ((12, 2, 4), SearchBudget(10**7, seed=7777, mode="random"), 861),
+        ((6, 4, 3), SearchBudget(10**6, seed=0, mode="random"), 144),
+        ((5, 8, 2), SearchBudget(10**6, seed=0, mode="random"), 9),
+        ((6, 9, 3), SearchBudget(10**6, seed=0, mode="random"), 20),
+        ((6, 12, 2), SearchBudget(10**5, seed=0, mode="random"), 10),
     ]:
         assert search_witness(n, d, k, budget).provenance.index == index, (n, d, k)
 
@@ -190,7 +194,7 @@ def test_bit_screen_agrees_with_batched_screen(case, seed):
     n, k = case
     T, base = n * (n - 1) // 2, _stream_base(seed, n, 2, k)
     bits, rows = _level2_bits(base, 0, 512, T, "random"), _digits_batch(base, 0, 512, T, 2, "random")
-    assert (_screen_level2(bits, n, k) == _screen_rank(rows, n, 2, k)).all()
+    assert (_screen_level2(bits, n, k) == _rank_certificate(rows, n, 2, k)).all()
 
 
 def test_level2_bits_are_the_digits_transposed():
@@ -220,7 +224,7 @@ def test_bit_screen_matches_rank_screen_at_every_word_width(n, k):
     passed = 0
     for bits in chunks:
         mask = _screen_level2(bits, n, k)
-        assert (mask == _screen_rank(bits.T.astype(np.int64), n, 2, k)).all()
+        assert (mask == _rank_certificate(bits.T.astype(np.int64), n, 2, k)).all()
         passed += mask.sum()
     assert 0 < passed < 4 * 256
 
@@ -228,7 +232,7 @@ def test_bit_screen_matches_rank_screen_at_every_word_width(n, k):
 def _first_pass_reference(start, count, n, d, k, base, mode):
     """The rank screen over the whole digit table, then the certificate on each survivor."""
     rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    for off in np.flatnonzero(_screen_rank(rows, n, d, k)):
+    for off in np.flatnonzero(_rank_certificate(rows, n, d, k)):
         if check_certificate(upper_triangle_to_matrix(rows[off], n, d), d, k):
             return start + int(off)
     return None
@@ -259,7 +263,7 @@ def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
         H[i, j] = H[j, i] = 1
     assert check_certificate(H, 2, 1)
     row = H[np.triu_indices(n, 1)]
-    assert _screen_rank(row[None], n, 2, 1).all()
+    assert _rank_certificate(row[None], n, 2, 1).all()
     monkeypatch.setattr(search, "_digits_batch", lambda *args: row[None].copy())
     assert _first_pass_in_chunk(0, 1, n, 2, 1, 0, "exhaustive") == 0
 
@@ -308,3 +312,8 @@ def test_table_scan_small(tmp_path):
     assert cells[2].witness.provenance.index == 1
     stored = read_registry(registry)
     assert [w.n for w in stored] == [2, 3, 4, 5, 6]
+    # sizes below 2 are refused before any cell is scanned or stored
+    for n_values in ([1], range(-3, 3), [4, 0]):
+        with pytest.raises(ValueError):
+            table_scan(2, n_values, max_candidates=2**6, registry_path=tmp_path / "refused.txt")
+    assert not (tmp_path / "refused.txt").exists()
