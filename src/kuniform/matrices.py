@@ -63,7 +63,9 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
 
     Row i passes iff for every prime p | d and every k-subset A, its
     H[A x complement] has rank k mod p: exact at prime powers, necessary
-    elsewhere.  Subsets go in lexicographic blocks sized so the still-alive
+    elsewhere.  At those other levels a prime with (p - 1)^2 >= 2^63, too
+    large for the int64 kernel, is skipped; at a prime power the kernel
+    refuses it.  Subsets go in lexicographic blocks sized so the still-alive
     candidates gather at most _STACK_CAP entries, and failing candidates
     drop after each block.
     """
@@ -71,6 +73,8 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
     pos += pos.T
     primes = prime_factors(d)
+    if len(primes) > 1:  # only necessary here: leave a prime too large for the kernel to Bareiss
+        primes = [p for p in primes if (p - 1) ** 2 < 1 << 63]
     alive = np.arange(len(rows))
     subsets = itertools.combinations(range(n), k)
     while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):

@@ -10,25 +10,37 @@ the complementary positions: off-diagonal pairs must vanish exactly and
 diagonal pairs must all equal norm / d^k exactly.  It knows nothing about
 how a state was constructed.
 
-For exponent states the oracle runs a vectorized path: for each subset the
-kets are grouped by their complementary strings, the groups of each size
-are gathered into one block, and the overlaps are accumulated as exponent
-histograms and tested for zero through one integer matrix product against
-the cyclotomic reduction matrix.  Counts are bounded by the state support
-and the reduction-matrix entries are small, so the int64 arithmetic is exact.
+Every state goes through one vectorized check.  Once per verify_uniform
+call each ket is expanded into its nonzero cyclotomic terms c zeta^j (its
+row, j and the integer c); an exponent state is the case of one term per
+ket with c = 1.  For each subset the kets are grouped by their
+complementary strings, the term groups of each size are gathered into one
+block, every term pair (u, v) of a group adds c_u c_v to the bin of
+(cA, cA2, j_v - j_u mod d), and the bins are tested for zero through one
+integer matrix product against the cyclotomic reduction matrix.  The
+diagonal bins summed over cA are the norm, so no separate norm enters.
 
-Every int64 packing on that path is bounded where it is made.  A local
-string cA is packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
+The check is exact under a bound proved once per call from S, the sum of
+|c| over all terms (see _term_table): every bin and partial sum is at most
+S^2, so the float64 bincount weights need S^2 <= 2^53 and the int64
+histogram, the diagonal scaled by d^k and their products with the
+reduction matrix need a few factors more below 2^63.  A state past the
+bound runs _check_subset_generic, the pure-Python reference that sums
+CycInt products pair by pair; that reference is the only path for such a
+state, and the differential tests hold the vectorized check to it.
+
+Every int64 packing is bounded where it is made.  A local string cA is
+packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
 TooLargeError unless d^(2k+1) <= max_ops, which also bounds the histogram
 index (cA, cA2, exponent).  The complementary strings, which can be far
 longer than 63 bits, are packed into words of at most w digits with
 d^w <= 2^62 and sorted word by word, so they never wrap.
 
 Work is charged against max_ops.  Each subset check returns its failing
-pair (or None) and its pair count, the sum of g^2 over its group sizes g,
-and refuses against the total settled so far before it builds any pairs.
-One scan loop settles that total in lexicographic order, so which subset a
-refusal names does not depend on the worker count.
+pair (or None) and its pair count, the sum of g^2 over the sizes g of its
+groups of kets, and refuses against the total settled so far before it
+builds any pairs.  One scan loop settles that total in lexicographic
+order, so which subset a refusal names does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -207,6 +219,8 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     ca2 = tuple(int(x) for x in ca2)
     if len(ca) != len(A) or len(ca2) != len(A):
         raise ValueError("local strings must match the subset size")
+    if any(not 0 <= x < state.d for x in ca + ca2):
+        raise ValueError(f"local strings {ca} and {ca2} must have digits in Z_{state.d}")
     aset = set(A)
     B = tuple(i for i in range(state.n) if i not in aset)
     left = {}
@@ -253,14 +267,17 @@ def verify_uniform(
 
     Subsets are scanned in lexicographic order and the scan stops at the
     first failure, which is recorded in the report.  Values k > n/2 are
-    rejected (no state can be uniform beyond n/2).  An instance whose
-    per-subset table of d^(2k+1) pair-and-exponent entries, or whose sort and
-    histogram work over all subsets, exceeds max_ops raises TooLargeError
-    before starting.  The pairs within each group of kets are charged as
-    they are found: one loop settles them into a running total in scan
-    order, and a check refuses against the settled total before it builds
-    any pairs, so the subset a refusal names does not depend on the worker
-    count.
+    rejected (no state can be uniform beyond n/2).  Whatever its amplitudes,
+    the state's term table is built once and every subset runs the
+    vectorized histogram check on it; only a state past the exactness bound
+    of _term_table runs the reference check, subset by subset, with the same
+    report.  An instance whose per-subset table of d^(2k+1)
+    pair-and-exponent entries, or whose sort and histogram work over all
+    subsets, exceeds max_ops raises TooLargeError before starting.  The
+    pairs within each group of kets are charged as they are found: one loop
+    settles them into a running total in scan order, and a check refuses
+    against the settled total before it builds any pairs, so the subset a
+    refusal names does not depend on the worker count.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
@@ -277,8 +294,11 @@ def verify_uniform(
     spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
     refuse(spent, "sort and histogram entries")
     norm = state.norm_value()
-    check = _check_subset_phase if state.exponents is not None else _check_subset_generic
-    scan = lambda A: check(state, A, lambda pairs: charge(A, pairs))  # noqa: E731
+    terms = _term_table(state, k)
+    if terms is None:  # past the exactness bound only the reference is exact
+        scan = lambda A: _check_subset_generic(state, A, lambda pairs: charge(A, pairs))  # noqa: E731
+    else:
+        scan = lambda A: _check_subset(state, A, lambda pairs: charge(A, pairs), terms)  # noqa: E731
 
     with closing(_in_order(scan, itertools.combinations(range(n), k), workers)) as results:
         for A, (fail, pairs) in results:
@@ -297,18 +317,71 @@ def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: in
     return 0
 
 
-def _check_subset_phase(state: PureState, A, charge=lambda pairs: None):
-    """Histogram check of one subset for single-root amplitudes.
+@dataclass(frozen=True)
+class _Terms:
+    """The nonzero cyclotomic terms of a state's amplitudes, ket by ket.
+
+    Term t is coeffs[t] * zeta^exps[t], the integer coefficient held as a
+    float64 bincount weight.  Ket row i owns the terms first[i]:first[i+1];
+    first is None when every ket has exactly one term, and coeffs is None
+    when every coefficient is 1.
+    """
+
+    first: np.ndarray | None
+    exps: np.ndarray
+    coeffs: np.ndarray | None
+
+
+def _term_table(state: PureState, k: int) -> _Terms | None:
+    """The state's term table, or None when the histogram check at this k
+    could wrap.
+
+    With S the sum of |c| over all terms and Q the sum over kets of the
+    squared sum of |c| over the ket's terms, every histogram bin and every
+    partial sum of one is at most S^2 in absolute value, the diagonal bins
+    of all local strings together hold at most Q, and the reduction matrix
+    R has entries at most r.  The table is given only when
+      * r S^2 < 2^63: the int64 histogram and its product with R;
+      * r (d^k + 1) Q < 2^63: the diagonal's product with R scaled by d^k,
+        and the norm's (at most r Q);
+      * S^2 <= 2^53 unless every amplitude is a single root: the bincount
+        weights c_u c_v and their float64 running sums are then integers
+        of at most S^2, so exact.  (Each |c| <= S < 2^32 also fits the
+        int64 coefficient table.)
+    """
+    d = state.d
+    if state.exponents is not None:
+        S = Q = len(state)
+    else:
+        per_ket = [sum(map(abs, amp.coeffs)) for amp in state.values]
+        S, Q = sum(per_ket), sum(t * t for t in per_ket)
+    r = int(np.abs(reduction_matrix(d)).max())
+    if r * S * S >= 1 << 63 or r * (d**k + 1) * Q >= 1 << 63 or (state.values is not None and S * S > 1 << 53):
+        return None
+    if state.exponents is not None:
+        return _Terms(None, state.exponents, None)
+    C = np.array([amp.coeffs for amp in state.values], dtype=np.int64)
+    rows, exps = np.nonzero(C)
+    coeffs = C[rows, exps]
+    first = np.concatenate(([0], np.cumsum(np.count_nonzero(C, axis=1))))
+    return _Terms(first, exps, None if (coeffs == 1).all() else coeffs.astype(np.float64))
+
+
+def _check_subset(state: PureState, A, charge=lambda pairs: None, terms: _Terms | None = None):
+    """Histogram check of one subset over the state's term table.
 
     Returns (None, pairs) when the subset passes, else (the first failing
     pair (cA, cA2) in lexicographic order, pairs), where pairs is the sum of
-    g^2 over the group sizes g; charge(pairs) runs before any pair is built.
+    g^2 over the sizes g of the groups of kets that agree off A; charge(pairs)
+    runs before any pair is built.  terms defaults to the table at k = |A|;
+    a state past its exactness bound raises OverflowError.
     """
     n, d = state.n, state.d
     k = len(A)
     dk = d**k
-    K, E = state.keys, state.exponents
-    support = K.shape[0]
+    if terms is None and (terms := _term_table(state, k)) is None:
+        raise OverflowError("the histogram check could wrap on this state; use the reference check")
+    K = state.keys
     aset = set(A)
     B = [i for i in range(n) if i not in aset]
 
@@ -316,39 +389,56 @@ def _check_subset_phase(state: PureState, A, charge=lambda pairs: None):
     words = _words(K[:, B], d)
     order = np.lexsort(words[::-1])
     a_s = from_digits(K[:, list(A)], d)[order]
-    e_s = E[order]
-    edge = np.ones(support + 1, dtype=bool)  # edge[i]: a group starts at i, or i is the end
+    edge = np.ones(len(K) + 1, dtype=bool)  # edge[i]: a group starts at i, or i is the end
     edge[1:-1] = False
     for word in words:
         b_s = word[order]
         edge[1:-1] |= b_s[1:] != b_s[:-1]
     edges = np.flatnonzero(edge)
-    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+    sizes = edges[1:] - edges[:-1]
     pairs = int(sizes @ sizes)
     charge(pairs)
 
-    # every ordered pair (i, j) within a group, one (count, g) block per group
-    # size g, binned at (a_i d^k + a_j) d + (e_j - e_i mod d), the wrap of the
-    # exponent difference added as a comparison; keys are distinct, so
-    # g <= d^k and a block row holds g^2 <= d^(2k) pairs
+    # the terms of the sorted kets, ket by ket, and the group edges at term offsets
+    t = order
+    if terms.first is not None:
+        counts = np.diff(terms.first)[order]
+        ends = np.cumsum(counts)
+        t = np.repeat(terms.first[order] - (ends - counts), counts) + np.arange(ends[-1])
+        a_s = np.repeat(a_s, counts)
+        edges = np.concatenate(([0], ends))[edges]
+        sizes = edges[1:] - edges[:-1]
+    starts = edges[:-1]
+    e_s = terms.exps[t]
+    c_s = None if terms.coeffs is None else terms.coeffs[t]
+
+    # every ordered term pair (u, v) within a group, one (count, g) block per
+    # group size g, binned at (a_u d^k + a_v) d + (e_v - e_u mod d) with
+    # weight c_u c_v, since conj(zeta^e) = zeta^(-e); the wrap of the exponent
+    # difference is added as a comparison.  Keys are distinct and a ket has
+    # at most d terms, so g <= d^(k+1) and a block row holds at most g^2 pairs
     lo, hi = a_s * (dk * d) - e_s, a_s * d + e_s
     hist = np.zeros(dk * dk * d, dtype=np.int64)
     for g in np.flatnonzero(np.bincount(sizes)).tolist():
-        first = starts[sizes == g]
+        heads = starts[sizes == g]
         chunk = max(1, 2_000_000 // (g * g))
-        for s in range(0, len(first), chunk):
-            rows = first[s : s + chunk, None] + np.arange(g)
+        for s in range(0, len(heads), chunk):
+            rows = heads[s : s + chunk, None] + np.arange(g)
             eg = e_s[rows]
-            codes = lo[rows][:, :, None] + hi[rows][:, None, :] + d * (eg[:, None, :] < eg[:, :, None])
-            hist += np.bincount(codes.ravel(), minlength=hist.size)
+            codes = (lo[rows][:, :, None] + hi[rows][:, None, :] + d * (eg[:, None, :] < eg[:, :, None])).ravel()
+            if c_s is None:
+                hist += np.bincount(codes, minlength=hist.size)
+            else:
+                cg = c_s[rows]
+                hist += np.bincount(codes, (cg[:, :, None] * cg[:, None, :]).ravel(), hist.size).astype(np.int64)
 
-    T = hist.reshape(dk, dk, d)
-    # off-diagonal: the histogram polynomial must reduce to zero mod Phi_d;
-    # diagonal: exponent-0 mass must be exactly support / d^k for every cA
-    bad = (T.reshape(dk * dk, d) @ reduction_matrix(d)).any(axis=1).reshape(dk, dk)
-    x = np.arange(dk)
-    bad[x, x] = T[x, x, 0] * dk != support
-    fail = np.flatnonzero(bad)
+    # reduced mod Phi_d, an off-diagonal bin must vanish and a diagonal one
+    # times d^k must equal the norm, the diagonal's sum over all local strings
+    # (every term pair within one ket)
+    M = hist.reshape(dk * dk, d) @ reduction_matrix(d)
+    diag = M[:: dk + 1]  # the rows (cA, cA)
+    M[:: dk + 1] = dk * diag - diag.sum(axis=0)
+    fail = np.flatnonzero(M.any(axis=1))
     if not fail.size:
         return None, pairs
     ca, ca2 = digits(divmod(int(fail[0]), dk), d, k).tolist()
@@ -356,7 +446,7 @@ def _check_subset_phase(state: PureState, A, charge=lambda pairs: None):
 
 
 def _check_subset_generic(state: PureState, A, charge=lambda pairs: None):
-    """Reference check of one subset with full cyclotomic accumulation; returns as _check_subset_phase."""
+    """Reference check of one subset with full cyclotomic accumulation; returns as _check_subset."""
     n, d = state.n, state.d
     k = len(A)
     aset = set(A)

@@ -338,6 +338,17 @@ def test_console_entry_smoke():
     assert "construct-matrix" in proc.stdout
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["search", "--n", "2", "--d", "2", "--k", "1", "--budget", "10"], 0),
+    (["search", "--n", "2", "--d", "2", "--k", "2"], 2),
+    (["search", "--n", "4", "--d", "2", "--k", "2", "--mode", "exhaustive", "--budget", "100"], 3),
+])
+def test_package_runs_as_a_module(argv, want):
+    proc = subprocess.run([sys.executable, "-m", "kuniform", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == want, proc.stderr
+    assert ("witness n=2" in proc.stdout) == (want == 0)
+
+
 _HUGE_PRIME = str(2**61 - 1)
 
 
@@ -347,6 +358,8 @@ _HUGE_PRIME = str(2**61 - 1)
     (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 2),
     # the level (2^31 - 1)^2 has no small factor and no prime cofactor
     (["search", "--n", "2", "--d", str((2**31 - 1) ** 2), "--k", "1", "--budget", "10"], 0),
+    # 2(2^61 - 1): the rank screen runs mod 2 alone and Bareiss decides
+    (["search", "--n", "2", "--d", str(2 * (2**61 - 1)), "--k", "1", "--budget", "10"], 0),
 ])
 def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
     path = tmp_path / "in.txt"

@@ -101,6 +101,21 @@ def test_prime_checkers_agree():
     assert np.flatnonzero(rank_mod_p(np.array(blocks), 2) < k).tolist() == [comb(n, k) - 1]
 
 
+def test_rank_kernel_skips_a_huge_prime_only_at_mixed_levels():
+    # (p - 1)^2 >= 2^63 for p = 2^61 - 1: at d = 2p the kernel screens mod 2
+    # alone and Bareiss decides; at d = p the kernel refuses
+    p = 2**61 - 1
+    rows = np.array([[1], [2], [p]])
+    assert _rank_certificate(rows, 2, 2 * p, 1).tolist() == [True, False, True]
+    assert [check_certificate([[0, h], [h, 0]], 2 * p, 1) for h in (1, 2, p)] == [True, False, False]
+    w = search_witness(2, 2 * p, 1, SearchBudget(10, seed=0))
+    assert w is not None and check_certificate_general(w.H, 2 * p, 1)
+    with pytest.raises(OverflowError, match="too large"):
+        _rank_certificate(rows, 2, p, 1)
+    with pytest.raises(OverflowError, match="too large"):
+        search_witness(2, p, 1, SearchBudget(10, seed=0))
+
+
 def test_certificate_permutation_invariance():
     six = read_witness(fixture_path("witness_6x6_d2.txt"))
     rng = random.Random(13)

@@ -16,8 +16,8 @@ from kuniform.matrices import all_phases, upper_triangle_to_matrix
 from kuniform.states import (
     PureState,
     TooLargeError,
+    _check_subset,
     _check_subset_generic,
-    _check_subset_phase,
     marginal_sum,
     max_uniformity,
     verify_uniform,
@@ -110,7 +110,7 @@ def test_global_phase_invariance(five_qubit):
 
 
 def test_generic_path_agrees_with_phase_path(five_qubit):
-    # scaling all amplitudes by 2 forces the generic cyclotomic path
+    # scaling all amplitudes by 2 gives a state that is not all single roots
     doubled = PureState(
         5, 2, {key: amp.scale(2) for key, amp in five_qubit.amps.items()}
     )
@@ -123,7 +123,7 @@ def test_generic_path_agrees_with_phase_path(five_qubit):
 
 
 def test_non_integer_amplitude_state():
-    # amplitude 1 + zeta_5 has non-rational modulus; the generic path must cope
+    # amplitude 1 + zeta_5 has non-rational modulus; the oracle must cope
     d = 5
     one_plus = from_int(d, 1) + root_power(d, 1)
     s = PureState(2, d, {(0, 0): one_plus, (1, 1): one_plus})
@@ -159,7 +159,7 @@ def test_size_guard():
 
 def test_pairs_are_charged_as_a_running_total(five_qubit):
     # 10 subsets x (8 kets + 2^5 histogram entries) up front, then 96 pair
-    # entries over all subsets, on the phase and the generic path alike
+    # entries over all subsets, on single-root and general states alike
     doubled = PureState(5, 2, {key: amp.scale(2) for key, amp in five_qubit.amps.items()})
     for state in (five_qubit, doubled):
         for workers in (1, 2, 3):
@@ -202,6 +202,10 @@ def test_bad_inputs():
     s = _ghz(2)
     with pytest.raises(ValueError):
         marginal_sum(s, (0,), (0, 1), (0,))
+    # local digits outside Z_2 match no ket and would sum to 0 unchecked
+    for ca, ca2 in (((5,), (5,)), ((-1,), (-1,)), ((0,), (2,)), ((-1,), (0,))):
+        with pytest.raises(ValueError, match="Z_2"):
+            marginal_sum(s, (0,), ca, ca2)
     with pytest.raises(ValueError):
         verify_uniform(s, -1)
 
@@ -216,8 +220,8 @@ def test_worker_count_does_not_change_result(five_qubit):
 
 def test_parallel_verify_stops_at_the_first_failure(monkeypatch, five_qubit):
     calls = []
-    check = states._check_subset_phase
-    monkeypatch.setattr(states, "_check_subset_phase", lambda s, A, *rest: calls.append(A) or check(s, A, *rest))
+    check = states._check_subset
+    monkeypatch.setattr(states, "_check_subset", lambda s, A, *rest: calls.append(A) or check(s, A, *rest))
     n = 40
     w = PureState.from_phases(n, 2, {tuple(int(i == j) for j in range(n)): 0 for i in range(n)})
     one = verify_uniform(w, 3)
@@ -250,7 +254,7 @@ def test_long_complements_do_not_wrap():
     e1 = (1,) + (0,) * 27
     tails = [(0,) * 28, _base_digits(2**64, 5, 28), e1, tuple(2 * x for x in e1), tuple(3 * x for x in e1)]
     s = PureState.from_phases(29, 5, {(a,) + t: 0 for a, t in enumerate(tails)})
-    assert _check_subset_phase(s, (0,))[0] is None
+    assert _check_subset(s, (0,))[0] is None
     first = next(A for A in itertools.combinations(range(29), 1) if _check_subset_generic(s, A)[0] is not None)
     r = verify_uniform(s, 1)
     assert (r.failing_subset, r.failing_pair) == (first, _check_subset_generic(s, first)[0])
@@ -258,6 +262,7 @@ def test_long_complements_do_not_wrap():
 
 @st.composite
 def _sparse_phase_state(draw):
+    """(state, A): single-root or general amplitudes on full or sparse support."""
     if draw(st.booleans()):
         # full support: the quadratic phases of a random zero-diagonal
         # symmetric H, which may or may not certify k-uniformity
@@ -267,30 +272,36 @@ def _sparse_phase_state(draw):
         strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
         k = draw(st.integers(0, n // 2))
         A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
-        return PureState.from_phases(n, d, dict(zip(map(tuple, strings.tolist()), exps.tolist()))), A
-    n = draw(st.integers(1, 70))
-    d = draw(st.sampled_from([2, 3, 5]))
-    k = draw(st.integers(0, min(2, n // 2)))
-    A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
-    # ket indices that differ by multiples of 2^64 collide in one int64 word
-    index = st.builds(lambda hi, lo: (hi * 2**64 + lo) % d**n, st.integers(0, 3), st.integers(0, 15))
-    tails = draw(st.lists(index, min_size=1, max_size=6, unique=True))
-    # kets that share a tail and differ on A share their complementary
-    # string, so the B-groups come in mixed sizes
-    phases = {}
-    for _ in range(draw(st.integers(2, 8))):
-        ket = list(_base_digits(draw(st.sampled_from(tails)), d, n))
-        for a in A:
-            ket[a] = draw(st.integers(0, d - 1))
-        phases[tuple(ket)] = draw(st.integers(0, d - 1))
-    return PureState.from_phases(n, d, phases), A
+        phases = dict(zip(map(tuple, strings.tolist()), exps.tolist()))
+    else:
+        n = draw(st.integers(1, 70))
+        d = draw(st.sampled_from([2, 3, 4, 5, 6]))
+        k = draw(st.integers(0, min(2, n // 2)))
+        A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+        # ket indices that differ by multiples of 2^64 collide in one int64 word
+        index = st.builds(lambda hi, lo: (hi * 2**64 + lo) % d**n, st.integers(0, 3), st.integers(0, 15))
+        tails = draw(st.lists(index, min_size=1, max_size=6, unique=True))
+        # kets that share a tail and differ on A share their complementary
+        # string, so the B-groups come in mixed sizes
+        phases = {}
+        for _ in range(draw(st.integers(2, 8))):
+            ket = list(_base_digits(draw(st.sampled_from(tails)), d, n))
+            for a in A:
+                ket[a] = draw(st.integers(0, d - 1))
+            phases[tuple(ket)] = draw(st.integers(0, d - 1))
+    if draw(st.booleans()):
+        return PureState.from_phases(n, d, phases), A
+    # general amplitudes: each root times its own nonzero combination of
+    # roots, with coefficients of both signs
+    factor = st.builds(CycInt, st.just(d), st.tuples(*[st.integers(-3, 3)] * d)).filter(lambda c: not c.is_zero())
+    return PureState(n, d, {key: root_power(d, e) * draw(factor) for key, e in phases.items()}), A
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_sparse_phase_state())
 def test_phase_path_matches_generic_on_sparse_states(case):
     s, A = case
-    assert _check_subset_phase(s, A) == _check_subset_generic(s, A)
+    assert _check_subset(s, A) == _check_subset_generic(s, A)
 
 
 @st.composite
@@ -347,3 +358,42 @@ def test_scan_matches_brute_force_at_every_worker_count(case):
         assert (r.uniform, r.failing_subset, r.failing_pair) == (subset is None, subset, pair)
         with pytest.raises(TooLargeError):
             verify_uniform(s, k, max_ops=total - 1, workers=workers)
+
+
+def _off_by_one_state(M):
+    """Three qubits whose subset (0,) fails only at the off-diagonal pair, by 1.
+
+    Over the complementary strings 00, 01, 10 the kets with qubit 0 at 0 and
+    at 1 carry a = (1, M + 1, M) and c = (1, M, -(M + 1)): |a|^2 = |c|^2, so
+    the diagonal passes, and a.c = 1.  At M = 2^27 a float64 running sum
+    1 + M(M + 1) already loses the 1.
+    """
+    amps = {(0, 0, 0): 1, (0, 0, 1): M + 1, (0, 1, 0): M, (1, 0, 0): 1, (1, 0, 1): M, (1, 1, 0): -(M + 1)}
+    return PureState(3, 2, {key: from_int(2, c) for key, c in amps.items()})
+
+
+@pytest.mark.parametrize("M,exact", [(2**24, True), (2**25, False), (2**27, False)])
+def test_exactness_bound_decides_which_check_runs(monkeypatch, M, exact):
+    # S = sum of |c| = 4M + 4, so S^2 <= 2^53 exactly when M <= 2^24
+    s = _off_by_one_state(M)
+    calls = []
+    generic = states._check_subset_generic
+    monkeypatch.setattr(states, "_check_subset_generic", lambda s, A, *rest: calls.append(A) or generic(s, A, *rest))
+    r = verify_uniform(s, 1)
+    assert marginal_sum(s, (0,), (0,), (1,)).integer_value() == 1
+    assert (r.failing_subset, r.failing_pair) == _first_failure(s, 1) == ((0,), ((0,), (1,)))
+    assert calls == ([] if exact else [(0,)])
+    if exact:
+        assert _check_subset(s, (0,)) == generic(s, (0,)) == (((0,), (1,)), 12)
+    else:
+        with pytest.raises(OverflowError):
+            _check_subset(s, (0,))
+
+
+def test_general_states_within_the_bound_skip_the_reference(monkeypatch, five_qubit):
+    monkeypatch.setattr(states, "_check_subset_generic", None)
+    for factor in (from_int(2, 3), from_int(2, -2), CycInt(2, (2, 1)), CycInt(2, (-1, 3))):
+        scaled = PureState(5, 2, {key: amp * factor for key, amp in five_qubit.amps.items()})
+        assert verify_uniform(scaled, 2).uniform
+    w = PureState(3, 2, {key: amp.scale(-3) for key, amp in _w_state().amps.items()})
+    assert verify_uniform(w, 1).failing_pair == ((0,), (0,))
