@@ -10,7 +10,24 @@ the complementary positions: off-diagonal pairs must vanish exactly and
 diagonal pairs must all equal norm / d^k exactly.  It knows nothing about
 how a state was constructed.
 
-Every state goes through one vectorized check.  Once per verify_uniform
+A verify_uniform call takes one of three routes, each with the same report.
+
+The Gram check serves a full-support state of single roots, such as the
+symmetric-matrix states sum_x zeta^(q_H(x)) |x>.  Its sorted keys are the
+row-major grid, so for each subset the exponents reshape, with no sort, to
+a d^k x d^(n-k) matrix E, and the reduced density matrix is M M^H for
+M = zeta^E up to conjugation.  Each entry x of M M^H minus d^(n-k) on the
+diagonal lies in Z[zeta_d]; if x != 0 its norm, the product of its Galois
+conjugates sigma_s(x) over the units s of Z_d, is a nonzero integer, so
+some |sigma_s(x)| >= 1, and sigma_(d-s) is the complex conjugate of
+sigma_s.  One dense float64 Gram matrix per unit s <= d/2 therefore
+decides every entry exactly once the rounding error is below 1/2, which
+_gram_exact proves for inner lengths d^(n-k) <= 2^24.  Each is formed from
+real BLAS products of at most 2^18 multiply-adds, which OpenBLAS keeps on
+the calling thread, so the check's time does not swing with the load on
+other cores.
+
+The histogram check serves every other state.  Once per verify_uniform
 call each ket is expanded into its nonzero cyclotomic terms c zeta^j (its
 row, j and the integer c); an exponent state is the case of one term per
 ket with c = 1.  For each subset the kets are grouped by their
@@ -19,15 +36,17 @@ block, every term pair (u, v) of a group adds c_u c_v to the bin of
 (cA, cA2, j_v - j_u mod d), and the bins are tested for zero through one
 integer matrix product against the cyclotomic reduction matrix.  The
 diagonal bins summed over cA are the norm, so no separate norm enters.
+Its tables take 16 d^(2k+1) bytes per running check, bounded by
+MAX_HISTOGRAM_BYTES.
 
-The check is exact under a bound proved once per call from S, the sum of
-|c| over all terms (see _term_table): every bin and partial sum is at most
-S^2, so the float64 bincount weights need S^2 <= 2^53 and the int64
-histogram, the diagonal scaled by d^k and their products with the
+The histogram check is exact under a bound proved once per call from S,
+the sum of |c| over all terms (see _term_table): every bin and partial sum
+is at most S^2, so the float64 bincount weights need S^2 <= 2^53 and the
+int64 histogram, the diagonal scaled by d^k and their products with the
 reduction matrix need a few factors more below 2^63.  A state past the
 bound runs _check_subset_generic, the pure-Python reference that sums
 CycInt products pair by pair; that reference is the only path for such a
-state, and the differential tests hold the vectorized check to it.
+state, and the differential tests hold both fast checks to it.
 
 Every int64 packing is bounded where it is made.  A local string cA is
 packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
@@ -58,6 +77,22 @@ from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
 from .modular import digits, from_digits
 
 DEFAULT_MAX_OPS = 10**9
+# Memory ceiling on the histogram check's tables, summed over the checks that run at once.
+MAX_HISTOGRAM_BYTES = 2 * 2**30
+# Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact).
+_GRAM_MAX_INNER = 2**24
+# Sort and histogram entries per subset, len(state) + d^(2k+1), below which
+# verify_uniform runs every check on the calling thread.  On 2 cores 2
+# workers took 2.6 times as long as one on a 12-qubit Gram check (k = 4,
+# 4,608 entries) and 2 times as long on a 24-qubit, 4,096-ket histogram
+# check (k = 1), but 0.75 times on a Gram check at n = 6, d = 5, k = 3
+# (93,750 entries).
+_POOL_MIN_ENTRIES = 2**16
+# Multiply-adds per BLAS call in the Gram check.  OpenBLAS, the BLAS numpy
+# ships, runs a dgemm of at most 65536 x 4 of them on the calling thread;
+# larger ones it splits over its own threads, whose timing then swings with
+# the load on the other cores and which keep spinning after the call.
+_BLAS_CALL_MACS = 2**18
 
 
 class TooLargeError(RuntimeError):
@@ -267,25 +302,36 @@ def verify_uniform(
 
     Subsets are scanned in lexicographic order and the scan stops at the
     first failure, which is recorded in the report.  Values k > n/2 are
-    rejected (no state can be uniform beyond n/2).  Whatever its amplitudes,
-    the state's term table is built once and every subset runs the
-    vectorized histogram check on it; only a state past the exactness bound
-    of _term_table runs the reference check, subset by subset, with the same
-    report.  An instance whose per-subset table of d^(2k+1)
-    pair-and-exponent entries, or whose sort and histogram work over all
-    subsets, exceeds max_ops raises TooLargeError before starting.  The
-    pairs within each group of kets are charged as they are found: one loop
-    settles them into a running total in scan order, and a check refuses
-    against the settled total before it builds any pairs, so the subset a
-    refusal names does not depend on the worker count.
+    rejected (no state can be uniform beyond n/2).  Each call takes one of
+    three routes, all with the same report:
+      * a full-support state of single roots, within the bound of
+        _gram_exact, runs the dense Gram check: rho_A = M M^H for its
+        amplitudes M as a d^k x d^(n-k) matrix, in float64 once per Galois
+        conjugate, which decides each entry exactly because a nonzero
+        cyclotomic integer has a conjugate of modulus at least 1 (its norm
+        is a nonzero integer);
+      * any other state within the bound of _term_table runs the histogram
+        check on its term table, built once;
+      * a state past that bound runs the reference check, subset by subset.
+    An instance whose per-subset table of d^(2k+1) pair-and-exponent
+    entries, or whose sort and histogram work over all subsets, exceeds
+    max_ops raises TooLargeError before starting, on every route; so does a
+    histogram route whose tables (16 d^(2k+1) bytes per running check)
+    would exceed MAX_HISTOGRAM_BYTES.  The pairs within each group of kets
+    are charged as they are found (d^(n+k) per subset on a full-support
+    state): one loop settles them into a running total in scan order, and a
+    check refuses against the settled total before it builds any pairs, so
+    the subset a refusal names does not depend on the worker count.  Below
+    _POOL_MIN_ENTRIES sort and histogram entries per subset the checks run
+    on the calling thread whatever the worker count.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
         raise ValueError(f"k={k} out of range for n={n} (need 0 <= k <= n/2)")
 
-    def refuse(total, what):
-        if total > max_ops:
-            raise TooLargeError(f"{total} {what} exceed ceiling {max_ops}", estimate=total, ceiling=max_ops)
+    def refuse(total, what, ceiling=max_ops):
+        if total > ceiling:
+            raise TooLargeError(f"{total} {what} exceed ceiling {ceiling}", estimate=total, ceiling=ceiling)
 
     def charge(A, pairs):  # reads the settled total; only the scan loop below adds to it
         refuse(spent + pairs, f"sort, histogram and pair entries through subset {A}")
@@ -294,10 +340,16 @@ def verify_uniform(
     spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
     refuse(spent, "sort and histogram entries")
     norm = state.norm_value()
-    terms = _term_table(state, k)
-    if terms is None:  # past the exactness bound only the reference is exact
+    if len(state) + d ** (2 * k + 1) < _POOL_MIN_ENTRIES:  # too short a check to hand to a thread
+        workers = 1
+    if state.exponents is not None and len(state) == d**n and _gram_exact(d, n, k):
+        roots = _conjugate_roots(d)
+        scan = lambda A: _check_subset_gram(state, A, lambda pairs: charge(A, pairs), roots)  # noqa: E731
+    elif (terms := _term_table(state, k)) is None:  # past the exactness bound only the reference is exact
         scan = lambda A: _check_subset_generic(state, A, lambda pairs: charge(A, pairs))  # noqa: E731
     else:
+        running = min(max(workers, 1), comb(n, k))
+        refuse(16 * d ** (2 * k + 1) * running, f"histogram bytes over {running} running checks", MAX_HISTOGRAM_BYTES)
         scan = lambda A: _check_subset(state, A, lambda pairs: charge(A, pairs), terms)  # noqa: E731
 
     with closing(_in_order(scan, itertools.combinations(range(n), k), workers)) as results:
@@ -315,6 +367,109 @@ def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: in
         if verify_uniform(state, k, max_ops=max_ops, workers=workers).uniform:
             return k
     return 0
+
+
+def _gram_exact(d: int, n: int, k: int) -> bool:
+    """Whether the Gram check decides every k-subset of a full-support state exactly.
+
+    Let m = d^(n-k), u = 2^-53, and x = G[a, a'] - [a = a'] m for an entry
+    of the exact Gram matrix G = M M^H; x lies in Z[zeta_d].  The check
+    computes sigma_s(x), for each unit s of Z_d with s <= d/2, in float64,
+    and calls x nonzero when some computed squared modulus is at least 1/4.
+    That is exact when every computed value is within 1/4 of the true one
+    and the squared modulus is formed to a relative 1/8:
+      * x = 0: every sigma_s(x) is 0, so every computed modulus is below 1/4;
+      * x != 0: the norm of x, the product of sigma_s(x) over all units s,
+        is a nonzero rational integer, so some |sigma_s(x)| >= 1; since
+        sigma_(d-s)(x) is the complex conjugate of sigma_s(x), some such s
+        is at most d/2, and its computed modulus is above 3/4.
+    The error of an entry, for m <= 2^24:
+      * a root cos t + i sin t with t = (2 pi / d) j, 0 <= j < d, has t
+        within 3.01u relative (so 19u absolute) and, with cos and sin within
+        1 ulp, lies within eps = 2^-48 of zeta^j; a product of two computed
+        roots is then within 3 eps of the exact one, and m of them move
+        the entry by at most 3 m eps <= 3 * 2^-24;
+      * the real and the imaginary part of an inner product of length m
+        are each a real inner product of length 2m, so in any summation
+        order (blocked, split into X X^T + Y Y^T and T - T^T for T = Y X^T,
+        with fused multiply-adds or not) each is within
+        gamma_2m sum |x_i||y_i| <= 2mu (1 + 2^-27) m (1 + eps)^2 of its
+        value, together within 2 sqrt(2) m^2 u (1 + 2^-26) < 0.09;
+      * subtracting m, which float64 holds exactly, adds at most
+        u (2m + 1) < 2^-28.
+    That is under 0.1 < 1/4, and squaring and adding the two parts is off
+    by a relative 4u < 1/8.  Past m = 2^24 the histogram check runs.
+    """
+    return d ** (n - k) <= _GRAM_MAX_INNER
+
+
+def _conjugate_roots(d: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(cos, sin) of 2 pi s j / d for j in Z_d, for each unit s of Z_d with s <= d/2.
+
+    At d = 2 the roots are real, so the sine table is None.
+    """
+    tables = []
+    for s in range(1, d // 2 + 1):
+        if np.gcd(s, d) == 1:
+            t = (2 * np.pi / d) * (s * np.arange(d) % d)
+            tables.append((np.cos(t), None if d == 2 else np.sin(t)))
+    return tables
+
+
+def _product_t(W: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """W @ R.T in float64, as BLAS products of at most _BLAS_CALL_MACS multiply-adds each.
+
+    Row bands of W, and column chunks of both when one row is past the
+    limit; the chunks are summed in order.
+    """
+    cols, inner = R.shape
+    band = max(1, _BLAS_CALL_MACS // (cols * inner))
+    width = min(inner, max(1, _BLAS_CALL_MACS // (band * cols)))
+    out = np.zeros((W.shape[0], cols))
+    for r0 in range(0, W.shape[0], band):
+        for c0 in range(0, inner, width):
+            out[r0 : r0 + band] += W[r0 : r0 + band, c0 : c0 + width] @ R[:, c0 : c0 + width].T
+    return out
+
+
+def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=None):
+    """Dense Gram check of one subset of a full-support single-root state; returns as _check_subset.
+
+    The sorted keys of a full-support state are the row-major grid, so the
+    exponents reshape to a d^k x d^(n-k) matrix E indexed by (cA, cB) with
+    no sort.  For each pair of tables of _conjugate_roots (the default),
+    M = cos[E] + i sin[E] and G = M M^H is the conjugate of rho_A, formed
+    from real products by _product_t; an entry fails when it is at least
+    1/2 away from [cA = cA2] d^(n-k) under any pair, which _gram_exact
+    shows is exact within its bound.  Every one of the d^(n-k)
+    groups of kets that agree off A holds d^k kets, so pairs = d^(n+k).
+    """
+    n, d = state.n, state.d
+    k = len(A)
+    dk, m = d**k, d ** (n - k)
+    pairs = dk * dk * m
+    charge(pairs)
+    aset = set(A)
+    B = [i for i in range(n) if i not in aset]
+    E = state.exponents.reshape((d,) * n).transpose(list(A) + B).reshape(dk, m)
+    fail = np.zeros((dk, dk), dtype=bool)
+    for cos, sin in _conjugate_roots(d) if roots is None else roots:
+        X = cos[E]
+        G = _product_t(X, X)  # M = X + iY: the real part of M M^H is X X^T + Y Y^T
+        if sin is not None:
+            Y = sin[E]
+            G += _product_t(Y, Y)
+        G.flat[:: dk + 1] -= m
+        G *= G
+        if sin is not None:
+            T = _product_t(Y, X)  # and its imaginary part is Y X^T - X Y^T
+            G += (T - T.T) ** 2
+        fail |= G >= 0.25
+    fail = np.flatnonzero(fail)
+    if not fail.size:
+        return None, pairs
+    ca, ca2 = digits(divmod(int(fail[0]), dk), d, k).tolist()
+    return (tuple(ca), tuple(ca2)), pairs
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,26 @@
+import cmath
 import collections
 import itertools
 import random
 import sys
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform import states
 from kuniform.cyclotomic import CycInt, from_int, root_power
-from kuniform.fileio import read_state
+from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
-from kuniform.matrices import all_phases, upper_triangle_to_matrix
+from kuniform.matrices import all_phases, state_from_matrix, upper_triangle_to_matrix
 from kuniform.states import (
     PureState,
     TooLargeError,
     _check_subset,
     _check_subset_generic,
+    _check_subset_gram,
     marginal_sum,
     max_uniformity,
     verify_uniform,
@@ -35,6 +38,12 @@ def _ghz(n, d=2):
 
 def _w_state():
     return PureState.from_phases(3, 2, {(0, 0, 1): 0, (0, 1, 0): 0, (1, 0, 0): 0})
+
+
+def _quadratic_phases(n, d, tri):
+    """Basis string -> q_H(x) for the zero-diagonal symmetric H with upper triangle tri."""
+    strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
+    return dict(zip(map(tuple, strings.tolist()), exps.tolist()))
 
 
 def test_five_qubit_marginals(five_qubit):
@@ -269,10 +278,9 @@ def _sparse_phase_state(draw):
         n = draw(st.integers(2, 5))
         d = draw(st.sampled_from([2, 3, 4]))
         tri = draw(st.lists(st.integers(0, d - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-        strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
+        phases = _quadratic_phases(n, d, tri)
         k = draw(st.integers(0, n // 2))
         A = tuple(sorted(draw(st.permutations(range(n)))[:k]))
-        phases = dict(zip(map(tuple, strings.tolist()), exps.tolist()))
     else:
         n = draw(st.integers(1, 70))
         d = draw(st.sampled_from([2, 3, 4, 5, 6]))
@@ -308,10 +316,9 @@ def test_phase_path_matches_generic_on_sparse_states(case):
 def _scan_case(draw):
     """(state, k): full-support quadratic phases, sparse phases, or general amplitudes."""
     if draw(st.booleans()):
-        n, d = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]))
+        n, d = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 6), (2, 9)]))
         tri = draw(st.lists(st.integers(0, d - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-        strings, exps = all_phases(upper_triangle_to_matrix(tri, n, d), n, d)
-        phases = dict(zip(map(tuple, strings.tolist()), exps.tolist()))
+        phases = _quadratic_phases(n, d, tri)
     else:
         n, d = draw(st.integers(2, 6)), draw(st.sampled_from([2, 3, 5]))
         ket = st.tuples(*[st.integers(0, d - 1)] * n)
@@ -397,3 +404,153 @@ def test_general_states_within_the_bound_skip_the_reference(monkeypatch, five_qu
         assert verify_uniform(scaled, 2).uniform
     w = PureState(3, 2, {key: amp.scale(-3) for key, amp in _w_state().amps.items()})
     assert verify_uniform(w, 1).failing_pair == ((0,), (0,))
+
+
+@st.composite
+def _perturbed_full_support(draw):
+    """Quadratic phases on all d^n strings, with one exponent moved half the time."""
+    n, d = draw(st.sampled_from([(2, 2), (4, 2), (6, 2), (2, 3), (4, 3), (2, 4), (3, 4), (3, 5), (2, 6), (3, 6),
+                                 (2, 8), (2, 9), (2, 10), (2, 12)]))
+    phases = _quadratic_phases(n, d, draw(st.lists(st.integers(0, d - 1), min_size=comb(n, 2), max_size=comb(n, 2))))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(phases)))
+        phases[key] += draw(st.integers(1, d - 1))
+    return PureState.from_phases(n, d, phases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_full_support())
+def test_gram_check_matches_both_references_on_full_support(s):
+    for k in range(s.n // 2 + 1):
+        for A in itertools.combinations(range(s.n), k):
+            assert _check_subset_gram(s, A) == _check_subset(s, A) == _check_subset_generic(s, A)
+
+
+def test_gram_check_needs_every_conjugate():
+    # x = (1 - zeta)(2 zeta + 2 zeta^4 - 1) at d = 5 is nonzero with |x| = 0.28,
+    # while its conjugate under zeta -> zeta^2 has modulus 8.06.  As the sum of
+    # 25 roots, zeta^0..zeta^4 taken 2, 8, 3, 5 and 7 times, it is the entry
+    # ((0,), (1,)) of the subset (0,) of this 3-qudit state
+    row = [0] * 2 + [1] * 8 + [2] * 3 + [3] * 5 + [4] * 7
+    s = PureState.from_phases(3, 5, {(a, b // 5, b % 5): row[b] if a == 0 else 0 for a in range(5) for b in range(25)})
+    assert abs(sum(cmath.exp(2j * cmath.pi * e / 5) for e in row)) < 0.5
+    assert _check_subset_gram(s, (0,)) == _check_subset_generic(s, (0,)) == (((0,), (1,)), 5**4)
+
+
+def test_products_are_cut_to_the_call_limit(monkeypatch):
+    # row bands of W, and column chunks once a single row is past the limit
+    rng = np.random.default_rng(1)
+    for rows, cols, inner in ((5, 4, 3), (9, 6, 40), (1, 7, 50), (12, 12, 1)):
+        W, R = rng.standard_normal((rows, inner)), rng.standard_normal((cols, inner))
+        for limit in (1, 7, 64, 10**6):
+            monkeypatch.setattr(states, "_BLAS_CALL_MACS", limit)
+            assert np.allclose(states._product_t(W, R), W @ R.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_perturbed_full_support())
+def test_gram_check_in_small_products_matches_the_reference(s):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_BLAS_CALL_MACS", 5)
+        for k in range(1, s.n // 2 + 1):
+            for A in itertools.combinations(range(s.n), k):
+                assert _check_subset_gram(s, A) == _check_subset_generic(s, A)
+
+
+def test_short_checks_skip_the_pool(monkeypatch, five_qubit):
+    pools = []
+    pool = states.ThreadPoolExecutor
+    monkeypatch.setattr(states, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+    gram = state_from_matrix(read_witness(fixture_path("witness_6x6_d2.txt")))  # 2^6 + 2^7 entries per subset
+    for s, k in ((gram, 3), (five_qubit, 2)):
+        assert verify_uniform(s, k, workers=2).uniform
+    assert pools == []
+    monkeypatch.setattr(states, "_POOL_MIN_ENTRIES", 2**6 + 2**7)
+    assert verify_uniform(gram, 3, workers=2).uniform and pools == [{"max_workers": 2}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_case())
+def test_pooled_scan_matches_brute_force(case):
+    # as test_scan_matches_brute_force_at_every_worker_count, with every check handed to the pool
+    s, k = case
+    subset, pair = _first_failure(s, k)
+    scanned = itertools.combinations(range(s.n), k)
+    if subset is not None:
+        scanned = itertools.takewhile(lambda A: A <= subset, scanned)
+    total = comb(s.n, k) * (len(s) + s.d ** (2 * k + 1)) + sum(_pair_count(s, A) for A in scanned)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_POOL_MIN_ENTRIES", 0)
+        for workers in (2, 3):
+            r = verify_uniform(s, k, max_ops=total, workers=workers)
+            assert (r.uniform, r.failing_subset, r.failing_pair) == (subset is None, subset, pair)
+            with pytest.raises(TooLargeError):
+                verify_uniform(s, k, max_ops=total - 1, workers=workers)
+
+
+def test_full_support_single_root_states_skip_the_histogram(monkeypatch):
+    monkeypatch.setattr(states, "_check_subset", None)
+    for name, k in (("witness_2x2_d4.txt", 1), ("witness_2x2_d6.txt", 1), ("witness_6x6_d2.txt", 3)):
+        s = state_from_matrix(read_witness(fixture_path(name)))
+        for workers in (1, 2):
+            assert verify_uniform(s, k, workers=workers).uniform
+    # all phases 0: every off-diagonal entry of rho_A is d^(n-1), so (0, 1) fails first
+    flat = PureState.from_phases(3, 3, _quadratic_phases(3, 3, [0, 0, 0]))
+    for workers in (1, 2):
+        r = verify_uniform(flat, 1, workers=workers)
+        assert (r.failing_subset, r.failing_pair) == ((0,), ((0,), (1,)))
+
+
+def _recording(monkeypatch, name):
+    calls = []
+    check = getattr(states, name)
+    monkeypatch.setattr(states, name, lambda s, A, *rest: calls.append(A) or check(s, A, *rest))
+    return calls
+
+
+def test_sparse_and_general_states_take_the_histogram(monkeypatch, five_qubit):
+    calls = _recording(monkeypatch, "_check_subset")
+    monkeypatch.setattr(states, "_check_subset_gram", None)
+    assert verify_uniform(five_qubit, 2).uniform  # 8 of 32 strings
+    assert len(calls) == comb(5, 2)
+    full = state_from_matrix(read_witness(fixture_path("witness_2x2_d4.txt")))
+    doubled = PureState(2, 4, {key: amp.scale(2) for key, amp in full.amps.items()})
+    assert len(doubled) == 16 and doubled.phase_map() is None
+    calls.clear()
+    assert verify_uniform(doubled, 1).uniform
+    assert calls == [(0,), (1,)]
+
+
+def test_gram_exactness_gate(monkeypatch):
+    # the inner length d^(n-k) may reach 2^24 and no further
+    assert states._gram_exact(2, 24, 0) and not states._gram_exact(2, 25, 0)
+    assert states._gram_exact(2, 30, 6) and not states._gram_exact(2, 31, 6)
+    assert states._gram_exact(3, 15, 0) and not states._gram_exact(3, 16, 0)  # 3^15 < 2^24 < 3^16
+    assert states._gram_exact(4096, 4, 2) and not states._gram_exact(4097, 4, 2)
+    # past the gate the histogram check runs: shrink the gate to 2^3 and take
+    # the 2-uniform ring graph state on 5 qubits, whose inner length is 2^3
+    # at k = 2 and 2^4 at k = 1
+    monkeypatch.setattr(states, "_GRAM_MAX_INNER", 8)
+    ring = PureState.from_phases(5, 2, _quadratic_phases(5, 2, [1, 0, 0, 1, 1, 0, 0, 1, 0, 1]))
+    histogram, gram = _recording(monkeypatch, "_check_subset"), _recording(monkeypatch, "_check_subset_gram")
+    assert verify_uniform(ring, 2).uniform
+    assert (len(histogram), len(gram)) == (0, comb(5, 2))
+    gram.clear()
+    assert verify_uniform(ring, 1).uniform
+    assert (len(histogram), len(gram)) == (5, 0)
+
+
+def test_histogram_memory_ceiling(monkeypatch):
+    # a check that ran would call None and raise TypeError, not TooLargeError
+    monkeypatch.setattr(states, "_check_subset", None)
+    assert states.MAX_HISTOGRAM_BYTES == 2**31
+    # 600^3 entries pass the operation ceiling but take 16 * 600^3 = 3.5e9 bytes
+    with pytest.raises(TooLargeError, match="bytes") as exc:
+        verify_uniform(_ghz(2, 600), 1)
+    assert (exc.value.estimate, exc.value.ceiling) == (16 * 600**3, 2**31)
+    # 128 MB per running check: 17 workers over 34 subsets are too many,
+    # and 40 workers over 20 subsets run 20 checks at once
+    for n, workers, running in ((34, 17, 17), (20, 40, 20)):
+        with pytest.raises(TooLargeError, match="bytes") as exc:
+            verify_uniform(_ghz(n, 200), 1, workers=workers)
+        assert exc.value.estimate == 16 * 200**3 * running
