@@ -12,8 +12,11 @@ H[A x complement] has that iff the block has rank k mod p.  One batched
 kernel runs the test on candidate upper triangles, a search chunk or a
 single matrix alike; at other levels (6, 10, ...) it is only a necessary
 condition, and check_certificate decides there by Bareiss determinants.
-Subsets are scanned in lexicographic order with early exit, so failure
-reports are reproducible.
+The kernel reduces each prime's digit table once, into the narrowest
+unsigned dtype that holds its residues (uint8 for p < 2^8), and gathers the
+blocks from that table, so the stacks it hands to the elimination kernel
+are already narrow and in range.  Subsets are scanned in lexicographic
+order with early exit, so failure reports are reproducible.
 """
 
 from __future__ import annotations
@@ -23,24 +26,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import digits, invertible_mod_d, is_prime, prime_factors, rank_mod_p
+from .modular import digits, invertible_mod_d, is_prime, prime_factors, rank_mod_p, reduce_mod
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
-_STACK_CAP = 1 << 16  # entries of H[A x complement] gathered per rank_mod_p call
+_STACK_CAP = 1 << 16  # entries of H[A x complement] gathered per rank_mod_p call; 2^14 to 2^16 time alike, 2^18 is slower
 
 
 def _validated(H, d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"invalid level d={d}")
-    m = np.atleast_2d(np.asarray(H, dtype=np.int64))
+    m = np.atleast_2d(reduce_mod(H, d))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if ((m % d) != ((m % d).T)).any():
+    if (m != m.T).any():
         raise ValueError("matrix must be symmetric")
-    if (np.diag(m) % d).any():
+    if np.diag(m).any():
         raise ValueError("matrix must have zero diagonal")
-    return m % d
+    return m
 
 
 def quadratic_phase(H, c, d: int) -> int:
@@ -67,7 +70,8 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
     large for the int64 kernel, is skipped; at a prime power the kernel
     refuses it.  Subsets go in lexicographic blocks sized so the still-alive
     candidates gather at most _STACK_CAP entries, and failing candidates
-    drop after each block.
+    drop after each block.  rows may be any integer table (or list); each
+    prime reads it reduced once into np.min_scalar_type(p - 1).
     """
     pos = np.zeros((n, n), dtype=np.int64)
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
@@ -75,6 +79,7 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
     primes = prime_factors(d)
     if len(primes) > 1:  # only necessary here: leave a prime too large for the kernel to Bareiss
         primes = [p for p in primes if (p - 1) ** 2 < 1 << 63]
+    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in primes]
     alive = np.arange(len(rows))
     subsets = itertools.combinations(range(n), k)
     while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
@@ -82,8 +87,8 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
         outside = np.ones((len(A), n), dtype=bool)
         outside[np.arange(len(A))[:, None], A] = False
         cols = pos[A[:, :, None], np.nonzero(outside)[1].reshape(len(A), 1, n - k)]
-        for p in primes:
-            alive = alive[(rank_mod_p(rows[alive[:, None, None, None], cols], p) == k).all(axis=1)]
+        for p, table in tables:
+            alive = alive[(rank_mod_p(table[alive[:, None, None, None], cols], p) == k).all(axis=1)]
     mask = np.zeros(len(rows), dtype=bool)
     mask[alive] = True
     return mask
@@ -159,9 +164,9 @@ def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:
     """Rebuild the symmetric zero-diagonal matrix from its upper triangle."""
     if len(entries) != n * (n - 1) // 2:
         raise ValueError(f"need {n * (n - 1) // 2} entries, got {len(entries)}")
-    m = np.zeros((n, n), dtype=np.int64)
-    m[np.triu_indices(n, 1)] = entries
-    return _validated(m + m.T, d)
+    m = _validated(np.zeros((n, n), dtype=np.int64), d)  # refuses a bad level before reducing by it
+    m[np.triu_indices(n, 1)] = reduce_mod(entries, d)
+    return m + m.T
 
 
 def all_phases(H, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,23 @@
 """Exact linear algebra over Z_d, prime fields F_p and GF(p^r).
 
-Matrices are plain numpy integer arrays together with an explicit modulus
-argument; entries are reduced into [0, modulus) on input.
+Matrices are plain numpy arrays together with an explicit modulus
+argument.  One input step, reduce_mod, brings entries into [0, modulus)
+exactly, whatever their integer width (uint64 entries of 2^63 and more
+included), and refuses entries that are not integer values.
 
 Every elimination in the package runs through one Gauss-Jordan kernel,
 row_reduce, which reduces a whole stack of matrices (..., R, C) at once and
-reports each one's rank.  Over F_p it uses plain mod-p int64 arithmetic, so
-it refuses with OverflowError any p with (p-1)^2 >= 2^63, where a product of
-two residues could wrap.  Over GF(p^r), r > 1, it takes the field itself
-and calls its array forms (mul_array, sub_array, inv_array); this module
-holds no extension-field arithmetic and does not import fields.
-rank_mod_p, null_space_mod_p and the field-level row reduction and null
-space are thin layers over it.
+reports each one's rank.  It works on one contiguous (R, C, N) array, the
+N matrices on the last axis, so every step is a whole-stack array operation
+and none gathers from the stack.  The residues live in the narrowest form
+that is exact, picked from (p, field) by _arithmetic: uint8 for p < 2^8,
+with products reduced by a Barrett shift-multiply proved exact below p^2
+(_barrett); int64 with % up to the largest p with (p-1)^2 < 2^63, beyond
+which products of residues could wrap and OverflowError is raised; and
+over GF(p^r), r > 1, the field's int64 encodings and its array forms
+(mul_array, sub_array, inv_array) -- this module holds no extension-field
+arithmetic and does not import fields.  rank_mod_p, null_space_mod_p and
+the field-level row reduction and null space are thin layers over it.
 
 Over composite moduli the one determinant, det_mod_d, uses fraction-free
 (Bareiss) elimination on integer lifts -- Z_d has zero divisors, so modular
@@ -132,10 +138,109 @@ def from_digits(rows, base: int) -> np.ndarray:
     return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
+_NARROW = 1 << 8  # the kernel keeps residues of the primes below this in uint8
+
+
+def _as_int(x) -> int:
+    """x as a Python int, or ValueError when it is not an integer value (1.5, nan, "3")."""
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"entry {x!r} is not an integer") from err
+    if v != x:
+        raise ValueError(f"entry {x!r} is not an integer")
+    return v
+
+
+def _read(a) -> np.ndarray:
+    """a as an array; a list that numpy would read as float64 (ints past 2^63 mixed with others) stays exact."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "f" and not isinstance(a, np.ndarray):
+        return np.array(a, dtype=object)
+    return arr
+
+
+def reduce_mod(a, q: int, dtype=np.int64) -> np.ndarray:
+    """The entries of a reduced exactly into [0, q), as an array of dtype.
+
+    Every integer width is reduced exactly, uint64 entries of 2^63 and more
+    included, and bool reads as 0 and 1.  A float or object entry must be an
+    integer value; one with a fractional part, or not finite, raises
+    ValueError.  Integer input that already lies in [0, q) is only cast, and
+    other nonnegative input is reduced in the narrowest unsigned dtype that
+    holds it.
+    """
+    a = _read(a)
+    if a.dtype.kind == "b":
+        a = a.view(np.uint8)
+    elif a.dtype.kind not in "iu":  # floats and objects: exact, one entry at a time
+        return np.array([_as_int(x) % q for x in a.ravel().tolist()], dtype=dtype).reshape(a.shape)
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    if lo < 0:
+        a = a.astype(np.int64) % q
+    elif hi >= q:  # in the narrowest unsigned dtype that holds the entries, where % is cheapest
+        a = a.astype(np.min_scalar_type(hi), copy=False)
+        a = a % a.dtype.type(q)
+    return a.astype(dtype, copy=False)
+
+
+def _barrett(p: int):
+    """(wide, s, M) for reducing any 0 <= x < p^2 mod p by floor(x / p) = (x * M) >> s.
+
+    Take s = bitlength(p^3 - 1), so p^3 <= 2^s, and M = ceil(2^s / p), so
+    e = M p - 2^s lies in [0, p).  Write x = u p + v with 0 <= v < p.  Then
+    x M / 2^s = u + (v + x e / 2^s) / p, and x e < p^2 * p <= 2^s, so the
+    bracket lies below v + 1 <= p and the floor is exactly u.  The product
+    x M < p^2 (2^s / p + 1) = p 2^s + p^2 is computed in wide, the smaller
+    of uint16 and uint32 that holds it: uint16 for p <= 13, uint32 for every
+    p < 2^8 (255 * 2^24 + 255^2 < 2^32).
+    """
+    s = (p**3 - 1).bit_length()
+    M = -(-(1 << s) // p)
+    wide = np.uint16 if p * (1 << s) + p * p <= 1 << 16 else np.uint32
+    return wide, wide(s), wide(M)
+
+
 def _arithmetic(p: int, field):
-    """(q, mul, sub, inv) on int64 arrays: plain mod p, or the array forms of a GF(p^r) field."""
+    """(q, dtype, mul, eliminate, inv) of the kernel over GF(p), or over a field GF(p^r), r > 1.
+
+    Residues live in dtype.  mul(a, b) is the product, broadcast;
+    eliminate(w, f, t) sets w to w - f * t in place; inv(a) is the inverse
+    of each nonzero entry.  Three forms: p < 2^8 keeps residues in uint8,
+    forms w - f t as w + f (p - t) < p^2 in a wider dtype and reduces it by
+    one Barrett step (_barrett), and inverts by a p-entry table; larger p
+    uses int64 with %, and inverts by square and multiply; GF(p^r) calls the
+    field's array forms on its int64 encodings.
+    """
     if field is not None and field.r > 1:
-        return field.q, field.mul_array, field.sub_array, field.inv_array
+        def eliminate(w, f, t):
+            w[...] = field.sub_array(w, field.mul_array(f, t))
+
+        return field.q, np.int64, field.mul_array, eliminate, field.inv_array
+    if p < _NARROW:
+        wide, s, M = _barrett(p)
+        P = wide(p)
+
+        def reduce(x, out):  # x < p^2 in wide, to x mod p in out
+            u = x * M
+            u >>= s
+            u *= P
+            return np.subtract(x, u, out=out, casting="unsafe")
+
+        def mul(a, b):
+            x = np.multiply(a, b, dtype=wide, casting="unsafe")
+            return reduce(x, np.empty(x.shape, np.uint8))
+
+        def eliminate(w, f, t):
+            x = f * (P - t)  # uint8 times wide is wide
+            x += w
+            reduce(x, w)
+
+        table = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
+        return p, np.uint8, mul, eliminate, table.__getitem__
+
+    def eliminate(w, f, t):
+        np.remainder(w - f * t, p, out=w)
 
     def inv(a):  # a^(p-2) by square and multiply
         out, e = np.ones_like(a), p - 2
@@ -145,62 +250,88 @@ def _arithmetic(p: int, field):
             a, e = a * a % p, e >> 1
         return out
 
-    return p, lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv
+    return p, np.int64, lambda a, b: a * b % p, eliminate, inv
 
 
 def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan reduction of every matrix of a stack of shape (..., R, C).
 
-    Returns the reduced row echelon forms, in the input's shape, and the rank
-    of each matrix, in shape (...).  Over GF(p) (field None, or of degree 1)
-    the arithmetic is plain mod p, so p must satisfy (p-1)^2 < 2^63 or
-    OverflowError is raised.  Over a field GF(p^r), r > 1, entries are its
-    integer-encoded elements and the field's array forms do the arithmetic.
+    Returns the reduced row echelon forms, as int64 in the input's shape,
+    and the rank of each matrix, in shape (...).  Over GF(p) (field None, or
+    of degree 1) p must satisfy (p-1)^2 < 2^63 or OverflowError is raised;
+    over a field GF(p^r), r > 1, entries are its integer-encoded elements.
+    Entries are reduced by reduce_mod, so non-integral ones raise ValueError.
+
+    The stack is worked on as one contiguous (R, C, N) array, the N matrices
+    on the last axis, in the dtype _arithmetic picks.  Column c takes the
+    first row at or below each matrix's rank with a nonzero entry, found by
+    an R-step scan over masks; it swaps that row with the rank row, scales
+    it and clears column c from every other row.  The swap and the pivot
+    row's write-back are XOR blends under full-width row masks, so no step
+    gathers from the stack, and columns left of c are not touched: they are
+    zero below the rank.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"modulus {p} is too large: products of residues would wrap in int64")
     if not is_prime(p):
         raise ValueError(f"elimination needs a prime modulus, got {p}; use the determinant path")
-    q, mul, sub, inv = _arithmetic(p, field)
-    m = np.array(stack, dtype=np.int64) % q
-    shape = m.shape
+    q, dtype, mul, eliminate, inv = _arithmetic(p, field)
+    a = reduce_mod(stack, q, dtype)
+    shape = a.shape
     R, C = shape[-2:]
-    m = m.reshape(prod(shape[:-2]), R, C)
-    rank = np.zeros(m.shape[0], dtype=np.int64)
-    rows = np.arange(R)
+    N = prod(shape[:-2])
+    m = np.array(a.reshape(N, R, C).transpose(1, 2, 0), order="C")
+    rank = np.zeros(N, dtype=np.int64)
+    rows = np.arange(R)[:, None]
     for c in range(C):
-        open_rows = (m[:, :, c] != 0) & (rows >= rank[:, None])
-        b = np.flatnonzero(open_rows.any(axis=1))
-        if not b.size:
+        lo = int(rank.min(initial=R))  # rows above every matrix's rank hold no pivot
+        if lo == R:
+            break
+        first = m[lo:, c] != 0
+        first &= rows[lo:] >= rank
+        free = ~first[0]  # no pivot yet among the rows scanned
+        for r in range(1, R - lo):  # keep only each matrix's first open row
+            if not free.any():
+                first[r:] = False
+                break
+            first[r] &= free
+            free ^= first[r]
+        done = ~free
+        if not done.any():
             continue
-        r = rank[b]
-        pivot = open_rows[b].argmax(axis=1)
-        top = m[b, pivot]
-        m[b, pivot] = m[b, r]
-        top = mul(top, inv(top[:, c])[:, None])
-        m[b] = sub(m[b], mul(m[b, :, c, None], top[:, None, :]))
-        m[b, r] = top  # row r was stale since the swap
-        rank[b] += 1
-    return m.reshape(shape), rank.reshape(shape[:-2])
+        w, v = m[:, c:], m[lo:, c:]
+        at = np.negative((rows[lo:] == rank) & done, dtype=dtype)[:, None]  # the rank row, all bits set
+        sel = np.negative(first, dtype=dtype)[:, None]
+        top = np.bitwise_or.reduce(v & sel, axis=0)
+        swap = v ^ np.bitwise_or.reduce(v & at, axis=0)  # the rank row goes where the pivot was
+        swap &= sel
+        v ^= swap
+        top = mul(top, inv(top[0] | free))  # a matrix without a pivot has top 0: any inverse will do
+        eliminate(w, w[:, :1], top)
+        back = v ^ top
+        back &= at
+        v ^= back
+        rank += done
+    return m.transpose(2, 0, 1).astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
 
 
 def rank_mod_p(mat, p: int):
     """Rank over F_p of a matrix, or an array of ranks for a stack (..., R, C).  Requires prime p."""
-    m = np.asarray(mat, dtype=np.int64)
+    m = _read(mat)
     _, rank = row_reduce(np.atleast_2d(m), p)
     return int(rank) if m.ndim <= 2 else rank
 
 
 def null_space_mod_p(mat, p: int, field=None) -> np.ndarray:
     """Basis rows of the right null space {x : mat @ x = 0}, over GF(p) or GF(p^r) as in row_reduce."""
-    red, rank = row_reduce(np.atleast_2d(mat), p, field)
+    red, rank = row_reduce(np.atleast_2d(_read(mat)), p, field)
     red = red[:rank]
     pivots = (red != 0).argmax(axis=1)
     free = np.setdiff1d(np.arange(red.shape[1]), pivots)
     basis = np.zeros((free.size, red.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    _, _, sub, _ = _arithmetic(p, field)
-    basis[:, pivots] = sub(0, red[:, free].T)
+    _, _, mul, _, _ = _arithmetic(p, field)
+    basis[:, pivots] = mul(red[:, free].T, p - 1)  # -x: p - 1 is -1 in GF(p) and in GF(p^r)
     return basis
 
 
@@ -210,7 +341,7 @@ def det_mod_d(mat, d: int) -> int:
     Division-free with exact intermediate divisions, so valid for any modulus
     d >= 2.  Returns a value in [0, d).
     """
-    a = [[int(x) % d for x in row] for row in np.atleast_2d(np.asarray(mat))]
+    a = [[_as_int(x) % d for x in row] for row in np.atleast_2d(_read(mat)).tolist()]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")

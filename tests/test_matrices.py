@@ -116,6 +116,32 @@ def test_rank_kernel_skips_a_huge_prime_only_at_mixed_levels():
         search_witness(2, p, 1, SearchBudget(10, seed=0))
 
 
+def test_rank_certificate_reads_every_digit_table_form_alike():
+    # prime, prime-power and mixed levels; the int64 table also with entries
+    # shifted by multiples of d, which reduce to the same candidates
+    rng = np.random.default_rng(15)
+    for n, d, k in [(5, 2, 2), (5, 3, 2), (6, 4, 3), (5, 9, 2), (5, 6, 2), (4, 251, 2)]:
+        rows = rng.integers(0, d, size=(300, n * (n - 1) // 2))
+        want = _rank_certificate(rows, n, d, k)
+        assert 0 < want.sum() < len(want), (n, d, k)
+        shifted = rows + d * rng.integers(-3, 4, size=rows.shape)
+        for table in (rows.astype(np.uint8), rows.tolist(), shifted):
+            assert _rank_certificate(table, n, d, k).tolist() == want.tolist(), (n, d, k)
+
+
+def test_certificate_reads_wide_and_fractional_entries_exactly():
+    # 2^64 - 1 = 0 mod 3: the matrix is zero there, not the flip it reads as in int64
+    H = np.array([[0, 2**64 - 1], [2**64 - 1, 0]], dtype=np.uint64)
+    assert not check_certificate(H, 3, 1) and not check_certificate_general(H, 3, 1)
+    assert check_certificate(H, 2, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        check_certificate([[0, 1.5], [1.5, 0]], 3, 1)
+    assert check_certificate([[0.0, 1.0], [1.0, 0.0]], 3, 1)
+    assert upper_triangle_to_matrix(np.array([2**64 - 1], dtype=np.uint64), 2, 3).tolist() == [[0, 0], [0, 0]]
+    with pytest.raises(ValueError, match="not an integer"):
+        upper_triangle_to_matrix([1.5], 2, 3)
+
+
 def test_certificate_permutation_invariance():
     six = read_witness(fixture_path("witness_6x6_d2.txt"))
     rng = random.Random(13)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from kuniform.fields import get_field, null_space_over_field, rref_over_field
 from kuniform.modular import (
+    _NARROW,
+    _arithmetic,
+    _barrett,
     count_linear_solutions,
     det_mod_d,
     invertible_mod_d,
@@ -313,3 +317,119 @@ def test_kernel_over_a_prime_above_two_to_the_twenty(data):
     assert len(basis) == cols - rank
     for x in basis:
         assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in mat)
+
+
+def _gauss_jordan(mat, f):
+    """Reference RREF and rank of one matrix of Python ints, by scalar field arithmetic."""
+    m = [[x % f.q for x in row] for row in mat]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        scale = f.inv(m[rank][c])
+        m[rank] = [f.mul(scale, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                m[r] = [f.sub(x, f.mul(m[r][c], y)) for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return m, rank
+
+
+class _PrimeField:
+    """GF(p) by Python ints: the reference for primes beyond get_field's table size."""
+
+    def __init__(self, p):
+        self.p = self.q = p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+
+_KERNEL_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 251, 65521, 3_037_000_493)] + [(2, 2), (3, 2)]
+_INPUT_RANGES = {  # entry range of each input form; "list" goes past every fixed width
+    "int8": (-(1 << 7), (1 << 7) - 1),
+    "int32": (-(1 << 31), (1 << 31) - 1),
+    "uint8": (0, (1 << 8) - 1),
+    "uint64": (0, (1 << 64) - 1),
+    "bool": (0, 1),
+    "list": (-(1 << 70), 1 << 70),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_reduce_matches_a_scalar_gauss_jordan(data):
+    p, r = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    f = get_field(p, r) if r > 1 or p < 1 << 20 else _PrimeField(p)
+    form = data.draw(st.sampled_from(sorted(_INPUT_RANGES)))
+    lo, hi = _INPUT_RANGES[form]
+    lead = data.draw(st.sampled_from([(), (0,), (1,), (3,), (2, 2)]))
+    R, C = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
+    near = [v for v in (0, 1, -1, f.q - 1, f.q, f.q + 1, -f.q, 2 * f.q) if lo <= v <= hi]
+    entry = st.sampled_from(near) | st.integers(lo, hi)
+    stack = data.draw(st.lists(entry, min_size=prod(lead) * R * C, max_size=prod(lead) * R * C))
+    stack = np.array(stack, dtype=object).reshape(*lead, R, C)
+    if R > 1 and data.draw(st.booleans()):
+        stack[..., -1, :] = stack[..., 0, :]  # a dependent row
+    if C > 0 and data.draw(st.booleans()):
+        stack[..., data.draw(st.integers(0, C - 1))] = data.draw(st.sampled_from([v for v in near if v % f.q == 0]))
+    if form != "list":
+        given_ = stack.astype(np.dtype(form))
+    else:  # a nested list carries no shape with a zero-length axis: pass the object array then
+        given_ = stack.tolist() if np.shape(stack.tolist()) == stack.shape else stack
+    red, rank = row_reduce(given_, p, f if r > 1 else None)
+    assert red.dtype == np.int64 and red.shape == stack.shape and rank.shape == lead
+    for idx in np.ndindex(*lead):
+        want, want_rank = _gauss_jordan(stack[idx].tolist(), f)
+        assert red[idx].tolist() == want and rank[idx] == want_rank, (idx, stack[idx].tolist())
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, _NARROW) if is_prime(p)])
+def test_narrow_arithmetic_is_exact_for_every_residue(p):
+    wide, s, M = _barrett(p)
+    x = np.arange(p * p, dtype=wide)  # every value the kernel reduces
+    u = x * M
+    u >>= s
+    assert (u == x // wide(p)).all()
+    q, dtype, mul, eliminate, inv = _arithmetic(p, None)
+    assert (q, dtype) == (p, np.uint8)
+    a, b = (v.astype(np.uint8) for v in np.divmod(np.arange(p * p), p))
+    assert (mul(a, b) == a.astype(np.int64) * b % p).all()
+    for w0 in (0, p - 1):  # the extremes of the row entry under w + f (p - t)
+        w = np.full(p * p, w0, dtype=np.uint8)
+        eliminate(w, a, b)
+        assert (w == (w0 - a.astype(np.int64) * b) % p).all()
+    nonzero = np.arange(1, p, dtype=np.uint8)
+    assert (nonzero.astype(np.int64) * inv(nonzero) % p == 1).all()
+
+
+def test_wide_unsigned_entries_are_reduced_exactly():
+    # 2^64 - 1 = 0 mod 3, and as an int64 it would read -1
+    assert rank_mod_p(np.full((2, 2), 2**64 - 1, dtype=np.uint64), 3) == 0
+    assert null_space_mod_p(np.array([[2**64 - 1, 1]], dtype=np.uint64), 3).tolist() == [[1, 0]]
+    assert rank_mod_p(np.array([[2**63 + 1, 2**64 - 2]], dtype=np.uint64), 5) == 1
+    assert rank_mod_p([[2**70, 2**71]], 2) == 0
+    # numpy reads this list as float64, where 2^63 + 1 rounds to the even 2^63
+    assert rank_mod_p([[0, 2**63 + 1]], 2) == 1
+    assert null_space_mod_p([[2**63 + 1, 1]], 2).tolist() == [[1, 1]]
+    assert det_mod_d([[0, 2**63 + 1], [1, 0]], 5) == -(2**63 + 1) % 5
+
+
+def test_fractional_entries_are_refused():
+    for mat in ([[1.5]], [[0.0, float("nan")]], [[float("inf")]], np.array([[1, 2.5]], dtype=object)):
+        with pytest.raises(ValueError, match="not an integer"):
+            rank_mod_p(mat, 5)
+        with pytest.raises(ValueError, match="not an integer"):
+            det_mod_d(mat, 5)
+    # integral floats keep working, exactly even past 2^63
+    assert rank_mod_p([[2.0, 4.0], [1.0, 2.0]], 5) == 1
+    assert rank_mod_p([[1e300]], 5) == 0 and rank_mod_p([[1e300]], 7) == 1
+    assert det_mod_d([[2.0, 0.0], [0.0, 3.0]], 7) == 6
