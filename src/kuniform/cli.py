@@ -212,6 +212,17 @@ def cmd_emit_state(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kuniform", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -223,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["exhaustive", "random"], default="random")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=10**7)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_positive_int, default=1)
         if with_out:
             sp.add_argument("--out", required=True)
 
@@ -242,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--budget", type=int, default=10**7)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.add_argument("--registry", default=None)
     sp.add_argument("--from-registry", default=None)
     sp.add_argument("--porcelain", action="store_true")
@@ -253,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--method", default="oracle")
     sp.add_argument("--max-ops", type=int, default=10**9)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bounds", help="evaluate count/threshold/asymptotic bounds")
@@ -267,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct-code", help="state from a code file, distances checked")
     sp.add_argument("--code", required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_construct_code)
 

@@ -12,11 +12,11 @@ reduction bias is below 2^-60 and identical across runs).
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
 stream costs a small block while long scans still run on large ones.  Each
-chunk first passes through a vectorized screen, chosen from (n, d, k) alone:
+chunk first passes through a vectorized screen, chosen from (n, d) alone:
 
-- d = 2, k <= 4 and n <= 64: the bit screen on packed n-bit row words; only
-  its survivors become digit rows.
-- every other (n, d, k): the batched rank certificate of matrices on the
+- d = 2 and n <= 64: the bit screen on packed n-bit row words, exact at
+  every k; only its survivors become digit rows.
+- every other (n, d): the batched rank certificate of matrices on the
   digit table, exact at prime powers and a necessary condition elsewhere.
 
 Every survivor, in index order, is rechecked with the public certificate
@@ -29,6 +29,7 @@ and table scans report the two cases differently.
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import append_registry, read_registry
-from .matrices import Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
+from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
 from .modular import digits
 
 _MASK = (1 << 64) - 1
@@ -67,6 +68,11 @@ class SearchBudget:
     def __post_init__(self):
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("max_candidates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.max_candidates < 1:
             raise ValueError("budget must allow at least one candidate")
 
@@ -128,27 +134,33 @@ def _row_words(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Boolean pass mask of the level-2 bit screen (k <= 4, n <= 64) over (T, count) bits.
+    """Boolean pass mask of the level-2 bit screen (n <= 64) over (T, count) bits.
 
-    H[A x complement] has rank k over GF(2) iff every nonempty XOR of A's
-    row words has a bit outside A.
+    Let w_S be the XOR of the row words of S.  For n >= 2k, every k-subset
+    block H[A x complement] has rank k over GF(2) iff every nonempty S with
+    |S| <= k has popcount(w_S & ~S) > k - |S|.
+
+    (<=) Take S inside A.  Then w_S has more bits outside S than the k - |S|
+    rows of A outside S can cover, so one of those bits lies outside A.
+    (=>) If popcount(w_S & ~S) <= k - |S|, take A = S plus the bits of w_S
+    outside S, padded to size k.  Then w_S vanishes on the complement of A,
+    which is a dependency among the rows of S.
+
+    So the screen makes sum_{s<=k} C(n, s) XOR-and-popcount tests, one s at
+    a time with the failures dropped after each block of subsets; s = 1 is
+    the degree test, so low-degree candidates drop before any XOR.
     """
     words = _row_words(bits, n)
+    word = words.dtype.type
     alive = np.arange(bits.shape[1])
-    full = (1 << n) - 1
-    # Gray code: after row A[0], step g = 2 .. 2^k - 1 flips row A[lowest set bit of g]
-    flips = [(g & -g).bit_length() - 1 for g in range(2, 1 << k)]
-    for A in itertools.combinations(range(n), k):
-        outside = words.dtype.type(full ^ sum(1 << a for a in A))
-        rows = [words[a] & outside for a in A]
-        acc = rows[0].copy()
-        ok = acc != 0
-        for b in flips:
-            acc ^= rows[b]
-            ok &= acc != 0
-        words, alive = words[:, ok], alive[ok]
-        if not alive.size:
-            break
+    for s in range(1, k + 1):
+        subsets = itertools.combinations(range(n), s)
+        while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // alive.size)))):
+            S = np.array(block)
+            outside = ~np.bitwise_or.reduce(word(1) << S.astype(word), axis=1)
+            acc = np.bitwise_xor.reduce(words[S], axis=1) & outside[:, None]
+            keep = np.flatnonzero((np.bitwise_count(acc) > k - s).all(axis=0))
+            words, alive = words[:, keep], alive[keep]
     mask = np.zeros(bits.shape[1], dtype=bool)
     mask[alive] = True
     return mask
@@ -157,7 +169,7 @@ def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str):
     """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
     T = n * (n - 1) // 2
-    if d == 2 and k <= 4 and n <= 64:
+    if d == 2 and n <= 64:
         bits = _level2_bits(base, start, count, T, mode)
         offs = np.flatnonzero(_screen_level2(bits, n, k))
         return offs, bits[:, offs].T.astype(np.int64)

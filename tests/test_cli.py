@@ -122,6 +122,23 @@ def test_search_prints_the_witness_and_appends_it(tmp_path, capsys):
     assert capsys.readouterr().out == "search exhausted: no certifying matrix exists for n=4 d=2 k=2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "5", "--d", "2", "--k", "2"],
+    ["construct-matrix", "--n", "5", "--d", "2", "--k", "2", "--out", "w.txt"],
+    ["table", "--d", "2", "--n-max", "4"],
+    ["verify", "--state", "state.txt"],
+    ["construct-code", "--code", "code.txt", "--out", "state.txt"],
+])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2(tmp_path, monkeypatch, capsys, argv, workers):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--workers", workers) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --workers: must be at least 1, got {workers}" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bounds_lambda(capsys):
     assert run("bounds", "--p", "2", "--lambda") == 0
     out = capsys.readouterr().out

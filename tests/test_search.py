@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def test_exhaustive_budget_invariant():
         SearchBudget(0, 0, "random")
     with pytest.raises(ValueError):
         SearchBudget(10, 0, "sideways")
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"max_candidates": 1000.5}, "max_candidates"),
+    ({"max_candidates": True}, "max_candidates"),
+    ({"max_candidates": "10"}, "max_candidates"),
+    ({"max_candidates": 10, "seed": 1.5}, "seed"),
+    ({"max_candidates": 10, "seed": False}, "seed"),
+])
+def test_budget_refuses_what_is_not_an_integer(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SearchBudget(**kwargs)
+
+
+def test_budget_takes_numpy_integers():
+    budget = SearchBudget(np.int64(10**4), np.int64(7))
+    assert (type(budget.max_candidates), type(budget.seed)) == (int, int)
+    w = search_witness(5, 2, 2, budget)
+    assert w.provenance == search_witness(5, 2, 2, SearchBudget(10**4, 7)).provenance
 
 
 def test_random_stream_is_stable():
@@ -229,6 +249,28 @@ def test_bit_screen_matches_rank_screen_at_every_word_width(n, k):
     assert 0 < passed < 4 * 256
 
 
+# (n, k) cells whose rank reference gathers at most 2^22 entries per candidate
+_WORK = 1 << 22
+_SCREEN_CELLS = [(n, k) for n in [*range(2, 21), 33, 64] for k in range(1, min(n // 2, 6) + 1)
+                 if math.comb(n, k) * k * (n - k) <= _WORK]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SCREEN_CELLS), st.floats(0.05, 0.95), st.integers(0, 2**32))
+def test_bit_screen_equals_the_rank_certificate(cell, density, seed):
+    n, k = cell
+    T, count = n * (n - 1) // 2, min(256, _WORK // (math.comb(n, k) * k * (n - k)))
+    bits = (np.random.default_rng(seed).random((T, count)) < density).astype(np.uint8)
+    assert (_screen_level2(bits, n, k) == _rank_certificate(bits.T.astype(np.int64), n, 2, k)).all()
+
+
+def test_bit_screen_is_exact_on_the_whole_6_2_3_space():
+    bits = _level2_bits(0, 0, 2**15, 15, "exhaustive")
+    mask = _screen_level2(bits, 6, 3)
+    assert (mask == _rank_certificate(bits.T.astype(np.int64), 6, 2, 3)).all()
+    assert np.flatnonzero(mask)[0] == 7915
+
+
 def _first_pass_reference(start, count, n, d, k, base, mode):
     """The rank screen over the whole digit table, then the certificate on each survivor."""
     rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
@@ -252,6 +294,18 @@ def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, cou
     base = _stream_base(seed, n, 2, k)
     want = _first_pass_reference(start, count, n, 2, k, base, mode)
     assert _first_pass_in_chunk(start, count, n, 2, k, base, mode) == want
+
+
+@pytest.mark.parametrize("n,k,seed,start,count", [
+    (10, 5, 0, 0, 2048),
+    (10, 5, 7777, 2**20, 1024),
+    (12, 6, 0, 0, 1024),
+    (12, 6, 3, 5000, 512),
+])
+def test_first_pass_matches_the_reference_past_k_4(n, k, seed, start, count):
+    base = _stream_base(seed, n, 2, k)
+    want = _first_pass_reference(start, count, n, 2, k, base, "random")
+    assert _first_pass_in_chunk(start, count, n, 2, k, base, "random") == want
 
 
 def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
