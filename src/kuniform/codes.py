@@ -4,13 +4,14 @@ A code over GF(p^r) is held as a full-row-rank generator matrix of
 integer-encoded field elements.  The uniform superposition over the
 codewords of a p-ary code is k-uniform as soon as both the minimum distance
 and the dual minimum distance exceed k; both distances are always recomputed
-by codeword enumeration before a state is issued -- externally supplied
-distances are never trusted for certificates.
+before a state is issued -- externally supplied distances are never trusted
+for certificates.  One side is enumerated; the other side's weight
+distribution follows exactly from the MacWilliams identity.
 
-Every enumeration (codewords, min_distance, state_from_code) runs through
-one block generator, with one code path for GF(p) and GF(p^r) alike, in a
-single thread; there is no thread pool, and the workers arguments are
-accepted but have no effect.
+Every enumeration (codewords, min_distance, the weight distributions of
+certified_k and state_from_code) runs through one block generator, with one
+code path for GF(p) and GF(p^r) alike, in a single thread; there is no
+thread pool, and the workers arguments are accepted but have no effect.
 
 Extension-field codes enter through concatenation: a trace-orthogonal basis
 turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
@@ -131,6 +132,8 @@ def min_distance(
 ) -> int:
     """Minimum Hamming weight over nonzero codewords, by full enumeration.
 
+    The plain reference for the MacWilliams distances of certified_k and
+    state_from_code; max_codewords bounds the q^m words it enumerates.
     Stops early only when a weight-1 codeword appears (no weight can be
     lower).  workers is accepted and has no effect: one vectorized pass over
     the codeword blocks measured faster than a thread pool over index
@@ -224,12 +227,67 @@ def reed_solomon(field: GF, n: int, m: int) -> LinearCode:
     return LinearCode(field, field.pow_array(points, np.arange(m)[:, None]))
 
 
+def _weight_distribution(blocks, n: int) -> list[int]:
+    """A_i = number of words of Hamming weight i, i = 0..n, over blocks of length-n words."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for block in blocks:
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+    return counts.tolist()
+
+
+def _macwilliams(weights: list[int], q: int, m: int) -> list[int]:
+    """Weight distribution of the dual of an [n, m] code over GF(q) with distribution weights.
+
+    B_j = q^-m sum_i A_i K_j(i), with the Krawtchouk values K_j(i) taken
+    from the three-term recurrence
+        (j+1) K_{j+1}(i) = ((n-j)(q-1) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i)
+    in Python integers: K_j(i) is an integer polynomial value, so each
+    division by j+1 is exact, and only weights i with A_i != 0 are expanded,
+    O(n) steps each.  The result must be a weight distribution of a code of
+    q^(n-m) words containing 0 -- every sum divisible by q^m, B_0 = 1,
+    no B_j negative, sum q^(n-m) -- or a ValueError is raised in place of a
+    distance.
+    """
+    n = len(weights) - 1
+    sums = [0] * (n + 1)
+    for i, a in enumerate(weights):
+        if a:
+            prev, cur = 0, 1  # K_{-1}(i), K_0(i)
+            for j in range(n + 1):
+                sums[j] += a * cur
+                prev, cur = cur, (((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev) // (j + 1)
+    size = q**m
+    dual = [s // size for s in sums]
+    if any(s % size for s in sums) or dual[0] != 1 or min(dual) < 0 or sum(dual) != q ** (n - m):
+        raise ValueError(f"MacWilliams transform of {weights} over GF({q}) is not a weight distribution")
+    return dual
+
+
+def _min_weight(weights: list[int]) -> int:
+    """Minimum nonzero weight of a weight distribution."""
+    low = next((i for i, a in enumerate(weights) if i and a), None)
+    if low is None:
+        raise ValueError("the zero code has no minimum distance")
+    return low
+
+
 def certified_k(
     code: LinearCode, max_codewords: int = DEFAULT_MAX_CODEWORDS, workers: int = 1
 ) -> tuple[int, int, int]:
-    """(k, distance, dual distance) with k = min of both distances minus 1."""
-    dist = min_distance(code, max_codewords, workers=workers)
-    ddist = min_distance(dual_code(code), max_codewords, workers=workers)
+    """(k, distance, dual distance) with k = min of both distances minus 1.
+
+    Enumerates only the smaller side, the code (q^m words) or its dual
+    (q^(n-m) words), so max_codewords bounds q^min(m, n-m); the other
+    side's weight distribution, and with it its distance, is the exact
+    integer MacWilliams transform of the enumerated one.  Raises ValueError
+    on the zero code and on the full code, whose dual is the zero code.
+    """
+    small = code if 2 * code.m <= code.n else dual_code(code)
+    weights = _weight_distribution(_word_blocks(small, max_codewords), code.n)
+    other = _macwilliams(weights, code.field.q, small.m)
+    dist, ddist = _min_weight(weights), _min_weight(other)
+    if small is not code:
+        dist, ddist = ddist, dist
     return min(dist, ddist) - 1, dist, ddist
 
 
@@ -238,8 +296,12 @@ def state_from_code(
 ) -> PureState:
     """Uniform superposition over the codewords of a p-ary code.
 
-    Requires (and recomputes) distance >= k+1 on both the code and its dual;
-    the state is unnormalized with amplitude 1 on each codeword.
+    Requires (and recomputes) distance >= k+1 on both the code and its dual,
+    checking the code before the dual; the state is unnormalized with
+    amplitude 1 on each codeword.  Only the code is enumerated, since its
+    words are the kets: max_codewords bounds its q^m words, and the dual
+    distance comes from the exact MacWilliams transform of the code's
+    weight distribution, without enumerating the dual.
     """
     if code.r != 1:
         raise ValueError("state construction needs a prime-field code; expand it first")
@@ -247,11 +309,10 @@ def state_from_code(
         raise ValueError("the zero code gives a product state, not accepted here")
     if k < 0:
         raise ValueError(f"k={k} is negative")
-    dist = min_distance(code, max_codewords, workers=workers)
-    if dist < k + 1:
-        raise HypothesisError("code", dist, k + 1)
-    ddist = min_distance(dual_code(code), max_codewords, workers=workers)
-    if ddist < k + 1:
-        raise HypothesisError("dual", ddist, k + 1)
     words = np.concatenate(list(_word_blocks(code, max_codewords)))
+    weights = _weight_distribution([words], code.n)
+    if (dist := _min_weight(weights)) < k + 1:
+        raise HypothesisError("code", dist, k + 1)
+    if (ddist := _min_weight(_macwilliams(weights, code.p, code.m))) < k + 1:
+        raise HypothesisError("dual", ddist, k + 1)
     return PureState._from_arrays(code.n, code.p, words, exponents=np.zeros(len(words), dtype=np.int64))

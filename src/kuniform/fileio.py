@@ -15,10 +15,19 @@ count, a non-integer token and a missing or extra row (an integer past int64
 may raise OverflowError).  The state reader also refuses a repeated basis
 string; the code reader an entry of neither 1 nor r digits or a digit
 outside 0..p-1; the registry reader a line of fewer than six fields.
+
+A state file is first read as one int64 table (np.loadtxt) whose rows are
+all compact or all coefficient rows; it takes only files the per-line walk
+would accept, and returns the same state.  Anything else -- a comment, a
+mixed file, an irregular caret, any refusal -- goes to the walk, so every
+message is the walk's, unchanged.  The writer renders each distinct digit
+and exponent to a string once.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -84,18 +93,56 @@ def _header_body(text: str, kind: str, fields: str, rows: str | None = None):
 
 def state_to_text(state: PureState) -> str:
     if state.exponents is not None:
-        amps = [f"^{e}" for e in state.exponents.tolist()]
+        exps, inv = np.unique(state.exponents, return_inverse=True)
+        amps = np.array([f"^{e}\n" for e in exps.tolist()], dtype=object)[inv]
     else:
-        amps = [
-            " ".join(str(c) for c in amp.coeffs) if (e := amp.root_exponent()) is None else f"^{e}"
+        amps = np.array([
+            (" ".join(map(str, amp.coeffs)) if (e := amp.root_exponent()) is None else f"^{e}") + "\n"
             for amp in state.values
-        ]
-    lines = [f"{state.n} {state.d}"]
-    lines += [" ".join(str(x) for x in key) + " " + amp for key, amp in zip(state.keys.tolist(), amps)]
-    return "\n".join(lines) + "\n"
+        ], dtype=object)
+    # one string per distinct digit, each token carrying the separator that follows it
+    vals, inv = np.unique(state.keys, return_inverse=True)
+    keys = np.array([f"{v} " for v in vals.tolist()], dtype=object)[inv.reshape(state.keys.shape)]
+    return f"{state.n} {state.d}\n" + "".join(np.column_stack([keys, amps]).ravel().tolist())
 
 
-def state_from_text(text: str) -> PureState:
+# A state file the array parse takes: digits, '-', '^', spaces and newlines only,
+# every caret starting the last token of its line and followed by an integer.
+_STATE_CHARS = re.compile(r"[0-9 ^\n-]*")
+_CARET = re.compile(r" \^-?[0-9]+ *(?:\n|\Z)")
+
+
+def _state_table(text: str) -> PureState | None:
+    """The state of a text parsed as one int64 table, or None where the per-line walk must decide.
+
+    All rows compact give a (rows, n+1) table, all coefficient rows a
+    (rows, n+d) table; a file mixing them, holding a comment or another
+    character, or refused anywhere here goes to _state_walk, which then
+    accepts or names the line exactly as it would on its own.
+    """
+    head, _, body = text.partition("\n")
+    if not _STATE_CHARS.fullmatch(text) or not body.strip():
+        return None
+    carets = body.count("^")
+    try:
+        n, d = map(int, head.split())
+        if len(_CARET.findall(body)) != carets:
+            return None
+        table = np.loadtxt(io.StringIO(body.replace("^", " ")), dtype=np.int64, comments=None, ndmin=2)
+        rows, cols = table.shape
+        keys = table[:, :n]
+        if carets == rows and cols == n + 1:
+            return PureState._from_arrays(n, d, keys, exponents=table[:, n])
+        # zero amplitudes are dropped before PureState looks for a repeated basis string
+        if carets == 0 and cols == n + d and len(np.unique(keys, axis=0)) == rows:
+            return PureState._from_arrays(n, d, keys, values=[CycInt(d, tuple(c)) for c in table[:, n:].tolist()])
+    except (ValueError, OverflowError):
+        pass
+    return None
+
+
+def _state_walk(text: str) -> PureState:
+    """The per-line reference reader: every refusal names its line."""
     (n, d), body, _ = _header_body(text, "state", "n d")
     amps = {}
     for line in body:
@@ -110,6 +157,11 @@ def state_from_text(text: str) -> PureState:
         return PureState._from_arrays(n, d, list(amps), exponents=list(amps.values()))
     values = [root_power(d, e) if isinstance(e, int) else e for e in amps.values()]
     return PureState._from_arrays(n, d, list(amps), values=values)
+
+
+def state_from_text(text: str) -> PureState:
+    state = _state_table(text)
+    return _state_walk(text) if state is None else state
 
 
 def write_state(path, state: PureState) -> None:

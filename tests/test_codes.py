@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from kuniform.codes import (
     HypothesisError,
     LinearCode,
+    _macwilliams,
+    _weight_distribution,
     certified_k,
     codewords,
     dual_code,
@@ -278,3 +281,45 @@ def test_codewords_match_scalar_field_arithmetic(code):
         want.append(word)
     assert [w.tolist() for w in codewords(code)] == want
     assert min_distance(code) == min(sum(x != 0 for x in w) for w in want if any(w))
+
+
+@st.composite
+def _code_pair_sides(draw):
+    """A random [n, m] code with 1 <= m < n and at most 2^14 words on either side."""
+    field = get_field(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])))
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(1, n - 1))
+    assume(field.q ** max(m, n - m) <= 2**14)
+    # systematic rows [I | A] with shuffled columns: full rank by construction
+    tail = draw(st.lists(st.integers(0, field.q - 1), min_size=m * (n - m), max_size=m * (n - m)))
+    g = np.concatenate([np.eye(m, dtype=np.int64), np.array(tail, dtype=np.int64).reshape(m, n - m)], axis=1)
+    return LinearCode(field, g[:, draw(st.permutations(range(n)))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_code_pair_sides())
+def test_macwilliams_matches_enumerated_dual(code):
+    dual = dual_code(code)
+    enumerated = np.bincount([np.count_nonzero(w) for w in codewords(dual)], minlength=code.n + 1).tolist()
+    weights = _weight_distribution([np.array(list(codewords(code)))], code.n)
+    assert _macwilliams(weights, code.field.q, code.m) == enumerated
+    dist, ddist = min_distance(code), min_distance(dual)
+    assert certified_k(code) == (min(dist, ddist) - 1, dist, ddist)
+
+
+def test_macwilliams_long_repetition_code_is_fast():
+    # two nonzero weights, so the recurrence runs 2 x 201 steps, not n^3
+    start = time.perf_counter()
+    assert certified_k(_repetition(F2, 200)) == (1, 200, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_certified_k_edges_and_enumerated_side():
+    for m in (0, 4):  # the zero code, and the full code whose dual is the zero code
+        with pytest.raises(ValueError, match="the zero code has no minimum distance"):
+            certified_k(LinearCode(F5, np.eye(4, dtype=np.int64)[:m]))
+    # RS[5,3] over GF(5): 125 words, 25 dual words; max_codewords bounds the side enumerated
+    rs = reed_solomon(F5, 5, 3)
+    assert certified_k(rs, max_codewords=100) == (2, 3, 4)
+    with pytest.raises(TooLargeError):
+        state_from_code(rs, 2, max_codewords=100)  # the state itself has 125 kets

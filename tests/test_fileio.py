@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kuniform.cyclotomic import CycInt, root_power
 from kuniform.codes import LinearCode, reed_solomon
 from kuniform.fields import get_field
 from kuniform.fileio import (
+    _state_table,
+    _state_walk,
     append_registry,
     code_from_text,
     code_to_text,
@@ -292,3 +294,114 @@ def test_readers_raise_only_value_or_overflow_errors(tmp_path, reader, text):
         parse(path)
     except (ValueError, OverflowError):
         pass
+
+
+def _same_state(a, b):
+    return (
+        (a.n, a.d) == (b.n, b.d)
+        and np.array_equal(a.keys, b.keys)
+        and (a.exponents is None) == (b.exponents is None)
+        and (a.exponents is None or np.array_equal(a.exponents, b.exponents))
+        and a.values == b.values
+    )
+
+
+@st.composite
+def _state_and_edit(draw):
+    """A state with root-only, coefficient-only or mixed amplitudes, and a few random edits to its text."""
+    kind = draw(st.sampled_from(["exponent", "coefficient", "mixed"]))
+    d = draw(st.sampled_from([2, 3, 4, 6, 9] + ([2**40 + 15] if kind == "exponent" else [])))
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * n), min_size=1, max_size=12, unique=True))
+    if kind == "exponent":  # no CycInt: root_power(d, e) would hold d coefficients
+        state = PureState.from_phases(n, d, {key: draw(st.integers(-2 * d, 2 * d)) for key in keys})
+    else:
+        coeffs = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(lambda c: CycInt(d, tuple(c)))
+        amp = coeffs if kind == "coefficient" else st.one_of(st.integers(0, d - 1).map(lambda e: root_power(d, e)), coeffs)
+        amps = {key: draw(amp) for key in keys}
+        assume(not all(a.is_zero() for a in amps.values()))
+        state = PureState(n, d, amps)
+    text = state_to_text(state)
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows)))
+        op = draw(st.sampled_from(["comment", "blank", "repeat", "drop line", "zero", "move caret", "split caret",
+                                   "drop token", "add token", "replace token"]))
+        if op in ("comment", "blank"):
+            rows.insert(i, ["#", "note"] if op == "comment" else [])
+        elif i == len(rows) or not rows[i]:
+            continue
+        elif op == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif op == "drop line":
+            del rows[i]
+        elif op == "zero":  # a zero amplitude, which PureState drops
+            rows[i][n:] = ["0"] * len(rows[i][n:])
+        elif op == "move caret":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i] = [("^" if k == j else "") + t.lstrip("^") for k, t in enumerate(rows[i])]
+        elif op == "split caret":
+            rows[i] = [u for t in rows[i] for u in (["^", t[1:]] if t.startswith("^") else [t])]
+        else:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if op == "drop token":
+                del rows[i][j]
+            else:
+                tokens = ["^", "^1", "^-3", "^^1", "0", "-", "1-2", "0^1", "99999999999999999999", "x"]
+                rows[i][j : j + (op == "replace token")] = [draw(st.sampled_from(tokens))]
+    return state, text, "\n".join(map(" ".join, rows)) + draw(st.sampled_from(["", "\n"]))
+
+
+def _text_line_by_line(state):
+    """The state writer's output, rendered one amplitude line at a time."""
+    lines = [f"{state.n} {state.d}"]
+    for key, amp in zip(state.keys.tolist(), state._amplitudes()):
+        e = amp.root_exponent()
+        lines.append(" ".join(map(str, key)) + " " + (f"^{e}" if e is not None else " ".join(map(str, amp.coeffs))))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_state_and_edit())
+def test_state_text_roundtrip_and_array_parse_matches_walk(case):
+    state, text, edited = case
+    if state.d < 2**40:
+        assert text == _text_line_by_line(state)
+    assert _same_state(state_from_text(text), state)
+    assert state_to_text(state_from_text(text)) == text
+    # the array parse takes only what the per-line walk takes, with an equal state
+    for t in (text, edited):
+        fast, walk = _state_table(t), _outcome(_state_walk, t)
+        if fast is not None:
+            assert isinstance(walk, PureState) and _same_state(fast, walk)
+        got = _outcome(state_from_text, t)
+        assert got == walk if not isinstance(walk, PureState) else _same_state(got, walk)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 2\n0 ^0 1\n", "line 2: amplitude line has 3 entries, expected 4"),  # a caret outside the last token
+        ("2 2\n0 0 ^ 1\n", "line 2: amplitude line has a non-integer entry"),
+        ("2 2\n0 0 ^1\n1 1 0\n", "line 3: amplitude line has 3 entries, expected 4"),  # a row lost its caret
+        ("2 2\n", "state has no nonzero amplitude"),  # an empty body, with warnings as errors
+        # a repeated basis string whose first amplitude is zero, which PureState would drop
+        ("2 2\n0 0 0 0\n0 0 1 0\n", "line 3: basis string repeated"),
+    ],
+)
+def test_state_array_parse_traps(text, message):
+    assert _state_table(text) is None
+    with pytest.raises(ValueError, match=message):
+        state_from_text(text)
+
+
+def test_state_comment_between_rows_is_skipped():
+    plain = "2 2\n0 0 ^0\n1 1 ^1\n"
+    assert _same_state(state_from_text("2 2\n0 0 ^0\n# note\n1 1 ^1\n"), state_from_text(plain))
