@@ -20,6 +20,7 @@ All randomness enters through --seed (default 0, never wall clock).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -95,8 +96,6 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     state = fileio.read_state(args.state)
-    if args.method != "oracle":
-        raise ValueError(f"unknown method {args.method!r}")
     if args.k is not None and not 0 <= 2 * args.k <= state.n:
         raise ValueError(f"k={args.k} out of range for n={state.n} (need 0 <= k <= n/2)")
     print(f"state: n={state.n} d={state.d} kets={len(state)}")
@@ -223,7 +222,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(prog="kuniform", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check k-uniformity of a state file")
     sp.add_argument("--state", required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--method", default="oracle")
+    sp.add_argument("--method", choices=["oracle"], default="oracle")
     sp.add_argument("--max-ops", type=int, default=10**9)
     sp.add_argument("--workers", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_verify)

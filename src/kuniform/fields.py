@@ -229,10 +229,6 @@ class GF:
         """Fixed enumeration 0, 1, g, g^2, ... used for evaluation codes."""
         return [0] + self._exp.tolist()
 
-    def scalar_embed(self, c: int) -> int:
-        """Element of the prime subfield F_p as a field element."""
-        return c % self.p
-
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 

@@ -1,22 +1,41 @@
 """States from zero-diagonal symmetric matrices over Z_d.
 
 The amplitude of basis string c is zeta_d raised to the quadratic phase
-c Ht c^T where Ht is the strict upper triangle of H (never H/2, which breaks
-for even d).  A matrix certifies k-uniformity when, for every position
-subset A of size k, some k-subset B of the complement makes H[A x B]
-invertible over Z_d.
+q(c) = c Ht c^T where Ht is the strict upper triangle of H (never H/2, which
+breaks for even d).
 
-At a prime power d = p^e that is a rank test: a k x k block is invertible
-over Z_(p^e) iff its determinant is nonzero mod p, and some k x k block of
-H[A x complement] has that iff the block has rank k mod p.  One batched
-kernel runs the test on candidate upper triangles, a search chunk or a
-single matrix alike; at other levels (6, 10, ...) it is only a necessary
-condition, and check_certificate decides there by Bareiss determinants.
-The kernel reduces each prime's digit table once, into the narrowest
-unsigned dtype that holds its residues (uint8 for p < 2^8), and gathers the
-blocks from that table, so the stacks it hands to the elimination kernel
-are already narrow and in range.  Subsets are scanned in lexicographic
-order with early exit, so failure reports are reproducible.
+The certificate rests on one lemma.  For a k-subset A of positions, with
+M = H[A x complement] and a, a' strings on A,
+
+    rho_A(a, a') = d^(-n) zeta^(q_A(a) - q_A(a')) sum_b zeta^((a - a')^T M b),
+
+and the character sum is d^(n-k) when M^T (a - a') = 0 mod d and 0
+otherwise.  So rho_A = I/d^k exactly when c -> M^T c is injective on Z_d^k.
+By the Chinese remainder theorem that holds iff it holds over Z_(p^e) for
+each prime power p^e exactly dividing d, and over Z_(p^e) iff it holds mod
+p: a kernel vector c' mod p gives the kernel vector p^(e-1) c' mod p^e, and
+a kernel vector mod p^e with its common power of p divided out is one mod
+p.  Hence H gives a k-uniform state iff, for every k-subset A, H[A x
+complement] has rank k mod every prime p | d.  check_certificate decides
+exactly that, at every level d.
+
+The paper's certificate, check_certificate_general, asks instead for one
+k x k block of H[A x complement] that is invertible over Z_d, that is, one
+block whose determinant is a unit mod every p | d at once.  It implies the
+rank condition, and at a prime power the two agree; at 6, 10, 12, ... the
+nonzero minors mod different primes may sit in different blocks, so it is
+only sufficient.
+
+One batched kernel runs the rank test on candidate upper triangles, a
+search chunk or a single matrix alike, for every prime p | d whose residue
+products fit int64, (p - 1)^2 < 2^63.  check_certificate decides a larger
+prime by the invertible-block test at level p, which is exact at a prime:
+rank k mod p iff some k x k minor is nonzero mod p.  The kernel reduces
+each prime's digit table once, into the narrowest unsigned dtype that holds
+its residues (uint8 for p < 2^8), and gathers the blocks from that table,
+so the stacks it hands to the elimination kernel are already narrow and in
+range.  Subsets are scanned in lexicographic order with early exit, so
+failure reports are reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import digits, invertible_mod_d, is_prime, prime_factors, rank_mod_p, reduce_mod
+from .modular import digits, fits_kernel, invertible_mod_d, is_prime, prime_factors, rank_mod_p, reduce_mod
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
@@ -64,25 +83,21 @@ def quadratic_phase(H, c, d: int) -> int:
 def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
     """Pass mask over candidate upper triangles, digit rows (N, T) in triu order.
 
-    Row i passes iff for every prime p | d and every k-subset A, its
-    H[A x complement] has rank k mod p: exact at prime powers, necessary
-    elsewhere.  At those other levels a prime with (p - 1)^2 >= 2^63, too
-    large for the int64 kernel, is skipped; at a prime power the kernel
-    refuses it.  Subsets go in lexicographic blocks sized so the still-alive
-    candidates gather at most _STACK_CAP entries, and failing candidates
-    drop after each block.  rows may be any integer table (or list); each
-    prime reads it reduced once into np.min_scalar_type(p - 1).
+    Row i passes iff for every prime p | d that fits the kernel and every
+    k-subset A, its H[A x complement] has rank k mod p; with no prime too
+    large for the kernel, that is the exact certificate.  Subsets go in
+    lexicographic blocks sized so the still-alive candidates gather at most
+    _STACK_CAP entries, and failing candidates drop after each block.  rows
+    may be any integer table (or list); each prime reads it reduced once
+    into np.min_scalar_type(p - 1).
     """
     pos = np.zeros((n, n), dtype=np.int64)
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
     pos += pos.T
-    primes = prime_factors(d)
-    if len(primes) > 1:  # only necessary here: leave a prime too large for the kernel to Bareiss
-        primes = [p for p in primes if (p - 1) ** 2 < 1 << 63]
-    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in primes]
+    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in prime_factors(d) if fits_kernel(p)]
     alive = np.arange(len(rows))
     subsets = itertools.combinations(range(n), k)
-    while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
+    while tables and alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
         A = np.array(block)
         outside = np.ones((len(A), n), dtype=bool)
         outside[np.arange(len(A))[:, None], A] = False
@@ -102,7 +117,13 @@ def check_certificate_prime(H, p: int, k: int) -> bool:
 
 
 def check_certificate_general(H, d: int, k: int) -> bool:
-    """Invertible-submatrix certificate, valid for any modulus d >= 2."""
+    """The paper's certificate: every H[A x complement] has a k x k block
+    invertible over Z_d, by Bareiss determinants.
+
+    Sufficient at every level and exact at prime powers; at levels with two
+    or more distinct primes it rejects some k-uniform witnesses, which
+    check_certificate accepts.
+    """
     m = _validated(H, d)
     n = m.shape[0]
     if not 1 <= 2 * k <= n:
@@ -117,16 +138,20 @@ def check_certificate_general(H, d: int, k: int) -> bool:
 
 
 def check_certificate(H, d: int, k: int) -> bool:
-    """Whether H certifies k at level d: the rank kernel's verdict when d is a
-    prime power, the invertible-submatrix certificate when d has two or more
-    distinct primes (the search has already screened its survivors by rank)."""
+    """Whether H gives a k-uniform state at level d: every H[A x complement]
+    has rank k mod every prime p | d, exact by the module docstring's lemma.
+
+    The rank kernel decides every prime it can hold; a prime with
+    (p - 1)^2 >= 2^63 is decided by check_certificate_general at level p.
+    """
     m = _validated(H, d)
     n = m.shape[0]
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    if len(prime_factors(d)) > 1:
-        return check_certificate_general(m, d, k)
-    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k)[0])
+    wide = [p for p in prime_factors(d) if not fits_kernel(p)]
+    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k)[0]) and all(
+        check_certificate_general(m, p, k) for p in wide
+    )
 
 
 @dataclass(frozen=True)

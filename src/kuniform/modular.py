@@ -253,6 +253,11 @@ def _arithmetic(p: int, field):
     return p, np.int64, lambda a, b: a * b % p, eliminate, inv
 
 
+def fits_kernel(p: int) -> bool:
+    """Whether row_reduce works mod the prime p: products of residues stay below 2^63."""
+    return (p - 1) ** 2 < 1 << 63
+
+
 def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan reduction of every matrix of a stack of shape (..., R, C).
 
@@ -271,7 +276,7 @@ def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
     gathers from the stack, and columns left of c are not touched: they are
     zero below the rank.
     """
-    if (p - 1) ** 2 >= 1 << 63:
+    if not fits_kernel(p):
         raise OverflowError(f"modulus {p} is too large: products of residues would wrap in int64")
     if not is_prime(p):
         raise ValueError(f"elimination needs a prime modulus, got {p}; use the determinant path")

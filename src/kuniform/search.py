@@ -16,14 +16,15 @@ chunk first passes through a vectorized screen, chosen from (n, d) alone:
 
 - d = 2 and n <= 64: the bit screen on packed n-bit row words, exact at
   every k; only its survivors become digit rows.
-- every other (n, d): the batched rank certificate of matrices on the
-  digit table, exact at prime powers and a necessary condition elsewhere.
+- every other (n, d): the batched rank kernel of matrices on the digit
+  table, the exact certificate at every level; only a prime factor of d
+  too large for the kernel's int64 arithmetic is left out of it.
 
-Every survivor, in index order, is rechecked with the public certificate
-check, which alone decides a hit, and a returned matrix passes that check
-again when its SymWitness is built.  A miss is only a proof of absence in
-exhaustive mode; in random mode it just means "not found within budget",
-and table scans report the two cases differently.
+Every survivor, in index order, is rechecked with check_certificate, which
+decides a hit (and alone decides such a large prime), and a returned matrix
+passes that check again when its SymWitness is built.  A miss is only a
+proof of absence in exhaustive mode; in random mode it just means "not
+found within budget", and table scans report the two cases differently.
 """
 
 from __future__ import annotations

@@ -119,8 +119,8 @@ def test_criterion_5_composite_level_tables():
     t0 = time.perf_counter()
     cells4 = _scan_and_check(4, range(2, 7), [1, 1, 1, 2, 3])
     cells9 = _scan_and_check(9, range(2, 6), [1, 1, 2, 2])
-    # the search certifies these by rank mod p; Bareiss determinants recheck
-    # every witness independently
+    # the search certifies these by rank mod p; the paper's invertible-block
+    # certificate, exact at a prime power, rechecks every witness
     for cells, d in ((cells4, 4), (cells9, 9)):
         assert not is_prime(d)
         for cell in cells.values():

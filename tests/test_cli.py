@@ -25,6 +25,23 @@ def test_verify_k_out_of_range():
     assert run("verify", "--state", str(fixture_path("state_5qubit_d2.txt")), "--k", "3") == 2
 
 
+def test_verify_method_is_a_choice(capsys):
+    state = str(fixture_path("state_5qubit_d2.txt"))
+    assert run("verify", "--state", state, "--k", "1", "--method", "oracle") == 0
+    capsys.readouterr()
+    assert run("verify", "--state", state, "--k", "1", "--method", "bareiss") == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["verify", "--state", "a.txt", "--k", "2", "--workers", "3"])
+    second = parser.parse_args(["verify", "--state", "b.txt"])
+    assert (first.k, first.workers) == (2, 3)
+    assert (second.state, second.k, second.workers, second.method) == ("b.txt", None, 1, "oracle")
+
+
 def test_verify_missing_file():
     assert run("verify", "--state", "/nonexistent/state.txt", "--k", "1") == 2
 
@@ -372,10 +389,11 @@ _HUGE_PRIME = str(2**61 - 1)
 @pytest.mark.parametrize("argv,want", [
     (["emit-state", "--witness", "{file}", "--out", "{out}"], 2),
     (["bounds", "--p", _HUGE_PRIME, "--n", "8", "--k", "3"], 0),
-    (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 2),
+    # the kernel leaves 2^61 - 1 to the invertible-minor test, exact at a prime
+    (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 0),
     # the level (2^31 - 1)^2 has no small factor and no prime cofactor
     (["search", "--n", "2", "--d", str((2**31 - 1) ** 2), "--k", "1", "--budget", "10"], 0),
-    # 2(2^61 - 1): the rank screen runs mod 2 alone and Bareiss decides
+    # 2(2^61 - 1): the rank kernel decides mod 2 and the minors mod 2^61 - 1
     (["search", "--n", "2", "--d", str(2 * (2**61 - 1)), "--k", "1", "--budget", "10"], 0),
 ])
 def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
@@ -386,5 +404,5 @@ def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
         [sys.executable, "-m", "kuniform.cli", *argv], capture_output=True, text=True, timeout=30
     )
     assert proc.returncode == want, proc.stderr
-    if want == 2:
-        assert "too large" in proc.stderr
+    if want == 2:  # emit-state reads the witness and stops at the ket ceiling
+        assert "above ceiling" in proc.stderr

@@ -7,12 +7,13 @@ import pytest
 
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
-from kuniform.modular import rank_mod_p
+from kuniform.modular import digits, prime_factors, rank_mod_p
 from kuniform.matrices import (
     _STACK_CAP,
     Provenance,
     _rank_certificate,
     SymWitness,
+    all_phases,
     check_certificate,
     check_certificate_general,
     check_certificate_prime,
@@ -21,7 +22,7 @@ from kuniform.matrices import (
     upper_triangle_to_matrix,
 )
 from kuniform.search import SearchBudget, search_witness
-from kuniform.states import TooLargeError, verify_uniform
+from kuniform.states import PureState, TooLargeError, verify_uniform
 
 FLIP = [[0, 1], [1, 0]]
 
@@ -67,24 +68,21 @@ def test_prime_checkers_agree():
             H = upper_triangle_to_matrix(tri, n, p)
             k = rng.choice([1, 2])
             assert check_certificate_prime(H, p, k) == check_certificate_general(H, p, k)
-    # prime powers, where the rank kernel is the certificate, and mixed
-    # levels, where it is only necessary and the determinants decide: random
-    # rows, a found witness and its one-entry changes, and the whole batch
-    # through the kernel at once
+    # prime powers and mixed levels against an independent reference, the
+    # determinant certificate mod each prime of d: random rows, a found
+    # witness and its one-entry changes, and the whole batch through the
+    # kernel at once
     for n, d, k in [(5, 4, 2), (6, 4, 3), (5, 8, 2), (5, 9, 2), (6, 9, 3), (5, 25, 2),
                     (5, 6, 2), (6, 6, 3), (5, 10, 2), (6, 10, 3), (5, 12, 2), (6, 12, 3)]:
         T = n * (n - 1) // 2
         w = list(search_witness(n, d, k, SearchBudget(10**5, seed=0)).upper_triangle())
         tris = [[rng.randrange(d) for _ in range(T)] for _ in range(100)]
         tris += [w] + [w[:t] + [(w[t] + rng.randrange(1, d)) % d] + w[t + 1:] for t in range(T)]
-        want = [check_certificate_general(upper_triangle_to_matrix(t, n, d), d, k) for t in tris]
+        mats = [upper_triangle_to_matrix(t, n, d) for t in tris]
+        want = [all(check_certificate_general(H, p, k) for p in prime_factors(d)) for H in mats]
         assert 0 < sum(want) < len(want), (n, d, k)
-        assert [check_certificate(upper_triangle_to_matrix(t, n, d), d, k) for t in tris] == want
-        mask = _rank_certificate(np.array(tris), n, d, k)
-        if d in (4, 8, 9, 25):
-            assert mask.tolist() == want, (n, d, k)
-        else:
-            assert (mask >= want).all(), (n, d, k)
+        assert [check_certificate(H, d, k) for H in mats] == want, (n, d, k)
+        assert _rank_certificate(np.array(tris), n, d, k).tolist() == want, (n, d, k)
     # one matrix whose subsets span more than one stacked block: rows 14 and
     # 15 agree mod 2 off columns 12 and 13, so only the last subset
     # {12, 13, 14, 15} has a singular H[A x complement] mod 2
@@ -101,19 +99,68 @@ def test_prime_checkers_agree():
     assert np.flatnonzero(rank_mod_p(np.array(blocks), 2) < k).tolist() == [comb(n, k) - 1]
 
 
-def test_rank_kernel_skips_a_huge_prime_only_at_mixed_levels():
-    # (p - 1)^2 >= 2^63 for p = 2^61 - 1: at d = 2p the kernel screens mod 2
-    # alone and Bareiss decides; at d = p the kernel refuses
+def test_rank_kernel_skips_a_huge_prime_and_the_minors_decide():
+    # (p - 1)^2 >= 2^63 for p = 2^61 - 1: the kernel screens the other primes
+    # of d alone, and check_certificate decides p by its k x k minors, which
+    # is exact at a prime
     p = 2**61 - 1
     rows = np.array([[1], [2], [p]])
     assert _rank_certificate(rows, 2, 2 * p, 1).tolist() == [True, False, True]
-    assert [check_certificate([[0, h], [h, 0]], 2 * p, 1) for h in (1, 2, p)] == [True, False, False]
-    w = search_witness(2, 2 * p, 1, SearchBudget(10, seed=0))
-    assert w is not None and check_certificate_general(w.H, 2 * p, 1)
+    assert _rank_certificate(rows, 2, p, 1).tolist() == [True, True, True]
+    for d, want in ((2 * p, [True, False, False]), (p, [True, True, False])):
+        assert [check_certificate([[0, h], [h, 0]], d, 1) for h in (1, 2, p)] == want, d
+        w = search_witness(2, d, 1, SearchBudget(10, seed=0))
+        assert w is not None and check_certificate_general(w.H, d, 1)
+    # n = 4, k = 2: H[{0, 1} x {2, 3}] = [[1, 2], [3, 6 + p]] has determinant p,
+    # singular mod p and not mod 5
+    H = np.array([[0, 5, 1, 2], [5, 0, 3, 6 + p], [1, 3, 0, 7], [2, 6 + p, 7, 0]], dtype=object)
+    assert not check_certificate(H, p, 2) and check_certificate(H, 5, 2)
+    H[1, 3] = H[3, 1] = 7
+    assert check_certificate(H, p, 2)
     with pytest.raises(OverflowError, match="too large"):
-        _rank_certificate(rows, 2, p, 1)
-    with pytest.raises(OverflowError, match="too large"):
-        search_witness(2, p, 1, SearchBudget(10, seed=0))
+        rank_mod_p([[1]], p)
+
+
+def _phase_state(H, n, d):
+    """The matrix state of any zero-diagonal symmetric H, whether it certifies or not."""
+    strings, phases = all_phases(H, n, d)
+    return PureState._from_arrays(n, d, strings, exponents=phases)
+
+
+@pytest.mark.parametrize("n,d,k,count", [
+    (3, 6, 1, None), (3, 10, 1, None), (3, 12, 1, None), (3, 4, 1, None), (3, 9, 1, None),
+    (4, 6, 1, 1000), (5, 6, 2, 1000),
+])
+def test_certificate_equals_the_oracle(n, d, k, count):
+    # whole spaces (count None) or seeded samples: the certificate is exact
+    # at mixed levels and prime powers alike
+    T = n * (n - 1) // 2
+    if count is None:
+        rows = digits(np.arange(d**T), d, T)
+    else:
+        rows = np.random.default_rng(17).integers(0, d, size=(count, T))
+    got, want = [], []
+    for row in rows:
+        H = upper_triangle_to_matrix(row, n, d)
+        got.append(check_certificate(H, d, k))
+        want.append(verify_uniform(_phase_state(H, n, d), k).uniform)
+    assert 0 < sum(want) < len(want)
+    assert got == want
+
+
+def test_general_certificate_implies_the_rank_certificate():
+    # the paper's invertible-block certificate is sufficient at mixed levels
+    # and misses witnesses whose nonzero minors mod each prime sit in
+    # different blocks
+    rng = np.random.default_rng(18)
+    for d in (6, 10, 12):
+        for n, k in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3)]:
+            mats = [upper_triangle_to_matrix(r, n, d) for r in rng.integers(0, d, size=(200, n * (n - 1) // 2))]
+            general = np.array([check_certificate_general(H, d, k) for H in mats])
+            rank = np.array([check_certificate(H, d, k) for H in mats])
+            assert (rank >= general).all(), (n, d, k)
+            if k == 1:
+                assert rank.sum() > general.sum(), (n, d, k)
 
 
 def test_rank_certificate_reads_every_digit_table_form_alike():
