@@ -87,8 +87,8 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
 
 def lambda_existence(p: int, tol: float = 1e-9) -> float:
     """Root in (0, 1/2) of H_2(x) = (1 - 2x) log2(p)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # a NaN or infinite tol would end the bisection before its first step
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     log2p = math.log2(p)
     f = lambda x: entropy(2, x) - (1 - 2 * x) * log2p  # noqa: E731
     return _bisect(f, 1e-12, 0.5, tol)
@@ -96,8 +96,8 @@ def lambda_existence(p: int, tol: float = 1e-9) -> float:
 
 def lambda_selfdual(p: int, tol: float = 1e-9) -> float:
     """Inverse of the p-ary entropy at 1/2, on (0, 1 - 1/p)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # a NaN or infinite tol would end the bisection before its first step
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     f = lambda x: entropy(p, x) - 0.5  # noqa: E731
     return _bisect(f, 1e-12, 1 - 1 / p, tol)
 

@@ -228,6 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kuniform", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_workers(sp):
+        text = "threads for the witness search; only search, construct-matrix and table run a pool"
+        sp.add_argument("--workers", type=_positive_int, default=1, help=text)
+
     def add_search_flags(sp, with_out):
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--d", type=int, required=True)
@@ -235,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["exhaustive", "random"], default="random")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=10**7)
-        sp.add_argument("--workers", type=_positive_int, default=1)
+        add_workers(sp)
         if with_out:
             sp.add_argument("--out", required=True)
 
@@ -254,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--budget", type=int, default=10**7)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    add_workers(sp)
     sp.add_argument("--registry", default=None)
     sp.add_argument("--from-registry", default=None)
     sp.add_argument("--porcelain", action="store_true")
@@ -265,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--method", choices=["oracle"], default="oracle")
     sp.add_argument("--max-ops", type=int, default=10**9)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    add_workers(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bounds", help="evaluate count/threshold/asymptotic bounds")
@@ -279,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct-code", help="state from a code file, distances checked")
     sp.add_argument("--code", required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    add_workers(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_construct_code)
 

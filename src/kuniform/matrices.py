@@ -80,7 +80,7 @@ def quadratic_phase(H, c, d: int) -> int:
     return total % d
 
 
-def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
+def _rank_certificate(rows, n: int, d: int, k: int, primes=None) -> np.ndarray:
     """Pass mask over candidate upper triangles, digit rows (N, T) in triu order.
 
     Row i passes iff for every prime p | d that fits the kernel and every
@@ -89,12 +89,13 @@ def _rank_certificate(rows, n: int, d: int, k: int) -> np.ndarray:
     lexicographic blocks sized so the still-alive candidates gather at most
     _STACK_CAP entries, and failing candidates drop after each block.  rows
     may be any integer table (or list); each prime reads it reduced once
-    into np.min_scalar_type(p - 1).
+    into np.min_scalar_type(p - 1).  primes, the prime factors of d, is
+    factored here unless the caller gives it.
     """
     pos = np.zeros((n, n), dtype=np.int64)
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
     pos += pos.T
-    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in prime_factors(d) if fits_kernel(p)]
+    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in primes or prime_factors(d) if fits_kernel(p)]
     alive = np.arange(len(rows))
     subsets = itertools.combinations(range(n), k)
     while tables and alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
@@ -148,9 +149,9 @@ def check_certificate(H, d: int, k: int) -> bool:
     n = m.shape[0]
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    wide = [p for p in prime_factors(d) if not fits_kernel(p)]
-    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k)[0]) and all(
-        check_certificate_general(m, p, k) for p in wide
+    primes = prime_factors(d)
+    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k, primes)[0]) and all(
+        check_certificate_general(m, p, k) for p in primes if not fits_kernel(p)
     )
 
 

@@ -36,8 +36,7 @@ block, every term pair (u, v) of a group adds c_u c_v to the bin of
 (cA, cA2, j_v - j_u mod d), and the bins are tested for zero through one
 integer matrix product against the cyclotomic reduction matrix.  The
 diagonal bins summed over cA are the norm, so no separate norm enters.
-Its tables take 16 d^(2k+1) bytes per running check, bounded by
-MAX_HISTOGRAM_BYTES.
+Its tables take 16 d^(2k+1) bytes, bounded by MAX_HISTOGRAM_BYTES.
 
 The histogram check is exact under a bound proved once per call from S,
 the sum of |c| over all terms (see _term_table): every bin and partial sum
@@ -57,17 +56,15 @@ d^w <= 2^62 and sorted word by word, so they never wrap.
 
 Work is charged against max_ops.  Each subset check returns its failing
 pair (or None) and its pair count, the sum of g^2 over the sizes g of its
-groups of kets, and refuses against the total settled so far before it
-builds any pairs.  One scan loop settles that total in lexicographic
-order, so which subset a refusal names does not depend on the worker count.
+groups of kets, and refuses against the running total before it builds
+any pairs.  One scan loop runs the checks on the calling thread in
+lexicographic order and adds each pair count to that total.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from math import comb
 
@@ -77,17 +74,10 @@ from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
 from .modular import digits, from_digits
 
 DEFAULT_MAX_OPS = 10**9
-# Memory ceiling on the histogram check's tables, summed over the checks that run at once.
+# Memory ceiling on the histogram check's tables.
 MAX_HISTOGRAM_BYTES = 2 * 2**30
 # Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact).
 _GRAM_MAX_INNER = 2**24
-# Sort and histogram entries per subset, len(state) + d^(2k+1), below which
-# verify_uniform runs every check on the calling thread.  On 2 cores 2
-# workers took 2.6 times as long as one on a 12-qubit Gram check (k = 4,
-# 4,608 entries) and 2 times as long on a 24-qubit, 4,096-ket histogram
-# check (k = 1), but 0.75 times on a Gram check at n = 6, d = 5, k = 3
-# (93,750 entries).
-_POOL_MIN_ENTRIES = 2**16
 # Multiply-adds per BLAS call in the Gram check.  OpenBLAS, the BLAS numpy
 # ships, runs a dgemm of at most 65536 x 4 of them on the calling thread;
 # larger ones it splits over its own threads, whose timing then swings with
@@ -274,36 +264,15 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     return total
 
 
-def _in_order(fn, items, workers: int):
-    """(x, fn(x)) for each x of items, lazily and in order.
-
-    Above one worker, fn runs in a pool with at most 2 * workers calls ahead
-    of the one consumed; closing the generator cancels those not started.
-    """
-    if workers <= 1:
-        yield from ((x, fn(x)) for x in items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = deque((x, pool.submit(fn, x)) for x in itertools.islice(items, 2 * workers))
-        try:
-            while window:
-                x, future = window.popleft()
-                yield x, future.result()
-                window.extend((x, pool.submit(fn, x)) for x in itertools.islice(items, 1))
-        finally:
-            for _, future in window:
-                future.cancel()
-
-
 def verify_uniform(
     state: PureState, k: int, max_ops: int = DEFAULT_MAX_OPS, workers: int = 1
 ) -> UniformityReport:
     """Decide whether every k-qudit reduction of the state is maximally mixed.
 
-    Subsets are scanned in lexicographic order and the scan stops at the
-    first failure, which is recorded in the report.  Values k > n/2 are
-    rejected (no state can be uniform beyond n/2).  Each call takes one of
-    three routes, all with the same report:
+    Subsets are scanned in lexicographic order on the calling thread and
+    the scan stops at the first failure, which is recorded in the report.
+    Values k > n/2 are rejected (no state can be uniform beyond n/2).  Each
+    call takes one of three routes, all with the same report:
       * a full-support state of single roots, within the bound of
         _gram_exact, runs the dense Gram check: rho_A = M M^H for its
         amplitudes M as a d^k x d^(n-k) matrix, in float64 once per Galois
@@ -316,14 +285,11 @@ def verify_uniform(
     An instance whose per-subset table of d^(2k+1) pair-and-exponent
     entries, or whose sort and histogram work over all subsets, exceeds
     max_ops raises TooLargeError before starting, on every route; so does a
-    histogram route whose tables (16 d^(2k+1) bytes per running check)
-    would exceed MAX_HISTOGRAM_BYTES.  The pairs within each group of kets
-    are charged as they are found (d^(n+k) per subset on a full-support
-    state): one loop settles them into a running total in scan order, and a
-    check refuses against the settled total before it builds any pairs, so
-    the subset a refusal names does not depend on the worker count.  Below
-    _POOL_MIN_ENTRIES sort and histogram entries per subset the checks run
-    on the calling thread whatever the worker count.
+    histogram route whose tables (16 d^(2k+1) bytes) would exceed
+    MAX_HISTOGRAM_BYTES.  The pairs within each group of kets are charged
+    as they are found (d^(n+k) per subset on a full-support state): each
+    check refuses against the running total before it builds any pairs.
+    workers is accepted and has no effect.
     """
     n, d = state.n, state.d
     if k < 0 or 2 * k > n:
@@ -333,38 +299,37 @@ def verify_uniform(
         if total > ceiling:
             raise TooLargeError(f"{total} {what} exceed ceiling {ceiling}", estimate=total, ceiling=ceiling)
 
-    def charge(A, pairs):  # reads the settled total; only the scan loop below adds to it
+    def charge(A, pairs):  # reads the running total; only the scan loop below adds to it
         refuse(spent + pairs, f"sort, histogram and pair entries through subset {A}")
 
     refuse(d ** (2 * k + 1), "histogram entries per subset")
     spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
     refuse(spent, "sort and histogram entries")
     norm = state.norm_value()
-    if len(state) + d ** (2 * k + 1) < _POOL_MIN_ENTRIES:  # too short a check to hand to a thread
-        workers = 1
     if state.exponents is not None and len(state) == d**n and _gram_exact(d, n, k):
-        roots = _conjugate_roots(d)
-        scan = lambda A: _check_subset_gram(state, A, lambda pairs: charge(A, pairs), roots)  # noqa: E731
+        check, extra = _check_subset_gram, (_conjugate_roots(d),)
     elif (terms := _term_table(state, k)) is None:  # past the exactness bound only the reference is exact
-        scan = lambda A: _check_subset_generic(state, A, lambda pairs: charge(A, pairs))  # noqa: E731
+        check, extra = _check_subset_generic, ()
     else:
-        running = min(max(workers, 1), comb(n, k))
-        refuse(16 * d ** (2 * k + 1) * running, f"histogram bytes over {running} running checks", MAX_HISTOGRAM_BYTES)
-        scan = lambda A: _check_subset(state, A, lambda pairs: charge(A, pairs), terms)  # noqa: E731
+        refuse(16 * d ** (2 * k + 1), "histogram bytes", MAX_HISTOGRAM_BYTES)
+        check, extra = _check_subset, (terms,)
 
-    with closing(_in_order(scan, itertools.combinations(range(n), k), workers)) as results:
-        for A, (fail, pairs) in results:
-            charge(A, pairs)
-            spent += pairs
-            if fail is not None:
-                return UniformityReport(k, False, norm, A, fail)
+    for A in itertools.combinations(range(n), k):
+        fail, pairs = check(state, A, functools.partial(charge, A), *extra)
+        spent += pairs
+        if fail is not None:
+            return UniformityReport(k, False, norm, A, fail)
     return UniformityReport(k, True, norm)
 
 
 def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: int = 1) -> int:
-    """Largest k in [0, n/2] at which the state verifies uniform."""
+    """Largest k in [0, n/2] at which the state verifies uniform.
+
+    workers is accepted and has no effect: verify_uniform scans on the
+    calling thread.
+    """
     for k in range(state.n // 2, -1, -1):
-        if verify_uniform(state, k, max_ops=max_ops, workers=workers).uniform:
+        if verify_uniform(state, k, max_ops=max_ops).uniform:
             return k
     return 0
 

@@ -115,6 +115,15 @@ def test_lambda_selfdual_table():
         assert abs(entropy(p, got) - 0.5) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [0, -1e-9, math.nan, math.inf, -math.inf])
+def test_lambda_tolerance_must_be_finite_and_positive(tol):
+    for fn in (lambda_existence, lambda_selfdual):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fn(3, tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        bound_report(2, tol=tol)
+
+
 def test_lambda_constructive_table():
     for p, (want, want_t) in CONSTRUCTIVE.items():
         val, t = lambda_constructive(p)

@@ -164,6 +164,13 @@ def test_bounds_lambda(capsys):
     assert "lambda_constructive: 0.059" in out and "t=3" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_bounds_lambda_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    assert run("bounds", "--p", "2", "--lambda", f"--tol={tol}") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "finite and positive" in err
+
+
 def test_bounds_point(capsys):
     assert run("bounds", "--p", "2", "--n", "8", "--k", "3") == 0
     out = capsys.readouterr().out

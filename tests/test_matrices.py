@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from kuniform import matrices
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
 from kuniform.modular import digits, prime_factors, rank_mod_p
@@ -119,6 +120,15 @@ def test_rank_kernel_skips_a_huge_prime_and_the_minors_decide():
     assert check_certificate(H, p, 2)
     with pytest.raises(OverflowError, match="too large"):
         rank_mod_p([[1]], p)
+
+
+def test_certificate_factors_the_level_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matrices, "prime_factors", lambda d: calls.append(d) or prime_factors(d))
+    for d in (6, 2**61 - 1, (2**31 - 1) * (2**31 + 11)):
+        calls.clear()
+        assert check_certificate(FLIP, d, 1)
+        assert calls == [d]
 
 
 def _phase_state(H, n, d):

@@ -3,6 +3,7 @@ import collections
 import itertools
 import random
 import sys
+import threading
 from math import comb
 
 import numpy as np
@@ -457,35 +458,18 @@ def test_gram_check_in_small_products_matches_the_reference(s):
                 assert _check_subset_gram(s, A) == _check_subset_generic(s, A)
 
 
-def test_short_checks_skip_the_pool(monkeypatch, five_qubit):
-    pools = []
-    pool = states.ThreadPoolExecutor
-    monkeypatch.setattr(states, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
-    gram = state_from_matrix(read_witness(fixture_path("witness_6x6_d2.txt")))  # 2^6 + 2^7 entries per subset
-    for s, k in ((gram, 3), (five_qubit, 2)):
-        assert verify_uniform(s, k, workers=2).uniform
-    assert pools == []
-    monkeypatch.setattr(states, "_POOL_MIN_ENTRIES", 2**6 + 2**7)
-    assert verify_uniform(gram, 3, workers=2).uniform and pools == [{"max_workers": 2}]
-
-
-@settings(max_examples=60, deadline=None)
-@given(_scan_case())
-def test_pooled_scan_matches_brute_force(case):
-    # as test_scan_matches_brute_force_at_every_worker_count, with every check handed to the pool
-    s, k = case
-    subset, pair = _first_failure(s, k)
-    scanned = itertools.combinations(range(s.n), k)
-    if subset is not None:
-        scanned = itertools.takewhile(lambda A: A <= subset, scanned)
-    total = comb(s.n, k) * (len(s) + s.d ** (2 * k + 1)) + sum(_pair_count(s, A) for A in scanned)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(states, "_POOL_MIN_ENTRIES", 0)
-        for workers in (2, 3):
-            r = verify_uniform(s, k, max_ops=total, workers=workers)
-            assert (r.uniform, r.failing_subset, r.failing_pair) == (subset is None, subset, pair)
-            with pytest.raises(TooLargeError):
-                verify_uniform(s, k, max_ops=total - 1, workers=workers)
+def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    gram = state_from_matrix(read_witness(fixture_path("witness_6x6_d2.txt")))
+    # and a full-support state at n = 6, d = 5 whose first subset fails at k = 3,
+    # with 5^6 + 5^7 sort and histogram entries per subset
+    flat = PureState.from_phases(6, 5, _quadratic_phases(6, 5, [1] * 15))
+    for s, k, uniform in ((gram, 3, True), (five_qubit, 2, True), (flat, 3, False)):
+        reports = [verify_uniform(s, k, workers=workers) for workers in (1, 2, 3, 4)]
+        assert reports[0].uniform == uniform and all(r == reports[0] for r in reports)
+    assert started == []
 
 
 def test_full_support_single_root_states_skip_the_histogram(monkeypatch):
@@ -548,9 +532,8 @@ def test_histogram_memory_ceiling(monkeypatch):
     with pytest.raises(TooLargeError, match="bytes") as exc:
         verify_uniform(_ghz(2, 600), 1)
     assert (exc.value.estimate, exc.value.ceiling) == (16 * 600**3, 2**31)
-    # 128 MB per running check: 17 workers over 34 subsets are too many,
-    # and 40 workers over 20 subsets run 20 checks at once
-    for n, workers, running in ((34, 17, 17), (20, 40, 20)):
+    # one check runs at a time, so the estimate does not grow with the worker count
+    for workers in (2, 4, 17):
         with pytest.raises(TooLargeError, match="bytes") as exc:
-            verify_uniform(_ghz(n, 200), 1, workers=workers)
-        assert exc.value.estimate == 16 * 200**3 * running
+            verify_uniform(_ghz(2, 600), 1, workers=workers)
+        assert (exc.value.estimate, exc.value.ceiling) == (16 * 600**3, 2**31)
