@@ -26,16 +26,17 @@ rank condition, and at a prime power the two agree; at 6, 10, 12, ... the
 nonzero minors mod different primes may sit in different blocks, so it is
 only sufficient.
 
-One batched kernel runs the rank test on candidate upper triangles, a
-search chunk or a single matrix alike, for every prime p | d whose residue
-products fit int64, (p - 1)^2 < 2^63.  check_certificate decides a larger
-prime by the invertible-block test at level p, which is exact at a prime:
-rank k mod p iff some k x k minor is nonzero mod p.  The kernel reduces
-each prime's digit table once, into the narrowest unsigned dtype that holds
-its residues (uint8 for p < 2^8), and gathers the blocks from that table,
-so the stacks it hands to the elimination kernel are already narrow and in
-range.  Subsets are scanned in lexicographic order with early exit, so
-failure reports are reproducible.
+One batched kernel runs the rank test on a digit table whose columns are
+candidate upper triangles -- a search chunk, or a single matrix as one
+column -- for every prime p | d whose residue products fit int64,
+(p - 1)^2 < 2^63.  check_certificate decides a larger prime by the
+invertible-block test at level p, which is exact at a prime: rank k mod p
+iff some k x k minor is nonzero mod p.  The kernel reduces the table once
+per prime, into the narrowest unsigned dtype that holds its residues (uint8
+for p < 2^8), with one row per candidate, and gathers the blocks from those
+rows, so the stacks it hands to the elimination kernel are already narrow
+and in range.  Subsets are scanned in lexicographic order with early exit,
+so failure reports are reproducible.
 """
 
 from __future__ import annotations
@@ -80,32 +81,33 @@ def quadratic_phase(H, c, d: int) -> int:
     return total % d
 
 
-def _rank_certificate(rows, n: int, d: int, k: int, primes=None) -> np.ndarray:
-    """Pass mask over candidate upper triangles, digit rows (N, T) in triu order.
+def _rank_certificate(table, n: int, k: int, primes) -> np.ndarray:
+    """Pass mask over candidate upper triangles, the columns of a digit table (T, N) in triu order.
 
-    Row i passes iff for every prime p | d that fits the kernel and every
-    k-subset A, its H[A x complement] has rank k mod p; with no prime too
-    large for the kernel, that is the exact certificate.  Subsets go in
-    lexicographic blocks sized so the still-alive candidates gather at most
-    _STACK_CAP entries, and failing candidates drop after each block.  rows
-    may be any integer table (or list); each prime reads it reduced once
-    into np.min_scalar_type(p - 1).  primes, the prime factors of d, is
-    factored here unless the caller gives it.
+    Column i passes iff for every prime p of primes, the prime factors of
+    the level, that fits the kernel and every k-subset A, its H[A x
+    complement] has rank k mod p; with no prime too large for the kernel,
+    that is the exact certificate.  Each prime reads the table reduced once
+    into np.min_scalar_type(p - 1) and transposed to rows, one per
+    candidate, and gathers the blocks of the alive candidates as
+    rows[alive][:, cols].  Subsets go in lexicographic blocks sized so those
+    blocks hold at most _STACK_CAP entries, and failing candidates drop
+    after each block.
     """
     pos = np.zeros((n, n), dtype=np.int64)
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
     pos += pos.T
-    tables = [(p, reduce_mod(rows, p, np.min_scalar_type(p - 1))) for p in primes or prime_factors(d) if fits_kernel(p)]
-    alive = np.arange(len(rows))
+    tables = [(p, reduce_mod(table, p, np.min_scalar_type(p - 1)).T.copy()) for p in primes if fits_kernel(p)]
+    alive = np.arange(np.shape(table)[1])
     subsets = itertools.combinations(range(n), k)
     while tables and alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
         A = np.array(block)
         outside = np.ones((len(A), n), dtype=bool)
         outside[np.arange(len(A))[:, None], A] = False
         cols = pos[A[:, :, None], np.nonzero(outside)[1].reshape(len(A), 1, n - k)]
-        for p, table in tables:
-            alive = alive[(rank_mod_p(table[alive[:, None, None, None], cols], p) == k).all(axis=1)]
-    mask = np.zeros(len(rows), dtype=bool)
+        for p, rows in tables:
+            alive = alive[(rank_mod_p(rows[alive][:, cols], p) == k).all(axis=1)]
+    mask = np.zeros(np.shape(table)[1], dtype=bool)
     mask[alive] = True
     return mask
 
@@ -150,7 +152,7 @@ def check_certificate(H, d: int, k: int) -> bool:
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     primes = prime_factors(d)
-    return bool(_rank_certificate(m[np.triu_indices(n, 1)][None], n, d, k, primes)[0]) and all(
+    return bool(_rank_certificate(m[np.triu_indices(n, 1)][:, None], n, k, primes)[0]) and all(
         check_certificate_general(m, p, k) for p in primes if not fits_kernel(p)
     )
 

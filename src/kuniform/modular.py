@@ -168,8 +168,11 @@ def reduce_mod(a, q: int, dtype=np.int64) -> np.ndarray:
     integer value; one with a fractional part, or not finite, raises
     ValueError.  Integer input that already lies in [0, q) is only cast, and
     other nonnegative input is reduced in the narrowest unsigned dtype that
-    holds it.
+    holds it.  A modulus whose residues dtype cannot hold, q - 1 above its
+    maximum, raises OverflowError instead of wrapping.
     """
+    if q - 1 > np.iinfo(dtype).max:
+        raise OverflowError(f"residues mod {q} do not fit in {np.dtype(dtype)}")
     a = _read(a)
     if a.dtype.kind == "b":
         a = a.view(np.uint8)

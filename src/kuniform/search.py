@@ -7,18 +7,22 @@ Random mode derives entry t of candidate i from a splitmix64 hash of
 (n, d, k); the same (n, d, k, seed) therefore always replays the same
 candidate sequence, any candidate is addressable directly, and workers can
 split the index space freely.  The digit is the hash reduced mod d (the
-reduction bias is below 2^-60 and identical across runs).
+reduction bias is below 2^-60 and identical across runs).  Levels above
+2^63 are refused.
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
 stream costs a small block while long scans still run on large ones.  Each
-chunk first passes through a vectorized screen, chosen from (n, d) alone:
+chunk is one digit table, _digits_batch: column i holds the T digits of
+candidate i, in the narrowest unsigned dtype that holds d - 1.  One of two
+vectorized screens reads it, chosen from (n, d) alone:
 
 - d = 2 and n <= 64: the bit screen on packed n-bit row words, exact at
-  every k; only its survivors become digit rows.
-- every other (n, d): the batched rank kernel of matrices on the digit
-  table, the exact certificate at every level; only a prime factor of d
-  too large for the kernel's int64 arithmetic is left out of it.
+  every k.
+- every other (n, d): the batched rank kernel of matrices, the exact
+  certificate at every level; only a prime factor of d too large for the
+  kernel's int64 arithmetic is left out of it.  search_witness factors d
+  once and hands the primes to every chunk.
 
 Every survivor, in index order, is rechecked with check_certificate, which
 decides a hit (and alone decides such a large prime), and a returned matrix
@@ -39,7 +43,7 @@ import numpy as np
 
 from .fileio import append_registry, read_registry
 from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
-from .modular import digits
+from .modular import digits, prime_factors
 
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 15
@@ -78,46 +82,35 @@ class SearchBudget:
             raise ValueError("budget must allow at least one candidate")
 
 
-def _hashes(base: int, start: int, count: int, T: int):
-    """(offset, hashes) blocks of the random stream for candidates [start, start+count).
-
-    Row i of a block holds splitmix64((base + (start+offset+i)*T + t) mod 2^64)
-    for t < T; a block spans about _HASH_BLOCK inputs.
-    """
-    step = max(1, _HASH_BLOCK // T)
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        with np.errstate(over="ignore"):
-            x = np.arange(rows * T, dtype=np.uint64)
-            x += np.uint64((base + (start + lo) * T + 0x9E3779B97F4A7C15) & _MASK)
-            x ^= x >> np.uint64(30)
-            x *= np.uint64(0xBF58476D1CE4E5B9)
-            x ^= x >> np.uint64(27)
-            x *= np.uint64(0x94D049BB133111EB)
-            x ^= x >> np.uint64(31)
-        yield lo, x.reshape(rows, T)
-
-
 def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) -> np.ndarray:
-    """Candidate digit rows for indices [start, start+count)."""
-    if mode == "exhaustive":
-        return digits(np.arange(start, start + count), d, T)
-    out = np.empty((count, T), dtype=np.int64)
-    for lo, h in _hashes(base, start, count, T):
-        out[lo:lo + len(h)] = h % np.uint64(d)
-    return out
+    """The digit table of candidates [start, start+count), shape (T, count) in
+    np.min_scalar_type(d - 1): column i holds the digits of candidate start + i.
 
-
-def _level2_bits(base: int, start: int, count: int, T: int, mode: str) -> np.ndarray:
-    """The level-2 digits of candidates [start, start+count) as a (T, count) uint8 array."""
-    out = np.empty((T, count), dtype=np.uint8)
+    Random digit t of candidate i is splitmix64((base + i*T + t) mod 2^64)
+    mod d, hashed in blocks of about _HASH_BLOCK inputs.  At a power of two a
+    digit is a shift and a mask, and h & (d - 1) = h mod d.
+    """
+    out = np.empty((T, count), dtype=np.min_scalar_type(d - 1))
     if mode == "exhaustive":
         idx = np.arange(start, start + count)
-        for t in range(T):
-            out[t] = (idx >> (T - 1 - t)) & 1
+        if d & (d - 1):
+            out[...] = digits(idx, d, T).T
+        else:
+            for t in range(T):
+                out[t] = (idx >> ((T - 1 - t) * (d.bit_length() - 1))) & (d - 1)
         return out
-    for lo, h in _hashes(base, start, count, T):
-        out[:, lo:lo + len(h)] = h.T & np.uint64(1)
+    step = max(1, _HASH_BLOCK // T)
+    for lo in range(0, count, step):
+        h = np.arange(min(step, count - lo) * T, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            h += np.uint64((base + (start + lo) * T + 0x9E3779B97F4A7C15) & _MASK)
+            h ^= h >> np.uint64(30)
+            h *= np.uint64(0xBF58476D1CE4E5B9)
+            h ^= h >> np.uint64(27)
+            h *= np.uint64(0x94D049BB133111EB)
+            h ^= h >> np.uint64(31)
+        h = h.reshape(-1, T).T
+        out[:, lo:lo + h.shape[1]] = h % np.uint64(d) if d & (d - 1) else h & np.uint64(d - 1)
     return out
 
 
@@ -167,21 +160,17 @@ def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     return mask
 
 
-def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str):
+def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes):
     """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
-    T = n * (n - 1) // 2
-    if d == 2 and n <= 64:
-        bits = _level2_bits(base, start, count, T, mode)
-        offs = np.flatnonzero(_screen_level2(bits, n, k))
-        return offs, bits[:, offs].T.astype(np.int64)
-    rows = _digits_batch(base, start, count, T, d, mode)
-    offs = np.flatnonzero(_rank_certificate(rows, n, d, k))
-    return offs, rows[offs]
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    screen = _screen_level2(table, n, k) if d == 2 and n <= 64 else _rank_certificate(table, n, k, primes)
+    offs = np.flatnonzero(screen)
+    return offs, table[:, offs].T
 
 
-def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str) -> int | None:
+def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> int | None:
     """Index of the first certificate-passing candidate in a chunk, if any."""
-    for off, row in zip(*_survivors(start, count, n, d, k, base, mode)):
+    for off, row in zip(*_survivors(start, count, n, d, k, base, mode, primes)):
         if check_certificate(upper_triangle_to_matrix(row, n, d), d, k):
             return start + int(off)
     return None
@@ -210,6 +199,8 @@ def search_witness(
         raise ValueError(f"k={k} out of range for n={n}")
     if d < 2:
         raise ValueError(f"invalid level {d}")
+    if d > 1 << 63:
+        raise OverflowError(f"level {d} is above 2^63, the largest level the candidate stream holds")
     T = n * (n - 1) // 2
     space = d**T
     if budget.mode == "exhaustive":
@@ -221,9 +212,10 @@ def search_witness(
     else:
         total = budget.max_candidates
     base = _stream_base(budget.seed, n, d, k)
+    primes = prime_factors(d)
 
     def scan(chunk):
-        return _first_pass_in_chunk(*chunk, n, d, k, base, budget.mode)
+        return _first_pass_in_chunk(*chunk, n, d, k, base, budget.mode, primes)
 
     # waves of max(1, workers) chunks, drawn lazily; the lowest hit in a wave wins
     chunks = _chunks(total)
@@ -234,8 +226,7 @@ def search_witness(
             hit = min((r for r in run(scan, wave) if r is not None), default=None)
     if hit is None:
         return None
-    digits = _digits_batch(base, hit, 1, T, d, budget.mode)[0]
-    H = upper_triangle_to_matrix(digits, n, d)
+    H = upper_triangle_to_matrix(_digits_batch(base, hit, 1, T, d, budget.mode)[:, 0], n, d)
     return SymWitness(
         n=n, d=d, H=H, k=k, provenance=Provenance(budget.mode, budget.seed, hit)
     )

@@ -413,3 +413,13 @@ def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):
     assert proc.returncode == want, proc.stderr
     if want == 2:  # emit-state reads the witness and stops at the ket ceiling
         assert "above ceiling" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["search", "--n", "4", "--k", "1", "--budget", "10"],
+                                  ["table", "--n-max", "3", "--budget", "10", "--porcelain"]])
+@pytest.mark.parametrize("d", [2**63 + 29, 2**64 + 13])
+def test_levels_above_2_63_exit_2_with_the_ceiling(capsys, argv, d):
+    assert run(*argv, "--d", str(d)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"level {d} is above 2^63" in err
+    assert run(*argv, "--d", str(2**63)) == 0

@@ -8,7 +8,7 @@ import pytest
 from kuniform import matrices
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
-from kuniform.modular import digits, prime_factors, rank_mod_p
+from kuniform.modular import digits, prime_factors, rank_mod_p, reduce_mod
 from kuniform.matrices import (
     _STACK_CAP,
     Provenance,
@@ -83,7 +83,7 @@ def test_prime_checkers_agree():
         want = [all(check_certificate_general(H, p, k) for p in prime_factors(d)) for H in mats]
         assert 0 < sum(want) < len(want), (n, d, k)
         assert [check_certificate(H, d, k) for H in mats] == want, (n, d, k)
-        assert _rank_certificate(np.array(tris), n, d, k).tolist() == want, (n, d, k)
+        assert _rank_certificate(np.array(tris).T, n, k, prime_factors(d)).tolist() == want, (n, d, k)
     # one matrix whose subsets span more than one stacked block: rows 14 and
     # 15 agree mod 2 off columns 12 and 13, so only the last subset
     # {12, 13, 14, 15} has a singular H[A x complement] mod 2
@@ -105,9 +105,9 @@ def test_rank_kernel_skips_a_huge_prime_and_the_minors_decide():
     # of d alone, and check_certificate decides p by its k x k minors, which
     # is exact at a prime
     p = 2**61 - 1
-    rows = np.array([[1], [2], [p]])
-    assert _rank_certificate(rows, 2, 2 * p, 1).tolist() == [True, False, True]
-    assert _rank_certificate(rows, 2, p, 1).tolist() == [True, True, True]
+    table = np.array([[1, 2, p]])
+    assert _rank_certificate(table, 2, 1, prime_factors(2 * p)).tolist() == [True, False, True]
+    assert _rank_certificate(table, 2, 1, prime_factors(p)).tolist() == [True, True, True]
     for d, want in ((2 * p, [True, False, False]), (p, [True, True, False])):
         assert [check_certificate([[0, h], [h, 0]], d, 1) for h in (1, 2, p)] == want, d
         w = search_witness(2, d, 1, SearchBudget(10, seed=0))
@@ -179,11 +179,35 @@ def test_rank_certificate_reads_every_digit_table_form_alike():
     rng = np.random.default_rng(15)
     for n, d, k in [(5, 2, 2), (5, 3, 2), (6, 4, 3), (5, 9, 2), (5, 6, 2), (4, 251, 2)]:
         rows = rng.integers(0, d, size=(300, n * (n - 1) // 2))
-        want = _rank_certificate(rows, n, d, k)
+        want = _rank_certificate(rows.T, n, k, prime_factors(d))
         assert 0 < want.sum() < len(want), (n, d, k)
         shifted = rows + d * rng.integers(-3, 4, size=rows.shape)
-        for table in (rows.astype(np.uint8), rows.tolist(), shifted):
-            assert _rank_certificate(table, n, d, k).tolist() == want.tolist(), (n, d, k)
+        for table in (rows.T.astype(np.uint8), rows.T.tolist(), shifted.T):
+            assert _rank_certificate(table, n, k, prime_factors(d)).tolist() == want.tolist(), (n, d, k)
+
+
+def test_levels_past_int64_are_refused_not_wrapped():
+    # residues mod 2^63 + 29 reach past int64: reduce_mod refuses the level
+    # rather than cast 2^63 + 1, already in range, to -2^63 + 1
+    big = 2**63 + 29
+    with pytest.raises(OverflowError, match="do not fit"):
+        reduce_mod(np.array([2**63 + 1], dtype=np.uint64), big)
+    with pytest.raises(OverflowError):
+        reduce_mod([0], 2**8 + 1, np.uint8)
+    for refused in (lambda: upper_triangle_to_matrix(np.array([2**63 + 1], dtype=np.uint64), 2, big),
+                    lambda: check_certificate(FLIP, big, 1),
+                    lambda: SymWitness(n=2, d=big, H=np.array(FLIP), k=1)):
+        with pytest.raises(OverflowError):
+            refused()
+    # 2^63 itself still holds every residue
+    top = 2**63
+    assert reduce_mod(np.array([2**63 + 1, 2**63 - 1], dtype=np.uint64), top).tolist() == [1, 2**63 - 1]
+    H = upper_triangle_to_matrix(np.array([2**63 - 1], dtype=np.uint64), 2, top)
+    assert H.tolist() == [[0, 2**63 - 1], [2**63 - 1, 0]]
+    assert check_certificate(H, top, 1) and not check_certificate([[0, 2], [2, 0]], top, 1)
+    assert SymWitness(n=2, d=top, H=H, k=1).upper_triangle() == (2**63 - 1,)
+    w = search_witness(2, top, 1, SearchBudget(10, seed=0))
+    assert w is not None and w.H.dtype == np.int64 and (w.H >= 0).all()
 
 
 def test_certificate_reads_wide_and_fractional_entries_exactly():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuniform import modular, search
+from kuniform import matrices, modular, search
 from kuniform.fileio import append_registry, read_registry
 from kuniform.matrices import (
     _rank_certificate,
@@ -20,7 +20,6 @@ from kuniform.search import (
     SearchBudget,
     _digits_batch,
     _first_pass_in_chunk,
-    _level2_bits,
     _screen_level2,
     _stream_base,
     _survivors,
@@ -78,7 +77,7 @@ def test_random_stream_is_stable():
     again = _digits_batch(base, 0, 3, 15, 2, "random")
     assert (digits == again).all()
     one = _digits_batch(base, 2, 1, 15, 2, "random")
-    assert (one[0] == digits[2]).all()
+    assert (one[:, 0] == digits[:, 2]).all()
     assert splitmix64(0) == 0xE220A8397B1DCDAF  # published splitmix64 vector
 
 
@@ -90,14 +89,14 @@ def test_random_stream_matches_scalar_splitmix64():
     for base, start, count, T, d in ((_stream_base(7, 6, 2, 3), 0, 4, 6, 2), (12345, 1000, 4, 6, 5),
                                      (2**64 - 9, 0, 4, 6, 3), (2**64 - 1, 3, 4, 6, 7), (99, 2**61 + 5, 4, 6, 2),
                                      (2**64 - 3, 2**58 - 1, block + 2, 64, 2), (7, 11, block + 2, 64, 3)):
-        rows = _digits_batch(base, start, count, T, d, "random")
+        table = _digits_batch(base, start, count, T, d, "random")
         want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + count)]
-        assert rows.tolist() == want
+        assert table.T.tolist() == want
 
 
 def test_exhaustive_order_is_lexicographic():
     digits = _digits_batch(0, 0, 9, 2, 3, "exhaustive")
-    assert digits.tolist() == [
+    assert digits.T.tolist() == [
         [0, 0],
         [0, 1],
         [0, 2],
@@ -114,7 +113,7 @@ def test_exhaustive_order_is_lexicographic():
         count = len(want)
         rows = modular.digits(np.arange(start, start + count), base, width)
         assert rows.tolist() == [list(t) for t in want]
-        assert (_digits_batch(0, start, count, width, base, "exhaustive") == rows).all()
+        assert (_digits_batch(0, start, count, width, base, "exhaustive").T == rows).all()
         assert modular.from_digits(rows, base).tolist() == list(range(start, start + count))
     assert modular.from_digits(np.ones((1, 63), dtype=np.int64), 2).tolist() == [2**63 - 1]
     with pytest.raises(OverflowError):
@@ -179,15 +178,28 @@ def test_early_hit_draws_only_the_chunks_it_scans(monkeypatch, workers):
     assert w.provenance.index == 182
 
 
+def test_a_search_factors_the_level_once(monkeypatch):
+    # a random (8,3,4) miss scans four chunks; every chunk's screen gets the
+    # primes that search_witness found before the first one
+    calls, chunks = [], []
+    spy = lambda d: calls.append(d) or modular.prime_factors(d)
+    monkeypatch.setattr(search, "prime_factors", spy)
+    monkeypatch.setattr(matrices, "prime_factors", spy)
+    real_chunks = search._chunks
+    monkeypatch.setattr(search, "_chunks", lambda total: (chunks.append(c) or c for c in real_chunks(total)))
+    assert search_witness(8, 3, 4, SearchBudget(3 * 10**4, seed=0)) is None
+    assert len(chunks) >= 3 and calls == [3]
+
+
 def _assert_screen_agrees(n, d, k, base, start, count, mode):
     """The scan's screen on a chunk against the determinant certificate mod
     each prime of d: equal at every level."""
-    rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    offs, kept = _survivors(start, count, n, d, k, base, mode)
-    assert (kept == rows[offs]).all()
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    offs, kept = _survivors(start, count, n, d, k, base, mode, modular.prime_factors(d))
+    assert (kept == table[:, offs].T).all()
     mask = np.zeros(count, dtype=bool)
     mask[offs] = True
-    mats = [upper_triangle_to_matrix(r, n, d) for r in rows]
+    mats = [upper_triangle_to_matrix(r, n, d) for r in table.T]
     want = np.array([all(check_certificate_general(H, p, k) for p in modular.prime_factors(d)) for H in mats])
     assert (mask == want).all()
     return want
@@ -216,22 +228,36 @@ def test_screen_matches_the_determinant_certificate(case, seed, start):
 def test_bit_screen_agrees_with_batched_screen(case, seed):
     n, k = case
     T, base = n * (n - 1) // 2, _stream_base(seed, n, 2, k)
-    bits, rows = _level2_bits(base, 0, 512, T, "random"), _digits_batch(base, 0, 512, T, 2, "random")
-    assert (_screen_level2(bits, n, k) == _rank_certificate(rows, n, 2, k)).all()
+    table = _digits_batch(base, 0, 512, T, 2, "random")
+    assert (_screen_level2(table, n, k) == _rank_certificate(table, n, k, [2])).all()
 
 
-def test_level2_bits_are_the_digits_transposed():
-    # counts that are not a multiple of the hash block, nonzero starts, and
-    # exhaustive indices whose leading digits lie above bit 63
-    for T in (1, 6, 28, 66):
-        count = _HASH_BLOCK // T + 3
-        for base, start in ((_stream_base(3, 8, 2, 4), 0), (2**64 - 5, 12345)):
-            want = _digits_batch(base, start, count, T, 2, "random").T
-            assert (_level2_bits(base, start, count, T, "random") == want).all()
-    for T, start, count in ((6, 0, 64), (21, 2**21 - 700, 700), (28, 98765, 3000),
-                            (64, 0, 500), (66, 0, 500), (66, 2**62 + 9, 77)):
-        want = _digits_batch(0, start, count, T, 2, "exhaustive").T
-        assert (_level2_bits(0, start, count, T, "exhaustive") == want).all()
+def test_digit_table_matches_the_scalar_references():
+    # the (T, count) table in the narrowest dtype that holds d - 1.  Random
+    # mode against splitmix64(...) % d: both sides of a hash block boundary
+    # (column count - 3) and a uint64 sum that wraps (base 2^64 - 5).
+    # Exhaustive mode against the integer digits and modular.digits, at d = 2
+    # also for indices whose leading digits lie above bit 63
+    for d in (2, 3, 4, 6, 8, 256, 257, 2**32, 2**63):
+        for T in (1, 6, 28, 66):
+            count = _HASH_BLOCK // T + 3
+            for base, start in ((_stream_base(3, 8, d, 4), 0), (2**64 - 5, 12345)):
+                table = _digits_batch(base, start, count, T, d, "random")
+                assert table.dtype == np.min_scalar_type(d - 1) and table.shape == (T, count)
+                for i in (0, 1, count - 4, count - 3, count - 1):
+                    want = [splitmix64((base + (start + i) * T + t) % 2**64) % d for t in range(T)]
+                    assert table[:, i].tolist() == want, (d, T, start, i)
+        cases = [(1, 0, 500), (3, 12345, 700)]
+        if d == 2:
+            cases += [(6, 0, 64), (21, 2**21 - 700, 700), (28, 98765, 3000), (64, 0, 500), (66, 0, 500),
+                      (66, 2**62 + 9, 77)]
+        for T, start, count in cases:
+            table = _digits_batch(0, start, count, T, d, "exhaustive")
+            assert table.dtype == np.min_scalar_type(d - 1) and table.shape == (T, count)
+            want = [[i // d ** (T - 1 - t) % d for t in range(T)] for i in range(start, start + count)]
+            assert table.T.tolist() == want, (d, T, start)
+            if d < 2**63:  # modular.digits holds bases below 2^63
+                assert (table.T == modular.digits(np.arange(start, start + count), d, T)).all()
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 2), (8, 3), (9, 3), (10, 3), (11, 3), (12, 4),
@@ -240,14 +266,14 @@ def test_bit_screen_matches_rank_screen_at_every_word_width(n, k):
     # random chunks pass almost everywhere at large n and exhaustive chunks
     # fail almost everywhere, so sparse random bits (about 4 per row) add mixed cases
     T = n * (n - 1) // 2
-    chunks = [_level2_bits(_stream_base(0, n, 2, k), 1000, 256, T, "random"),
-              _level2_bits(0, min(2**T, 2**62) - 300, 256, T, "exhaustive"),
-              _level2_bits(0, 12345, 256, T, "exhaustive"),
+    chunks = [_digits_batch(_stream_base(0, n, 2, k), 1000, 256, T, 2, "random"),
+              _digits_batch(0, min(2**T, 2**62) - 300, 256, T, 2, "exhaustive"),
+              _digits_batch(0, 12345, 256, T, 2, "exhaustive"),
               (np.random.default_rng(n).random((T, 256)) < 4 / n).astype(np.uint8)]
     passed = 0
     for bits in chunks:
         mask = _screen_level2(bits, n, k)
-        assert (mask == _rank_certificate(bits.T.astype(np.int64), n, 2, k)).all()
+        assert (mask == _rank_certificate(bits, n, k, [2])).all()
         passed += mask.sum()
     assert 0 < passed < 4 * 256
 
@@ -264,21 +290,21 @@ def test_bit_screen_equals_the_rank_certificate(cell, density, seed):
     n, k = cell
     T, count = n * (n - 1) // 2, min(256, _WORK // (math.comb(n, k) * k * (n - k)))
     bits = (np.random.default_rng(seed).random((T, count)) < density).astype(np.uint8)
-    assert (_screen_level2(bits, n, k) == _rank_certificate(bits.T.astype(np.int64), n, 2, k)).all()
+    assert (_screen_level2(bits, n, k) == _rank_certificate(bits, n, k, [2])).all()
 
 
 def test_bit_screen_is_exact_on_the_whole_6_2_3_space():
-    bits = _level2_bits(0, 0, 2**15, 15, "exhaustive")
+    bits = _digits_batch(0, 0, 2**15, 15, 2, "exhaustive")
     mask = _screen_level2(bits, 6, 3)
-    assert (mask == _rank_certificate(bits.T.astype(np.int64), 6, 2, 3)).all()
+    assert (mask == _rank_certificate(bits, 6, 3, [2])).all()
     assert np.flatnonzero(mask)[0] == 7915
 
 
 def _first_pass_reference(start, count, n, d, k, base, mode):
     """The rank screen over the whole digit table, then the certificate on each survivor."""
-    rows = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    for off in np.flatnonzero(_rank_certificate(rows, n, d, k)):
-        if check_certificate(upper_triangle_to_matrix(rows[off], n, d), d, k):
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    for off in np.flatnonzero(_rank_certificate(table, n, k, modular.prime_factors(d))):
+        if check_certificate(upper_triangle_to_matrix(table[:, off], n, d), d, k):
             return start + int(off)
     return None
 
@@ -296,7 +322,7 @@ def _first_pass_reference(start, count, n, d, k, base, mode):
 def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, count):
     base = _stream_base(seed, n, 2, k)
     want = _first_pass_reference(start, count, n, 2, k, base, mode)
-    assert _first_pass_in_chunk(start, count, n, 2, k, base, mode) == want
+    assert _first_pass_in_chunk(start, count, n, 2, k, base, mode, [2]) == want
 
 
 @pytest.mark.parametrize("n,k,seed,start,count", [
@@ -308,7 +334,7 @@ def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, cou
 def test_first_pass_matches_the_reference_past_k_4(n, k, seed, start, count):
     base = _stream_base(seed, n, 2, k)
     want = _first_pass_reference(start, count, n, 2, k, base, "random")
-    assert _first_pass_in_chunk(start, count, n, 2, k, base, "random") == want
+    assert _first_pass_in_chunk(start, count, n, 2, k, base, "random", [2]) == want
 
 
 def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
@@ -320,9 +346,9 @@ def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
         H[i, j] = H[j, i] = 1
     assert check_certificate(H, 2, 1)
     row = H[np.triu_indices(n, 1)]
-    assert _rank_certificate(row[None], n, 2, 1).all()
-    monkeypatch.setattr(search, "_digits_batch", lambda *args: row[None].copy())
-    assert _first_pass_in_chunk(0, 1, n, 2, 1, 0, "exhaustive") == 0
+    assert _rank_certificate(row[:, None], n, 1, [2]).all()
+    monkeypatch.setattr(search, "_digits_batch", lambda *args: row[:, None].copy())
+    assert _first_pass_in_chunk(0, 1, n, 2, 1, 0, "exhaustive", [2]) == 0
 
 
 def test_level2_table_replays_are_pinned():
