@@ -12,14 +12,30 @@ reduction bias is below 2^-60 and identical across runs).  Levels above
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
-stream costs a small block while long scans still run on large ones.  Each
-chunk is one digit table, _digits_batch: column i holds the T digits of
-candidate i, in the narrowest unsigned dtype that holds d - 1.  One of two
-vectorized screens reads it, chosen from (n, d) alone:
+stream costs a small block while long scans still run on large ones.  One
+of two vectorized screens reads each chunk, chosen from (n, d) alone:
 
-- d = 2 and n <= 64: the bit screen on packed n-bit row words, exact at
-  every k.
-- every other (n, d): the batched rank kernel of matrices, the exact
+- d = 2 and n <= 64: the bit screen, exact at every k, on the packed n-bit
+  row words of each H, which the level-2 stream _level2_words computes
+  straight from the candidate index.  The stream passes on only the
+  candidates whose every vertex has degree >= k.  That is the screen's
+  |S| = 1 test, so no passer is lost, and the tests with 2 <= |S| <= k run
+  on the words it returns.  In exhaustive mode the index bits are the
+  triangle entries, and the row words are GF(2)-linear in them: flipping
+  entry (i, j) XORs bit j into row i and bit i into row j, whatever the
+  other entries.  So words(hi*2^B + lo) = words(lo) ^ words(hi*2^B).  One
+  table of the 2^B low words, B = min(T, 15), is built by B doublings
+  W <- [W, W ^ P_t], where P_t is the word pattern of pair t, and a chunk
+  is at most two slices of it, each XORed with one constant column.  In
+  random mode vertex v's entries (v, j > v) are consecutive digits of the
+  stream; they are hashed, vertex by vertex, only for the candidates still
+  alive, and a candidate drops once a complete row has degree below k.  The
+  digit is splitmix64(...) & 1 as in _digits_batch, so both give the same
+  candidates.  The digit rows of the survivors are recomputed from their
+  indices.
+- every other (n, d): the digit table _digits_batch, where column i holds
+  the T digits of candidate i in the narrowest unsigned dtype that holds
+  d - 1, read by the batched rank kernel of matrices, the exact
   certificate at every level; only a prime factor of d too large for the
   kernel's int64 arithmetic is left out of it.  search_witness factors d
   once and hands the primes to every chunk.
@@ -33,6 +49,7 @@ found within budget", and table scans report the two cases differently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from concurrent.futures import ThreadPoolExecutor
@@ -46,13 +63,14 @@ from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, che
 from .modular import digits, prime_factors
 
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK = 1 << 15
 _FIRST_CHUNK = 1 << 10
 _HASH_BLOCK = 1 << 16
 
 
 def splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = (x + _GOLDEN) & _MASK
     z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -103,7 +121,7 @@ def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) 
     for lo in range(0, count, step):
         h = np.arange(min(step, count - lo) * T, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            h += np.uint64((base + (start + lo) * T + 0x9E3779B97F4A7C15) & _MASK)
+            h += np.uint64((base + (start + lo) * T + _GOLDEN) & _MASK)
             h ^= h >> np.uint64(30)
             h *= np.uint64(0xBF58476D1CE4E5B9)
             h ^= h >> np.uint64(27)
@@ -144,27 +162,139 @@ def _screen_level2(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     a time with the failures dropped after each block of subsets; s = 1 is
     the degree test, so low-degree candidates drop before any XOR.
     """
-    words = _row_words(bits, n)
+    mask = np.zeros(bits.shape[1], dtype=bool)
+    mask[_subset_screen(_row_words(bits, n), k, 1)] = True
+    return mask
+
+
+def _subset_screen(words: np.ndarray, k: int, first: int) -> np.ndarray:
+    """Columns of the (n, count) row words that pass the tests of _screen_level2 for first <= |S| <= k."""
     word = words.dtype.type
-    alive = np.arange(bits.shape[1])
-    for s in range(1, k + 1):
-        subsets = itertools.combinations(range(n), s)
+    alive = np.arange(words.shape[1])
+    for s in range(first, k + 1):
+        subsets = itertools.combinations(range(words.shape[0]), s)
         while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // alive.size)))):
             S = np.array(block)
             outside = ~np.bitwise_or.reduce(word(1) << S.astype(word), axis=1)
             acc = np.bitwise_xor.reduce(words[S], axis=1) & outside[:, None]
             keep = np.flatnonzero((np.bitwise_count(acc) > k - s).all(axis=0))
             words, alive = words[:, keep], alive[keep]
-    mask = np.zeros(bits.shape[1], dtype=bool)
-    mask[alive] = True
-    return mask
+    return alive
+
+
+# --- the level-2 stream: row words straight from the candidate index --------
+
+def _hash_bits(first: np.ndarray, L: int) -> np.ndarray:
+    """splitmix64(x + t) & 1 for x in first and t < L, shape (L, len(first)) in uint32.
+
+    first holds stream positions (base + i*T + t0) mod 2^64, so this is the
+    digit of _digits_batch at d = 2.  The digit is bit 0 ^ bit 31 of the
+    second product, and the low 32 bits of a product mod 2^64 depend only on
+    the low 32 bits of its factors, so that product is taken mod 2^32.
+    """
+    h = np.arange(L, dtype=np.uint64)[:, None] + (first + np.uint64(_GOLDEN))
+    with np.errstate(over="ignore"):
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        z = h.astype(np.uint32)
+        z *= np.uint32(0x94D049BB133111EB & 0xFFFFFFFF)
+    z ^= z >> np.uint32(31)
+    z &= np.uint32(1)
+    return z
+
+
+def _positions(base: int, start: int, offs: np.ndarray, T: int, t0: int) -> np.ndarray:
+    """Stream positions (base + (start + off)*T + t0) mod 2^64 of digit t0 of each candidate, in uint64."""
+    with np.errstate(over="ignore"):
+        return offs.astype(np.uint64) * np.uint64(T) + np.uint64((base + start * T + t0) & _MASK)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_patterns(n: int) -> np.ndarray:
+    """Row t is the row words of the graph whose one edge is pair t, shape (T, n), read-only."""
+    word = np.min_scalar_type((1 << n) - 1).type
+    P = np.zeros((n * (n - 1) // 2, n), dtype=word)
+    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        P[t, i], P[t, j] = word(1) << word(j), word(1) << word(i)
+    P.flags.writeable = False
+    return P
+
+
+@functools.lru_cache(maxsize=8)
+def _low_words(n: int) -> np.ndarray:
+    """Row words of exhaustive candidates 0 .. 2^B - 1, B = min(T, 15), shape (n, 2^B), read-only.
+
+    Index bit b is the entry of pair T - 1 - b, so B doublings
+    W <- [W, W ^ P_{T-1-b}] build the table.
+    """
+    P = _pair_patterns(n)
+    W = np.zeros((n, 1), dtype=P.dtype)
+    for b in range(min(len(P), 15)):
+        W = np.concatenate([W, W ^ P[len(P) - 1 - b][:, None]], axis=1)
+    W.flags.writeable = False
+    return W
+
+
+def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
+    """(offsets, row words) of the chunk's candidates whose every vertex has degree >= k, n <= 64.
+
+    words[:, i] is _row_words of candidate start + offsets[i], and the
+    degree test is the s = 1 test of _screen_level2.  Exhaustive words are
+    slices of _low_words XORed with the words of the index bits above them.
+    Random mode hashes vertex v's new entries (v, j > v), digits
+    t_v .. t_v + n - 2 - v of the candidate, for the candidates still alive
+    and then tests the degree of v, whose row is complete.
+    """
+    word = np.min_scalar_type((1 << n) - 1).type
+    T = n * (n - 1) // 2
+    if mode == "exhaustive":
+        W, P = _low_words(n), _pair_patterns(n)
+        size = W.shape[1]
+        high = T - size.bit_length() + 1  # index bits above the table, one per pair 0 .. high - 1
+        parts = []
+        for hi in range(start // size, (start + count - 1) // size + 1):
+            lead = P[[t for t in range(high) if hi >> (high - 1 - t) & 1]]
+            lo, stop = max(start - hi * size, 0), min(start + count - hi * size, size)
+            parts.append(W[:, lo:stop] ^ np.bitwise_xor.reduce(lead, axis=0, initial=word(0))[:, None])
+        words = np.concatenate(parts, axis=1)
+        offs = np.flatnonzero((np.bitwise_count(words) >= k).all(axis=0))
+        return offs, words[:, offs]
+    shifts = np.arange(n, dtype=word)
+    offs, ok = np.arange(count), np.ones(count, dtype=bool)
+    words = np.zeros((n, count), dtype=word)
+    t = 0
+    for v in range(n):
+        L = n - 1 - v
+        if L:
+            first, step = _positions(base, start, offs, T, t), _HASH_BLOCK // L + 1
+            for lo in range(0, offs.size, step):
+                bits = _hash_bits(first[lo:lo + step], L).astype(word)
+                words[v, lo:lo + step] |= np.bitwise_or.reduce(bits << shifts[v + 1:, None], axis=0)
+                words[v + 1:, lo:lo + step] |= bits << word(v)
+            t += L
+        ok &= np.bitwise_count(words[v]) >= k
+        # a dead column still costs its later hashes; gather the live ones once a quarter are dead
+        if v == n - 1 or 4 * np.count_nonzero(ok) <= 3 * ok.size:
+            live = np.flatnonzero(ok)
+            offs, words, ok = offs[live], words[:, live], ok[live]
+    return offs, words
 
 
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes):
     """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
-    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    screen = _screen_level2(table, n, k) if d == 2 and n <= 64 else _rank_certificate(table, n, k, primes)
-    offs = np.flatnonzero(screen)
+    T = n * (n - 1) // 2
+    if d == 2 and n <= 64:
+        offs, words = _level2_words(base, start, count, n, k, mode)
+        offs = offs[_subset_screen(words, k, 2)]
+        if mode == "exhaustive":
+            return offs, digits(start + offs, 2, T).astype(np.uint8)
+        rows, first = np.empty((offs.size, T), dtype=np.uint8), _positions(base, start, offs, T, 0)
+        for lo in range(0, offs.size, step := _HASH_BLOCK // T + 1):
+            rows[lo:lo + step] = _hash_bits(first[lo:lo + step], T).T
+        return offs, rows
+    table = _digits_batch(base, start, count, T, d, mode)
+    offs = np.flatnonzero(_rank_certificate(table, n, k, primes))
     return offs, table[:, offs].T
 
 

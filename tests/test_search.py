@@ -20,6 +20,8 @@ from kuniform.search import (
     SearchBudget,
     _digits_batch,
     _first_pass_in_chunk,
+    _level2_words,
+    _row_words,
     _screen_level2,
     _stream_base,
     _survivors,
@@ -300,6 +302,32 @@ def test_bit_screen_is_exact_on_the_whole_6_2_3_space():
     assert np.flatnonzero(mask)[0] == 7915
 
 
+# the level-2 stream against the digit table: whole spaces with T < 15, the
+# whole (6,2,3) space, exhaustive chunks across a 2^15 boundary (the table of
+# low words holds 2^15 candidates) and random chunks at every word width
+_STREAM_CASES = (
+    [(n, k, "exhaustive", 0, 0, 2 ** (n * (n - 1) // 2)) for n in range(2, 6) for k in range(1, n // 2 + 1)]
+    + [(6, 3, "exhaustive", 0, 0, 2**15)]
+    + [(n, k, "exhaustive", 0, start, 3000) for n, k in [(7, 2), (7, 3), (8, 3), (12, 4)]
+       for start in (2**15 - 7, 3 * 2**15 + 11)]
+    + [(n, k, "random", seed, start, 1500) for n, k in [(5, 2), (8, 3), (8, 4), (12, 4), (20, 5), (33, 3), (64, 2)]
+       for seed in (0, 7777) for start in (0, 2**20 + 5)]
+)
+
+
+@pytest.mark.parametrize("n,k,mode,seed,start,count", _STREAM_CASES)
+def test_level2_stream_matches_the_digit_table(n, k, mode, seed, start, count):
+    base = _stream_base(seed, n, 2, k)
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, 2, mode)
+    ref = _row_words(table, n)
+    offs, words = _level2_words(base, start, count, n, k, mode)
+    assert offs.tolist() == np.flatnonzero((np.bitwise_count(ref) >= k).all(axis=0)).tolist()
+    assert words.dtype == ref.dtype and (words == ref[:, offs]).all()
+    offs, rows = _survivors(start, count, n, 2, k, base, mode, [2])
+    assert offs.tolist() == np.flatnonzero(_screen_level2(table, n, k)).tolist()
+    assert rows.dtype == table.dtype and rows.shape == (offs.size, table.shape[0]) and (rows == table[:, offs].T).all()
+
+
 def _first_pass_reference(start, count, n, d, k, base, mode):
     """The rank screen over the whole digit table, then the certificate on each survivor."""
     table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
@@ -314,6 +342,7 @@ def _first_pass_reference(start, count, n, d, k, base, mode):
     (6, 3, "exhaustive", 0, 7000, 2000),
     (7, 2, "exhaustive", 0, 103000, 2000),
     (7, 3, "exhaustive", 0, 2**21 - 3000, 3000),
+    (7, 3, "exhaustive", 0, 3 * 2**15 - 500, 1000),
     (8, 3, "random", 0, 0, 1024),
     (8, 4, "random", 7777, 5000, 2000),
     (9, 4, "random", 3, 0, 1024),
