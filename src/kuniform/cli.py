@@ -40,7 +40,7 @@ def _budget(args) -> SearchBudget:
 
 def cmd_search(args) -> int:
     """construct-matrix writes the witness to --out; search prints it."""
-    w = search_witness(args.n, args.d, args.k, _budget(args), workers=args.workers)
+    w = search_witness(args.n, args.d, args.k, _budget(args))
     if w is None:
         kind = "no certifying matrix exists" if args.mode == "exhaustive" else "not found within budget"
         print(f"search exhausted: {kind} for n={args.n} d={args.d} k={args.k}")
@@ -70,7 +70,6 @@ def cmd_table(args) -> int:
             ns,
             max_candidates=args.budget,
             seed=args.seed,
-            workers=args.workers,
             registry_path=args.registry,
         )
     if args.porcelain:
@@ -100,11 +99,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"k={args.k} out of range for n={state.n} (need 0 <= k <= n/2)")
     print(f"state: n={state.n} d={state.d} kets={len(state)}")
     if args.k is None:
-        k = max_uniformity(state, max_ops=args.max_ops, workers=args.workers)
+        k = max_uniformity(state, max_ops=args.max_ops)
         print(f"norm: {state.norm_value()}")
         print(f"max uniform k: {k}")
         return 0
-    report = verify_uniform(state, args.k, max_ops=args.max_ops, workers=args.workers)
+    report = verify_uniform(state, args.k, max_ops=args.max_ops)
     print(f"norm: {report.norm}")
     if report.uniform:
         print(f"k={args.k}: uniform")
@@ -161,11 +160,11 @@ def cmd_construct_code(args) -> int:
     code = fileio.read_code(args.code)
     if code.r != 1:
         raise ValueError("state construction needs a prime-field code; run concat first")
-    best_k, dist, ddist = certified_k(code, workers=args.workers)
+    best_k, dist, ddist = certified_k(code)
     k = args.k if args.k is not None else best_k
     print(f"code: [{code.n}, {code.m}] over GF({code.p}), distance {dist}, dual distance {ddist}")
     try:
-        state = state_from_code(code, k, workers=args.workers)
+        state = state_from_code(code, k)
     except HypothesisError as exc:
         print(f"hypothesis fails for k={k}: {exc}")
         return 4
@@ -229,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_workers(sp):
-        text = "threads for the witness search; only search, construct-matrix and table run a pool"
-        sp.add_argument("--workers", type=_positive_int, default=1, help=text)
+        sp.add_argument("--workers", type=_positive_int, default=1, help="has no effect: every command runs on one thread")
 
     def add_search_flags(sp, with_out):
         sp.add_argument("--n", type=int, required=True)

@@ -115,7 +115,7 @@ def _rank_certificate(table, n: int, k: int, primes) -> np.ndarray:
 def check_certificate_prime(H, p: int, k: int) -> bool:
     """Rank certificate over a prime modulus: every H[A x complement] has rank k mod p."""
     if not is_prime(p):
-        raise ValueError(f"modulus {p} is composite; use check_certificate_general")
+        raise ValueError(f"modulus {p} is composite; use check_certificate, which is exact at every level")
     return check_certificate(H, p, k)
 
 

@@ -5,10 +5,9 @@ enumerates them in lexicographic order (first entry most significant).
 Random mode derives entry t of candidate i from a splitmix64 hash of
 (stream base + i*T + t), where the stream base mixes the seed with
 (n, d, k); the same (n, d, k, seed) therefore always replays the same
-candidate sequence, any candidate is addressable directly, and workers can
-split the index space freely.  The digit is the hash reduced mod d (the
-reduction bias is below 2^-60 and identical across runs).  Levels above
-2^63 are refused.
+candidate sequence and any candidate is addressable directly.  The digit
+is the hash reduced mod d (the reduction bias is below 2^-60 and identical
+across runs).  Levels above 2^63 are refused.
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
@@ -31,8 +30,7 @@ of two vectorized screens reads each chunk, chosen from (n, d) alone:
   stream; they are hashed, vertex by vertex, only for the candidates still
   alive, and a candidate drops once a complete row has degree below k.  The
   digit is splitmix64(...) & 1 as in _digits_batch, so both give the same
-  candidates.  The digit rows of the survivors are recomputed from their
-  indices.
+  candidates.
 - every other (n, d): the digit table _digits_batch, where column i holds
   the T digits of candidate i in the narrowest unsigned dtype that holds
   d - 1, read by the batched rank kernel of matrices, the exact
@@ -40,11 +38,16 @@ of two vectorized screens reads each chunk, chosen from (n, d) alone:
   kernel's int64 arithmetic is left out of it.  search_witness factors d
   once and hands the primes to every chunk.
 
-Every survivor, in index order, is rechecked with check_certificate, which
-decides a hit (and alone decides such a large prime), and a returned matrix
-passes that check again when its SymWitness is built.  A miss is only a
-proof of absence in exhaustive mode; in random mode it just means "not
-found within budget", and table scans report the two cases differently.
+Chunks are scanned in index order on the calling thread, and the scan stops
+at the first chunk with a hit.  The screens return offsets only.  Each
+survivor, in index order, and the returned witness read their matrix from
+_digits_batch, the stream the replay pins are defined on.  check_certificate
+rechecks each survivor, and SymWitness checks the witness once more.  Both
+screens are exact when every prime of d fits the kernel, so a hit rechecks
+one survivor and a miss none; a larger prime is decided by the recheck
+alone.  A miss is only a proof of absence in exhaustive mode; in random
+mode it just means "not found within budget", and table scans report the
+two cases differently.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,28 +282,25 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
     return offs, words
 
 
-def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes):
-    """Offsets of the chunk's screen survivors and their digit rows; every true passer survives."""
-    T = n * (n - 1) // 2
+def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> np.ndarray:
+    """Offsets of the chunk's screen survivors; every true passer survives."""
     if d == 2 and n <= 64:
         offs, words = _level2_words(base, start, count, n, k, mode)
-        offs = offs[_subset_screen(words, k, 2)]
-        if mode == "exhaustive":
-            return offs, digits(start + offs, 2, T).astype(np.uint8)
-        rows, first = np.empty((offs.size, T), dtype=np.uint8), _positions(base, start, offs, T, 0)
-        for lo in range(0, offs.size, step := _HASH_BLOCK // T + 1):
-            rows[lo:lo + step] = _hash_bits(first[lo:lo + step], T).T
-        return offs, rows
-    table = _digits_batch(base, start, count, T, d, mode)
-    offs = np.flatnonzero(_rank_certificate(table, n, k, primes))
-    return offs, table[:, offs].T
+        return offs[_subset_screen(words, k, 2)]
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    return np.flatnonzero(_rank_certificate(table, n, k, primes))
+
+
+def _candidate(base: int, index: int, n: int, d: int, mode: str) -> np.ndarray:
+    """The matrix of candidate index, read from the digit stream _digits_batch."""
+    return upper_triangle_to_matrix(_digits_batch(base, index, 1, n * (n - 1) // 2, d, mode)[:, 0], n, d)
 
 
 def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> int | None:
     """Index of the first certificate-passing candidate in a chunk, if any."""
-    for off, row in zip(*_survivors(start, count, n, d, k, base, mode, primes)):
-        if check_certificate(upper_triangle_to_matrix(row, n, d), d, k):
-            return start + int(off)
+    for index in (start + int(off) for off in _survivors(start, count, n, d, k, base, mode, primes)):
+        if check_certificate(_candidate(base, index, n, d, mode), d, k):
+            return index
     return None
 
 
@@ -322,8 +320,8 @@ def search_witness(
 
     Exhaustive mode requires d^(n(n-1)/2) <= max_candidates and its miss is a
     proof that no certifying matrix exists.  Random-mode misses prove
-    nothing.  The result is independent of the worker count: candidates are
-    scanned in index order and the smallest passing index wins.
+    nothing.  Chunks are scanned in index order on the calling thread and the
+    smallest passing index wins.  workers is accepted and has no effect.
     """
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -343,23 +341,12 @@ def search_witness(
         total = budget.max_candidates
     base = _stream_base(budget.seed, n, d, k)
     primes = prime_factors(d)
-
-    def scan(chunk):
-        return _first_pass_in_chunk(*chunk, n, d, k, base, budget.mode, primes)
-
-    # waves of max(1, workers) chunks, drawn lazily; the lowest hit in a wave wins
-    chunks = _chunks(total)
-    hit = None
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        while hit is None and (wave := list(itertools.islice(chunks, max(1, workers)))):
-            hit = min((r for r in run(scan, wave) if r is not None), default=None)
-    if hit is None:
-        return None
-    H = upper_triangle_to_matrix(_digits_batch(base, hit, 1, T, d, budget.mode)[:, 0], n, d)
-    return SymWitness(
-        n=n, d=d, H=H, k=k, provenance=Provenance(budget.mode, budget.seed, hit)
-    )
+    for start, count in _chunks(total):
+        hit = _first_pass_in_chunk(start, count, n, d, k, base, budget.mode, primes)
+        if hit is not None:
+            H = _candidate(base, hit, n, d, budget.mode)
+            return SymWitness(n=n, d=d, H=H, k=k, provenance=Provenance(budget.mode, budget.seed, hit))
+    return None
 
 
 @dataclass
@@ -385,7 +372,8 @@ def table_scan(
 
     Each (n, k) attempt runs exhaustively when the whole candidate space
     fits in the budget (so a miss is definitive) and with the seeded random
-    stream otherwise (a miss only means the budget ran out).
+    stream otherwise (a miss only means the budget ran out).  workers is
+    accepted and has no effect.
     """
     n_values = list(n_values)
     if min(n_values, default=2) < 2:
@@ -401,7 +389,7 @@ def table_scan(
             budget = SearchBudget(
                 max_candidates, seed, "exhaustive" if exhaustive else "random"
             )
-            w = search_witness(n, d, k, budget, workers=workers)
+            w = search_witness(n, d, k, budget)
             if w is not None:
                 best_k, witness = k, w
                 break

@@ -55,7 +55,7 @@ def test_certificate_malformed():
         check_certificate_prime([[0, 1], [0, 0]], 2, 1)  # not symmetric
     with pytest.raises(ValueError):
         check_certificate_prime([[1, 1], [1, 0]], 2, 1)  # nonzero diagonal
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"modulus 4 is composite; use check_certificate, which is exact"):
         check_certificate_prime(FLIP, 4, 1)  # composite modulus on prime path
     with pytest.raises(ValueError):
         check_certificate_prime(FLIP, 2, 2)  # k > n/2

@@ -169,13 +169,13 @@ def test_early_hit_draws_only_the_chunks_it_scans(monkeypatch, workers):
     # a budget of 10^10 is about 3*10^5 chunks; the hit at 182 lies in the first one
     real_chunks = search._chunks
 
-    def three_chunks_then_fail(total):
+    def one_chunk_then_fail(total):
         for i, chunk in enumerate(real_chunks(total)):
-            if i == 3:
+            if i == 1:
                 raise AssertionError("chunk schedule drawn past the first hit")
             yield chunk
 
-    monkeypatch.setattr(search, "_chunks", three_chunks_then_fail)
+    monkeypatch.setattr(search, "_chunks", one_chunk_then_fail)
     w = search_witness(6, 3, 3, SearchBudget(10**10, seed=9, mode="random"), workers=workers)
     assert w.provenance.index == 182
 
@@ -197,8 +197,7 @@ def _assert_screen_agrees(n, d, k, base, start, count, mode):
     """The scan's screen on a chunk against the determinant certificate mod
     each prime of d: equal at every level."""
     table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    offs, kept = _survivors(start, count, n, d, k, base, mode, modular.prime_factors(d))
-    assert (kept == table[:, offs].T).all()
+    offs = _survivors(start, count, n, d, k, base, mode, modular.prime_factors(d))
     mask = np.zeros(count, dtype=bool)
     mask[offs] = True
     mats = [upper_triangle_to_matrix(r, n, d) for r in table.T]
@@ -323,9 +322,8 @@ def test_level2_stream_matches_the_digit_table(n, k, mode, seed, start, count):
     offs, words = _level2_words(base, start, count, n, k, mode)
     assert offs.tolist() == np.flatnonzero((np.bitwise_count(ref) >= k).all(axis=0)).tolist()
     assert words.dtype == ref.dtype and (words == ref[:, offs]).all()
-    offs, rows = _survivors(start, count, n, 2, k, base, mode, [2])
+    offs = _survivors(start, count, n, 2, k, base, mode, [2])
     assert offs.tolist() == np.flatnonzero(_screen_level2(table, n, k)).tolist()
-    assert rows.dtype == table.dtype and rows.shape == (offs.size, table.shape[0]) and (rows == table[:, offs].T).all()
 
 
 def _first_pass_reference(start, count, n, d, k, base, mode):

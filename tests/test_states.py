@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform import states
+from kuniform.cli import main
 from kuniform.cyclotomic import CycInt, from_int, root_power
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
 from kuniform.matrices import all_phases, state_from_matrix, upper_triangle_to_matrix
+from kuniform.search import SearchBudget, search_witness, table_scan
 from kuniform.states import (
     PureState,
     TooLargeError,
@@ -239,7 +241,7 @@ def test_parallel_verify_stops_at_the_first_failure(monkeypatch, five_qubit):
     calls.clear()
     two = verify_uniform(w, 3, workers=2)
     assert (two.failing_subset, two.failing_pair) == (one.failing_subset, one.failing_pair)
-    assert len(calls) <= 2 * 2
+    assert len(calls) == 1
     # the 5-qubit 2-uniform state next to a qubit in |0>: the first subset
     # holding qubit 5 is (0, 5), the fifth in scan order
     padded = PureState(6, 2, {key + (0,): amp for key, amp in five_qubit.amps.items()})
@@ -247,7 +249,7 @@ def test_parallel_verify_stops_at_the_first_failure(monkeypatch, five_qubit):
         calls.clear()
         r = verify_uniform(padded, 2, workers=workers)
         assert (r.failing_subset, r.failing_pair) == ((0, 5), ((0, 0), (0, 0)))
-        assert 5 <= len(calls) <= 5 + 2 * workers - 1
+        assert len(calls) == 5
 
 
 def _base_digits(x, d, width):
@@ -469,6 +471,22 @@ def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
     for s, k, uniform in ((gram, 3, True), (five_qubit, 2, True), (flat, 3, False)):
         reports = [verify_uniform(s, k, workers=workers) for workers in (1, 2, 3, 4)]
         assert reports[0].uniform == uniform and all(r == reports[0] for r in reports)
+    assert started == []
+
+
+def test_the_search_starts_no_thread(monkeypatch, capsys):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    # a hit in the first chunk and misses that scan many chunks
+    assert search_witness(6, 3, 3, SearchBudget(10**6, seed=9), workers=3).provenance.index == 182
+    assert search_witness(8, 3, 4, SearchBudget(3 * 10**4, seed=0), workers=3) is None
+    cells = table_scan(2, range(2, 7), max_candidates=2**15, workers=2)
+    assert [cells[n].best_k for n in range(2, 7)] == [1, 1, 1, 2, 3] and cells[4].misses == [(2, "exhausted")]
+    search = ["search", "--workers", "4", "--n"]
+    assert main([*search, "6", "--d", "3", "--k", "3", "--seed", "9", "--budget", "1000000"]) == 0
+    assert main([*search, "7", "--d", "2", "--k", "3", "--mode", "exhaustive", "--budget", str(2**21)]) == 3
+    capsys.readouterr()
     assert started == []
 
 
