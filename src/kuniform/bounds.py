@@ -39,7 +39,9 @@ def np_lower_bound(n: int, k: int, p: int) -> Fraction:
 
 
 def cor3_predicate(n: int, k: int, p: int) -> bool:
-    """Integer inequality C(n,k) (p^k - 1) <= (p-1) p^(n-k)."""
+    """Integer inequality C(n,k) (p^k - 1) <= (p-1) p^(n-k), for 1 <= k and 2k <= n."""
+    if k < 1 or n - 2 * k + 1 < 1:
+        raise ValueError(f"need 1 <= k and n-k-(k-1) >= 1, got n={n} k={k}")
     return math.comb(n, k) * (p**k - 1) <= (p - 1) * p ** (n - k)
 
 
@@ -66,6 +68,8 @@ def entropy(d: int, x: float) -> float:
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    if not 0 < tol < math.inf:  # a NaN or infinite tol would end the bisection before its first step
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     flo = f(lo)
     fhi = f(hi)
     if flo == 0:
@@ -87,8 +91,8 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
 
 def lambda_existence(p: int, tol: float = 1e-9) -> float:
     """Root in (0, 1/2) of H_2(x) = (1 - 2x) log2(p)."""
-    if not 0 < tol < math.inf:  # a NaN or infinite tol would end the bisection before its first step
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if p < 2:
+        raise ValueError(f"invalid alphabet size {p}")
     log2p = math.log2(p)
     f = lambda x: entropy(2, x) - (1 - 2 * x) * log2p  # noqa: E731
     return _bisect(f, 1e-12, 0.5, tol)
@@ -96,20 +100,21 @@ def lambda_existence(p: int, tol: float = 1e-9) -> float:
 
 def lambda_selfdual(p: int, tol: float = 1e-9) -> float:
     """Inverse of the p-ary entropy at 1/2, on (0, 1 - 1/p)."""
-    if not 0 < tol < math.inf:  # a NaN or infinite tol would end the bisection before its first step
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if p < 2:
+        raise ValueError(f"invalid alphabet size {p}")
     f = lambda x: entropy(p, x) - 0.5  # noqa: E731
     return _bisect(f, 1e-12, 1 - 1 / p, tol)
 
 
 def lambda_constructive(p: int, t_max: int = 8) -> tuple[float, int]:
     """Best concatenation rate (1/2t)(1/2 - 1/(p^t - 1)) over 1 <= t <= t_max."""
-    best_val, best_t = None, None
-    for t in range(1, t_max + 1):
-        val = (0.5 - 1 / (p**t - 1)) / (2 * t)
-        if best_val is None or val > best_val:
-            best_val, best_t = val, t
-    return best_val, best_t
+    if p < 2:
+        raise ValueError(f"invalid alphabet size {p}")
+    if t_max < 1:
+        raise ValueError(f"need t_max >= 1, got {t_max}")
+    rate = lambda t: (0.5 - 1 / (p**t - 1)) / (2 * t)  # noqa: E731
+    t = max(range(1, t_max + 1), key=rate)  # the smallest t on a tie
+    return rate(t), t
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ Every enumeration (codewords, min_distance, the weight distributions of
 certified_k and state_from_code) runs through one block generator, with one
 code path for GF(p) and GF(p^r) alike, in a single thread; there is no
 thread pool, and the workers arguments are accepted but have no effect.
+min_distance reads its distance from the same weight count
+(_weight_distribution, then _min_weight) as certified_k and state_from_code.
 
 Extension-field codes enter through concatenation: a trace-orthogonal basis
 turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
@@ -132,24 +134,13 @@ def min_distance(
 ) -> int:
     """Minimum Hamming weight over nonzero codewords, by full enumeration.
 
-    The plain reference for the MacWilliams distances of certified_k and
-    state_from_code; max_codewords bounds the q^m words it enumerates.
-    Stops early only when a weight-1 codeword appears (no weight can be
-    lower).  workers is accepted and has no effect: one vectorized pass over
-    the codeword blocks measured faster than a thread pool over index
-    ranges.  Raises on the zero code, which has no nonzero codeword.
+    The enumeration-only reference for the MacWilliams distances of
+    certified_k and state_from_code: the least nonzero weight of the weight
+    count of all q^m codewords, which max_codewords bounds.  workers is
+    accepted and has no effect.  Raises ValueError on the zero code, which
+    has no nonzero codeword.
     """
-    if code.m == 0:
-        raise ValueError("the zero code has no minimum distance")
-    best = None
-    for block in _word_blocks(code, max_codewords):
-        weights = np.count_nonzero(block, axis=1)
-        if weights.any():
-            low = int(weights[weights > 0].min())
-            best = low if best is None else min(best, low)
-            if best == 1:
-                break
-    return best
+    return _min_weight(_weight_distribution(_word_blocks(code, max_codewords), code.n))
 
 
 def dual_code(code: LinearCode) -> LinearCode:

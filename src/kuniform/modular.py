@@ -5,6 +5,9 @@ argument.  One input step, reduce_mod, brings entries into [0, modulus)
 exactly, whatever their integer width (uint64 entries of 2^63 and more
 included), and refuses entries that are not integer values.
 
+Index spaces are unranked by one mixed-radix helper, digits, exact at every
+base up to 2^63 (shift and mask at a power of two, divmod at other bases).
+
 Every elimination in the package runs through one Gauss-Jordan kernel,
 row_reduce, which reduces a whole stack of matrices (..., R, C) at once and
 reports each one's rank.  It works on one contiguous (R, C, N) array, the
@@ -116,13 +119,16 @@ def digits(idx, base: int, width: int) -> np.ndarray:
 
     The package's one mixed-radix unranking: row i of
     digits(np.arange(base**width), base, width) is the i-th tuple of
-    itertools.product(range(base), repeat=width).
+    itertools.product(range(base), repeat=width).  Exact at every base up
+    to 2^63; at a power of two divmod is a shift and a mask.  The result is
+    the transpose of a C-ordered (width, len(idx)) array, one row per digit.
     """
     rest = np.array(idx, dtype=np.int64).reshape(-1)
-    out = np.empty((rest.size, width), dtype=np.int64)
+    out = np.empty((width, rest.size), dtype=np.int64)
+    pow2, shift = not base & (base - 1), int(base).bit_length() - 1
     for t in range(width - 1, -1, -1):
-        rest, out[:, t] = np.divmod(rest, base)
-    return out
+        rest, out[t] = (rest >> shift, rest & (base - 1)) if pow2 else np.divmod(rest, base)
+    return out.T
 
 
 def from_digits(rows, base: int) -> np.ndarray:
@@ -135,7 +141,7 @@ def from_digits(rows, base: int) -> np.ndarray:
     width = rows.shape[-1]
     if base**width > 1 << 63:
         raise OverflowError(f"{width} base-{base} digits do not fit in an int64 index")
-    return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return rows @ np.array([base**e for e in range(width - 1, -1, -1)], dtype=np.int64)
 
 
 _NARROW = 1 << 8  # the kernel keeps residues of the primes below this in uint8

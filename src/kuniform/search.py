@@ -32,11 +32,11 @@ of two vectorized screens reads each chunk, chosen from (n, d) alone:
   digit is splitmix64(...) & 1 as in _digits_batch, so both give the same
   candidates.
 - every other (n, d): the digit table _digits_batch, where column i holds
-  the T digits of candidate i in the narrowest unsigned dtype that holds
-  d - 1, read by the batched rank kernel of matrices, the exact
-  certificate at every level; only a prime factor of d too large for the
-  kernel's int64 arithmetic is left out of it.  search_witness factors d
-  once and hands the primes to every chunk.
+  the T digits of candidate i (in exhaustive mode modular.digits of i) in
+  the narrowest unsigned dtype that holds d - 1, read by the batched rank
+  kernel of matrices, the exact certificate at every level; only a prime
+  factor of d too large for the kernel's int64 arithmetic is left out of
+  it.  search_witness factors d once and hands the primes to every chunk.
 
 Chunks are scanned in index order on the calling thread, and the scan stops
 at the first chunk with a hit.  The screens return offsets only.  Each
@@ -106,17 +106,12 @@ def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) 
     np.min_scalar_type(d - 1): column i holds the digits of candidate start + i.
 
     Random digit t of candidate i is splitmix64((base + i*T + t) mod 2^64)
-    mod d, hashed in blocks of about _HASH_BLOCK inputs.  At a power of two a
-    digit is a shift and a mask, and h & (d - 1) = h mod d.
+    mod d, hashed in blocks of about _HASH_BLOCK inputs; at a power of two
+    h & (d - 1) = h mod d.  Exhaustive digits are modular.digits of the index.
     """
     out = np.empty((T, count), dtype=np.min_scalar_type(d - 1))
     if mode == "exhaustive":
-        idx = np.arange(start, start + count)
-        if d & (d - 1):
-            out[...] = digits(idx, d, T).T
-        else:
-            for t in range(T):
-                out[t] = (idx >> ((T - 1 - t) * (d.bit_length() - 1))) & (d - 1)
+        out[...] = digits(np.arange(start, start + count), d, T).T
         return out
     step = max(1, _HASH_BLOCK // T)
     for lo in range(0, count, step):

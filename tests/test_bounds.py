@@ -53,6 +53,10 @@ def test_np_lower_bound_range():
         np_lower_bound(3, 2, 2)
     with pytest.raises(ValueError):
         np_lower_bound(8, 2, 4)  # composite p
+    # cor3_predicate takes the same (n, k) range
+    for n, k in ((4, 0), (3, 2), (3, 5)):
+        with pytest.raises(ValueError, match="1 <= k"):
+            cor3_predicate(n, k, 2)
 
 
 def test_cor3_examples():
@@ -124,6 +128,13 @@ def test_lambda_tolerance_must_be_finite_and_positive(tol):
         bound_report(2, tol=tol)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_lambda_rates_refuse_alphabets_below_two(p):
+    for fn in (lambda_existence, lambda_selfdual, lambda_constructive):
+        with pytest.raises(ValueError, match="invalid alphabet size"):
+            fn(p)
+
+
 def test_lambda_constructive_table():
     for p, (want, want_t) in CONSTRUCTIVE.items():
         val, t = lambda_constructive(p)
@@ -132,6 +143,9 @@ def test_lambda_constructive_table():
         # brute maximization oracle over the same t range
         best = max((0.5 - 1 / (p**s - 1)) / (2 * s) for s in range(1, 9))
         assert val == pytest.approx(best)
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max >= 1"):
+            lambda_constructive(2, t_max=t_max)
 
 
 def test_bound_ordering():

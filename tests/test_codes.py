@@ -305,6 +305,8 @@ def test_macwilliams_matches_enumerated_dual(code):
     assert _macwilliams(weights, code.field.q, code.m) == enumerated
     dist, ddist = min_distance(code), min_distance(dual)
     assert certified_k(code) == (min(dist, ddist) - 1, dist, ddist)
+    for side, got in ((code, dist), (dual, ddist)):  # the brute-force minimum, word by word
+        assert got == min(np.count_nonzero(w) for w in codewords(side) if w.any())
 
 
 def test_macwilliams_long_repetition_code_is_fast():

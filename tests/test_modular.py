@@ -15,6 +15,8 @@ from kuniform.modular import (
     _barrett,
     count_linear_solutions,
     det_mod_d,
+    digits,
+    from_digits,
     invertible_mod_d,
     is_prime,
     null_space_mod_p,
@@ -89,6 +91,26 @@ def test_prime_factors_split_two_large_primes():
             assert prime_factors(n) == sorted(sympy.factorint(n)), n
     assert prime_factors((2**31 - 1) ** 2) == [2**31 - 1]
     assert prime_factors(2147483647 * 2147483659) == [2147483647, 2147483659]
+
+
+def test_digits_match_integer_divmod():
+    # powers of two take digits by shift and mask, other bases by divmod; both
+    # against Python integers, with widths past the 63 index bits
+    rng = random.Random(11)
+    top = 2**63 - 1
+    for base in [2**b for b in range(1, 64)] + [3, 5, 6, 9, 10, 257, 2**32 + 15]:
+        idx = {0, 1, base - 1, top} | {rng.randrange(top) for _ in range(6)}
+        if base < 2**63:
+            idx.add(base)
+        idx = sorted(idx)
+        full = next(w for w in itertools.count(1) if base**w > top)
+        for width in (1, 2, full, full + 1):
+            got = digits(np.array(idx, dtype=np.int64), base, width)
+            want = [[i // base ** (width - 1 - t) % base for t in range(width)] for i in idx]
+            assert got.shape == (len(idx), width) and got.tolist() == want, (base, width)
+            if base**width <= 2**63:
+                small = [i for i in idx if i < base**width]
+                assert from_digits(digits(small, base, width), base).tolist() == small, (base, width)
 
 
 def test_rank_examples():
