@@ -39,7 +39,9 @@ def np_lower_bound(n: int, k: int, p: int) -> Fraction:
 
 
 def cor3_predicate(n: int, k: int, p: int) -> bool:
-    """Integer inequality C(n,k) (p^k - 1) <= (p-1) p^(n-k), for 1 <= k and 2k <= n."""
+    """Integer inequality C(n,k) (p^k - 1) <= (p-1) p^(n-k), for 1 <= k, 2k <= n and p >= 2."""
+    if p < 2:
+        raise ValueError(f"invalid alphabet size {p}")
     if k < 1 or n - 2 * k + 1 < 1:
         raise ValueError(f"need 1 <= k and n-k-(k-1) >= 1, got n={n} k={k}")
     return math.comb(n, k) * (p**k - 1) <= (p - 1) * p ** (n - k)

@@ -16,16 +16,10 @@ min_distance reads its distance from the same weight count
 (_weight_distribution, then _min_weight) as certified_k and state_from_code.
 
 Extension-field codes enter through concatenation: a trace-orthogonal basis
-turns each GF(p^r) symbol into r p-ary symbols (plain expansion for the
-code, weight-scaled expansion for its dual), and the two expansions are dual
-to each other over F_p.
-
-Field arithmetic on code entries belongs to GF (pow_array for
-reed_solomon, the kernel's array forms for eliminations).  A GF(p^r)
-generator becomes F_p rows in one place, _fp_image: the base-p digits of
-each row times r field elements.  With the powers x^(r-1), ..., 1 every
-codeword is a message's base-p digits times that image; expand_code uses
-the trace-orthogonal basis instead.
+b_t turns each GF(p^r) symbol x into r p-ary symbols, read by trace with no
+change-of-basis matrix: its coordinates Tr(x b_t) / Tr(b_t^2) for the code,
+the weighted Tr(x b_t) for its dual; the two expansions are dual over F_p.
+Field arithmetic on code entries belongs to GF.
 """
 
 from __future__ import annotations
@@ -94,12 +88,6 @@ class LinearCode:
         return f"LinearCode([{self.n}, {self.m}] over {self.field})"
 
 
-def _fp_image(field: GF, generator: np.ndarray, elems) -> np.ndarray:
-    """Base-p digits of elems[t] * generator[i, j], shape (m, r, n, r): row (i, t), symbol j's digits."""
-    products = field.mul_array(np.asarray(elems)[:, None], generator[:, None, :])
-    return digits(products, field.p, field.r).reshape(*products.shape, field.r)
-
-
 def _word_blocks(code: LinearCode, max_codewords: int):
     """All q^m codewords as int64 blocks of rows, first message symbol most significant.
 
@@ -116,7 +104,8 @@ def _word_blocks(code: LinearCode, max_codewords: int):
             estimate=total,
             ceiling=max_codewords,
         )
-    image = _fp_image(f, code.generator, f.p ** np.arange(f.r - 1, -1, -1)).reshape(m * f.r, n * f.r)
+    products = f.mul_array(f.p ** np.arange(f.r - 1, -1, -1)[:, None], code.generator[:, None, :])
+    image = digits(products, f.p, f.r).reshape(m * f.r, n * f.r)
     chunk = max(1, (1 << 18) // max(1, n * f.r))  # bounds each block's memory
     for s in range(0, total, chunk):
         words = digits(np.arange(s, min(s + chunk, total)), f.p, m * f.r) @ image % f.p
@@ -179,27 +168,25 @@ def puncture_last(code: LinearCode) -> LinearCode:
 def expand_code(code: LinearCode, basis: TraceOrthBasis, which: str = "primal") -> LinearCode:
     """Rewrite a GF(p^r) code as a p-ary [rn, rm] code via the basis.
 
-    which="primal" writes each symbol's coordinate vector (b_1, ..., b_r)
-    over the basis; which="dual" scales coordinate i by the basis weight
-    Tr(basis_i^2).  The dual-weighted expansion of the dual code is the
-    F_p-dual of the plain expansion of the code.
+    Row (i, a) is b_a g_i, symbol by symbol.  Over a trace-orthogonal basis
+    x = sum_t c_t b_t has Tr(x b_t) = c_t w_t, w_t = Tr(b_t^2), so "primal"
+    writes c_t = Tr(x b_t) w_t^-1 mod p and "dual" writes Tr(x b_t).  The
+    dual expansion of the dual code is the F_p-dual of the primal expansion
+    of the code.  Raises ValueError unless basis.verify(), as the identity
+    needs the basis to be trace-orthogonal.
     """
     f = code.field
     if basis.field != f:
         raise ValueError(f"basis is over {basis.field}, code over {f}")
     if which not in ("primal", "dual"):
         raise ValueError(f"unknown expansion {which!r}")
-    p, r = f.p, f.r
-    # change of basis: digit rows -> basis coordinates
-    bmat = digits(basis.basis, p, r).T
-    red, _ = row_reduce(np.concatenate([bmat, np.eye(r, dtype=np.int64)], axis=1), p)
-    if (red[:, :r] != np.eye(r)).any():
-        raise ValueError("basis is not a basis: its coordinate matrix is singular mod p")
-    binv = red[:, r:]
-    # row (i, a) is alpha_a times generator row i; symbol j becomes coordinates (j, 0..r-1)
-    coords = _fp_image(f, code.generator, basis.basis) @ binv.T % p
-    if which == "dual":
-        coords = coords * np.array(basis.weights) % p
+    if not basis.verify():
+        raise ValueError(f"{basis.basis} with weights {basis.weights} is not a trace-orthogonal basis of {f}")
+    p, r, b = f.p, f.r, np.array(basis.basis, dtype=np.int64)
+    rows = f.mul_array(b[:, None], code.generator[:, None, :])  # (m, r, n): b_a g_i
+    coords = f.trace_array(f.mul_array(rows[..., None], b))  # (m, r, n, r): Tr(x b_t)
+    if which == "primal":
+        coords = coords * np.array([pow(int(w), -1, p) for w in basis.weights]) % p
     return LinearCode(get_field(p), coords.reshape(r * code.m, r * code.n))
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, row_reduce
+from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, rref_mod_p
 
 _MAX_FIELD = 1 << 20
 _BLOCK = 1 << 15  # elements per vectorized step of the table builds
@@ -261,13 +261,17 @@ class TraceOrthBasis:
     weights: tuple[int, ...]
 
     def verify(self) -> bool:
+        """Whether r field elements in [0, q) have the trace Gram matrix diag(weights), weights nonzero.
+
+        That alone makes them independent over F_p, so no rank is taken:
+        sum_i c_i b_i = 0 gives c_t w_t = Tr(b_t sum_i c_i b_i) = 0, so c_t = 0.
+        """
         f = self.field
         basis = np.array(self.basis, dtype=np.int64)
-        if basis.shape != (f.r,) or rank_mod_p(digits(basis, f.p, f.r), f.p) != f.r:
+        if basis.shape != (f.r,) or ((basis < 0) | (basis >= f.q)).any():
             return False
         gram = _trace_form(f, basis[:, None], basis)
-        weights = np.diag(gram)
-        return bool(weights.all() and (weights == self.weights).all() and (gram == np.diag(weights)).all())
+        return bool(np.all(self.weights) and np.array_equal(gram, np.diag(self.weights)))
 
 
 def _trace_form(field: GF, a, b) -> np.ndarray:
@@ -295,36 +299,30 @@ def find_trace_orthogonal_basis(p: int, r: int, seed: int = 0, max_restarts: int
 
 def _orthogonalize_odd(field: GF) -> TraceOrthBasis:
     """Gram-Schmidt for Tr(xy), starting from the polynomial basis 1, x, x^2, ..."""
-    f, p, r = field, field.p, field.r
-    vecs = p ** np.arange(r, dtype=np.int64)
+    f, p = field, field.p
+    vecs = p ** np.arange(f.r, dtype=np.int64)
     chosen = []
     while vecs.size:
         norms = _trace_form(f, vecs, vecs)
         if norms.any():
-            v = vecs[(norms != 0).argmax()]
+            drop = int((norms != 0).argmax())
+            v = vecs[drop]
         else:
             # nondegeneracy guarantees some pair sum works in odd characteristic
             sums = f.add_array(vecs[:, None], vecs)
             ok = np.triu(_trace_form(f, sums, sums) != 0, 1)
             if not ok.any():
                 raise RuntimeError("orthogonalization stalled; form degenerate?")
-            v = sums.flat[ok.argmax()]
+            a, drop = divmod(int(ok.argmax()), vecs.size)
+            v = sums[a, drop]
         chosen.append(int(v))
         # c lies in F_p, so it is also the field element c
         c = _trace_form(f, vecs, v) * pow(int(_trace_form(f, v, v)), -1, p) % p
-        projected = f.sub_array(vecs, f.mul_array(c, v))
-        projected = projected[projected != 0]
-        # keep the elements that are independent of the elements before them
-        vecs = projected[_independent_prefix(digits(projected, p, r), p)][: r - len(chosen)]
-    weights = tuple(_trace_form(f, chosen, chosen).tolist())
-    return TraceOrthBasis(f, tuple(chosen), weights)
-
-
-def _independent_prefix(rows: np.ndarray, p: int) -> np.ndarray:
-    """Indices of the rows that raise the rank of the rows before them over F_p."""
-    k = len(rows)
-    prefixes = np.where(np.tri(k, dtype=bool)[:, :, None], rows, 0)
-    return np.flatnonzero(np.diff(rank_mod_p(prefixes, p), prepend=0))
+        # vecs spans the complement of chosen, and the projection kills only v:
+        # v = vecs[drop] goes to zero, or, for v = vecs[a] + vecs[drop], a < drop,
+        # vecs[drop] goes to minus the image of vecs[a]; the rest stay independent
+        vecs = np.delete(f.sub_array(vecs, f.mul_array(c, v)), drop)
+    return TraceOrthBasis(f, tuple(chosen), tuple(_trace_form(f, chosen, chosen).tolist()))
 
 
 def _random_basis_char2(field: GF, seed: int, max_restarts: int) -> TraceOrthBasis:
@@ -359,8 +357,8 @@ def _random_basis_char2(field: GF, seed: int, max_restarts: int) -> TraceOrthBas
 
 def rref_over_field(field: GF, mat) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over an arbitrary GF, with pivot columns."""
-    red, rank = row_reduce(np.atleast_2d(mat), field.p, field)
-    return red.tolist(), (red[:rank] != 0).argmax(axis=1).tolist()
+    red, pivots = rref_mod_p(mat, field.p, field)
+    return red.tolist(), pivots.tolist()
 
 
 def null_space_over_field(field: GF, mat) -> list[list[int]]:

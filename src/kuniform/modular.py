@@ -19,8 +19,8 @@ with products reduced by a Barrett shift-multiply proved exact below p^2
 which products of residues could wrap and OverflowError is raised; and
 over GF(p^r), r > 1, the field's int64 encodings and its array forms
 (mul_array, sub_array, inv_array) -- this module holds no extension-field
-arithmetic and does not import fields.  rank_mod_p, null_space_mod_p and
-the field-level row reduction and null space are thin layers over it.
+arithmetic and does not import fields.  rank_mod_p, rref_mod_p,
+null_space_mod_p and their field-level forms are thin layers over it.
 
 Over composite moduli the one determinant, det_mod_d, uses fraction-free
 (Bareiss) elimination on integer lifts -- Z_d has zero divisors, so modular
@@ -336,11 +336,20 @@ def rank_mod_p(mat, p: int):
     return int(rank) if m.ndim <= 2 else rank
 
 
+def rref_mod_p(mat, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
+    """One matrix's reduced row echelon form, as row_reduce, and its pivot columns.
+
+    A nonzero row's pivot is its count of leading zeros, which, unlike an
+    argmax, is defined when the matrix has no columns and so no pivots.
+    """
+    red, rank = row_reduce(np.atleast_2d(_read(mat)), p, field)
+    return red, (~np.logical_or.accumulate(red[:rank] != 0, axis=1)).sum(axis=1)
+
+
 def null_space_mod_p(mat, p: int, field=None) -> np.ndarray:
     """Basis rows of the right null space {x : mat @ x = 0}, over GF(p) or GF(p^r) as in row_reduce."""
-    red, rank = row_reduce(np.atleast_2d(_read(mat)), p, field)
-    red = red[:rank]
-    pivots = (red != 0).argmax(axis=1)
+    red, pivots = rref_mod_p(mat, p, field)
+    red = red[: pivots.size]
     free = np.setdiff1d(np.arange(red.shape[1]), pivots)
     basis = np.zeros((free.size, red.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
@@ -353,14 +362,16 @@ def det_mod_d(mat, d: int) -> int:
     """Determinant of the integer lift mod d, by Bareiss elimination.
 
     Division-free with exact intermediate divisions, so valid for any modulus
-    d >= 2.  Returns a value in [0, d).
+    d >= 2; a modulus below 2 raises ValueError.  Returns a value in [0, d).
     """
+    if d < 2:
+        raise ValueError(f"invalid modulus {d}")
     a = [[_as_int(x) % d for x in row] for row in np.atleast_2d(_read(mat)).tolist()]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
-        return 1 % d
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -379,7 +390,7 @@ def det_mod_d(mat, d: int) -> int:
 
 
 def invertible_mod_d(mat, d: int) -> bool:
-    """True iff mat is invertible over Z_d, i.e. gcd(det, d) = 1."""
+    """True iff mat is invertible over Z_d, i.e. gcd(det, d) = 1; d must be at least 2."""
     return gcd(det_mod_d(mat, d), d) == 1
 
 

@@ -135,6 +135,12 @@ def test_lambda_rates_refuse_alphabets_below_two(p):
             fn(p)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_cor3_refuses_alphabets_below_two(p):
+    with pytest.raises(ValueError, match="invalid alphabet size"):
+        cor3_predicate(6, 2, p)
+
+
 def test_lambda_constructive_table():
     for p, (want, want_t) in CONSTRUCTIVE.items():
         val, t = lambda_constructive(p)

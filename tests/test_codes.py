@@ -24,9 +24,10 @@ from kuniform.codes import (
     shorten_last,
     state_from_code,
 )
-from kuniform.fields import find_trace_orthogonal_basis, get_field
+from kuniform.fields import TraceOrthBasis, find_trace_orthogonal_basis, get_field
 from kuniform.fileio import read_code
 from kuniform.fixtures import fixture_path
+from kuniform.modular import digits, row_reduce
 from kuniform.states import TooLargeError, verify_uniform
 
 F2 = get_field(2)
@@ -144,6 +145,65 @@ def test_shorten_dual_equals_punctured_dual():
         rhs = puncture_last(dual_code(c))
         assert same_code(lhs, rhs), (p, n, c.generator.tolist())
         checked += 1
+
+
+def test_puncture_a_length_one_code():
+    # the last coordinate is the only one: puncturing leaves no columns, as shortening does
+    rs = reed_solomon(F5, 1, 1)
+    for op in (puncture_last, shorten_last):
+        out = op(rs)
+        assert (out.n, out.m) == (0, 0)
+
+
+def _trace_orthogonal_bases(field):
+    """Every unordered trace-orthogonal basis, by brute force over r-subsets of nonzero elements."""
+    t = field.trace
+    heavy = [a for a in range(1, field.q) if t(field.mul(a, a))]
+    return [
+        s
+        for s in itertools.combinations(heavy, field.r)
+        if all(t(field.mul(a, b)) == 0 for a, b in itertools.combinations(s, 2))
+    ]
+
+
+def _expansion_by_inverse_matrix(code, basis, which):
+    """Digit rows of b_a g_i times the inverse basis matrix mod p, times the weights for "dual"."""
+    f, p, r = code.field, code.p, code.r
+    bmat = digits(np.array(basis.basis), p, r).T
+    red, rank = row_reduce(np.concatenate([bmat, np.eye(r, dtype=np.int64)], axis=1), p)
+    assert rank == r and (red[:, :r] == np.eye(r)).all()
+    products = [[[f.mul(b, int(x)) for x in row] for b in basis.basis] for row in code.generator]
+    coords = digits(np.array(products, dtype=np.int64), p, r) @ red[:, r:].T % p
+    if which == "dual":
+        coords = coords * np.array(basis.weights) % p
+    return coords.reshape(r * code.m, r * code.n)
+
+
+@pytest.mark.parametrize("p,r,count", [(2, 2, 1), (2, 3, 1), (3, 2, 4), (2, 4, 2), (5, 2, 48), (3, 3, 32)])
+def test_expansion_over_every_trace_orthogonal_basis_matches_the_inverse_matrix(p, r, count):
+    field = get_field(p, r)
+    bases = _trace_orthogonal_bases(field)
+    assert len(bases) == count
+    rs = reed_solomon(field, min(field.q, 5), 2)
+    dual = dual_code(rs)
+    for elems in bases:
+        for order in (elems, elems[::-1]):
+            weights = tuple(field.trace(field.mul(a, a)) for a in order)
+            basis = TraceOrthBasis(field, order, weights)
+            assert basis.verify()
+            primal = expand_code(rs, basis, "primal")
+            assert (primal.generator == _expansion_by_inverse_matrix(rs, basis, "primal")).all()
+            dualw = expand_code(dual, basis, "dual")
+            assert (dualw.generator == _expansion_by_inverse_matrix(dual, basis, "dual")).all()
+            assert not (primal.generator @ dualw.generator.T % p).any(), order
+
+
+def test_expand_code_refuses_a_basis_that_is_not_trace_orthogonal():
+    f8 = get_field(2, 3)
+    basis = TraceOrthBasis(f8, (1, 3, 5), (1, 1, 1))
+    assert not basis.verify()
+    with pytest.raises(ValueError, match="not a trace-orthogonal basis"):
+        expand_code(reed_solomon(f8, 4, 2), basis, "dual")
 
 
 def test_expand_repetition_gf4():

@@ -5,7 +5,8 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem, gf_sub
 
-from kuniform.fields import GF, find_trace_orthogonal_basis, get_field
+from kuniform.codes import expand_code, reed_solomon
+from kuniform.fields import GF, TraceOrthBasis, find_trace_orthogonal_basis, get_field
 from kuniform.modular import is_prime
 
 
@@ -117,6 +118,32 @@ def test_trace_orthogonal_verified(p, r):
         for j in range(r):
             if i != j:
                 assert f.trace(f.mul(b.basis[i], b.basis[j])) == 0
+
+
+@pytest.mark.parametrize(
+    "p,r,basis,weights",
+    [
+        (3, 4, (1, 9, 30, 33), (1, 1, 2, 1)),
+        (7, 3, (1, 56, 175), (3, 2, 3)),
+        (5, 4, (1, 25, 130, 265), (4, 2, 4, 4)),
+        (13, 3, (1, 182, 1105), (3, 1, 3)),
+    ],
+)
+def test_trace_orthogonal_golden_through_pair_sums(p, r, basis, weights):
+    # in these fields the odd-p Gram-Schmidt meets only isotropic candidates
+    # at some step and takes a pair sum as its next element
+    b = find_trace_orthogonal_basis(p, r)
+    assert (b.basis, b.weights) == (basis, weights)
+
+
+@pytest.mark.parametrize("bad", [9, 10, 100, -1, -9])
+def test_trace_orthogonal_verify_refuses_non_elements(bad):
+    f9 = get_field(3, 2)
+    good = find_trace_orthogonal_basis(3, 2)
+    basis = TraceOrthBasis(f9, (good.basis[0], bad), good.weights)
+    assert not basis.verify()
+    with pytest.raises(ValueError, match="not a trace-orthogonal basis"):
+        expand_code(reed_solomon(f9, 4, 2), basis)
 
 
 def test_trace_orthogonal_deterministic():

@@ -147,6 +147,9 @@ def test_det_examples():
     assert det_mod_d([[1, 2], [3, 4]], 6) == 4
     with pytest.raises(ValueError):
         det_mod_d([[1, 2, 3], [4, 5, 6]], 5)
+    for mat, d in (([[1]], 0), ([[2]], -3), ([[1]], 1)):  # moduli below 2
+        with pytest.raises(ValueError, match="invalid modulus"):
+            det_mod_d(mat, d)
 
 
 def test_det_matches_permanent_style_expansion():
@@ -174,6 +177,8 @@ def test_invertible_examples():
     assert invertible_mod_d([[0, 1], [1, 0]], 6)
     assert not invertible_mod_d([[2, 1], [1, 2]], 3)
     assert not invertible_mod_d([[3, 1], [1, 3]], 6)
+    with pytest.raises(ValueError, match="invalid modulus"):
+        invertible_mod_d([[0]], 1)
 
 
 def test_invertible_matches_exhaustive_inverse_search():
@@ -228,6 +233,15 @@ def test_null_space_examples():
     # up to scaling: must be a multiple of (2, 2, 1)
     v = basis[0]
     assert ((2 * v[2]) % 3, (2 * v[2]) % 3, v[2] % 3) == (v[0], v[1], v[2])
+
+
+def test_matrices_with_no_columns():
+    f9 = get_field(3, 2)
+    for rows in (1, 3):
+        empty = np.zeros((rows, 0), dtype=np.int64)
+        assert null_space_mod_p(empty, 5).shape == (0, 0)
+        assert null_space_over_field(f9, empty) == []
+        assert rref_over_field(f9, empty) == ([[]] * rows, [])
 
 
 def test_null_space_property():
