@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GF, TraceOrthBasis, get_field, null_space_over_field, rref_over_field
-from .modular import digits, from_digits, row_reduce
+from .modular import digits, from_digits, read_ints, row_reduce
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_CODEWORDS = 2**24
@@ -53,12 +53,12 @@ class LinearCode:
     generator: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.generator, dtype=np.int64))
+        g = np.atleast_2d(read_ints(self.generator))
         if g.size == 0:
             g = g.reshape(0, g.shape[1] if g.ndim == 2 and g.shape[1] else 0)
         if ((g < 0) | (g >= self.field.q)).any():
             raise ValueError("generator entries must be field elements")
-        self.generator = g
+        self.generator = g = g.astype(np.int64, copy=False)
         if g.shape[0]:
             _, pivots = rref_over_field(self.field, g)
             if len(pivots) != g.shape[0]:

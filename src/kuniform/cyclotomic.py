@@ -8,11 +8,14 @@ zero iff the polynomial sum(coeffs[j] * x^j) is divisible by the d-th
 cyclotomic polynomial over the integers.
 
 Coefficients are plain Python ints, so no overflow is possible anywhere in
-this module.  All values are immutable and safe to share between threads.
+this module: a CycInt converts its coefficients with operator.index when it
+is built, so numpy integers become Python ints and floats and strings raise
+ValueError.  All values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,6 +109,11 @@ class CycInt:
             raise ValueError(
                 f"need {self.level} coefficients, got {len(self.coeffs)}"
             )
+        try:
+            coeffs = tuple(map(operator.index, self.coeffs))
+        except TypeError as err:
+            raise ValueError(f"coefficients {self.coeffs!r} are not all integers") from err
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check(self, other: CycInt):
         if self.level != other.level:
@@ -134,6 +142,7 @@ class CycInt:
         return CycInt(self.level, tuple(-a for a in self.coeffs))
 
     def scale(self, c: int) -> CycInt:
+        c = operator.index(c)  # a numpy int would wrap in the products below
         return CycInt(self.level, tuple(c * a for a in self.coeffs))
 
     def conjugate(self) -> CycInt:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, rref_mod_p
+from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, read_ints, rref_mod_p
 
 _MAX_FIELD = 1 << 20
 _BLOCK = 1 << 15  # elements per vectorized step of the table builds
@@ -188,7 +188,7 @@ class GF:
 
     def from_coeffs(self, coeffs) -> int:
         """Inverse of coeffs_of: at most r coefficients in 0..p-1, lowest power first."""
-        coeffs = [int(c) for c in coeffs]
+        coeffs = read_ints(coeffs).tolist()
         if len(coeffs) > self.r or not all(0 <= c < self.p for c in coeffs):
             raise ValueError(f"{coeffs} are not the coefficients of an element of {self}")
         return int(from_digits(np.array(coeffs[::-1], dtype=np.int64), self.p))
@@ -261,15 +261,19 @@ class TraceOrthBasis:
     weights: tuple[int, ...]
 
     def verify(self) -> bool:
-        """Whether r field elements in [0, q) have the trace Gram matrix diag(weights), weights nonzero.
+        """Whether r field elements (integer values in [0, q)) have the trace Gram matrix diag(weights), weights nonzero.
 
         That alone makes them independent over F_p, so no rank is taken:
         sum_i c_i b_i = 0 gives c_t w_t = Tr(b_t sum_i c_i b_i) = 0, so c_t = 0.
         """
         f = self.field
-        basis = np.array(self.basis, dtype=np.int64)
+        try:
+            basis = read_ints(self.basis)
+        except ValueError:
+            return False
         if basis.shape != (f.r,) or ((basis < 0) | (basis >= f.q)).any():
             return False
+        basis = basis.astype(np.int64)
         gram = _trace_form(f, basis[:, None], basis)
         return bool(np.all(self.weights) and np.array_equal(gram, np.diag(self.weights)))
 

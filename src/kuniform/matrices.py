@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import digits, fits_kernel, invertible_mod_d, is_prime, prime_factors, rank_mod_p, reduce_mod
+from .modular import digits, fits_kernel, invertible_mod_d, is_prime, prime_factors, rank_mod_p, read_ints, reduce_mod
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
@@ -69,7 +69,7 @@ def _validated(H, d: int) -> np.ndarray:
 def quadratic_phase(H, c, d: int) -> int:
     """The exponent c Ht c^T mod d, i.e. sum of H[i][j] c_i c_j over i < j."""
     m = _validated(H, d)
-    c = [int(x) for x in c]
+    c = read_ints(c).tolist()
     n = m.shape[0]
     if len(c) != n:
         raise ValueError(f"string length {len(c)} != matrix size {n}")
@@ -199,7 +199,7 @@ def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:
 
 def all_phases(H, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All d^n basis strings (rows) and their quadratic phases, vectorized."""
-    m = np.asarray(H, dtype=np.int64) % d
+    m = reduce_mod(H, d)
     strings = digits(np.arange(d**n), d, n)
     phases = np.zeros(d**n, dtype=np.int64)
     for i in range(n):

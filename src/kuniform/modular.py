@@ -1,9 +1,11 @@
 """Exact linear algebra over Z_d, prime fields F_p and GF(p^r).
 
 Matrices are plain numpy arrays together with an explicit modulus
-argument.  One input step, reduce_mod, brings entries into [0, modulus)
-exactly, whatever their integer width (uint64 entries of 2^63 and more
-included), and refuses entries that are not integer values.
+argument.  One input step, read_ints, reads entries as exact integers and
+refuses entries that are not integer values; the public entry points read
+their integer input through it.  reduce_mod, built on it, brings entries into
+[0, modulus) exactly, whatever their integer width (uint64 entries of 2^63
+and more included).
 
 Index spaces are unranked by one mixed-radix helper, digits, exact at every
 base up to 2^63 (shift and mask at a power of two, divmod at other bases).
@@ -166,6 +168,22 @@ def _read(a) -> np.ndarray:
     return arr
 
 
+def read_ints(a) -> np.ndarray:
+    """The entries of a as exact integer values, without reducing them.
+
+    An integer array is returned as it is and bool reads as uint8, so
+    neither costs any per-entry work.  Anything else is read entry by entry
+    into an object array of Python ints: an integer value such as 2.0 is
+    accepted, and an entry that is not one (1.5, nan, "3") raises ValueError.
+    """
+    a = _read(a)
+    if a.dtype.kind == "b":
+        return a.view(np.uint8)
+    if a.dtype.kind in "iu":
+        return a
+    return np.array([_as_int(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
+
+
 def reduce_mod(a, q: int, dtype=np.int64) -> np.ndarray:
     """The entries of a reduced exactly into [0, q), as an array of dtype.
 
@@ -179,11 +197,9 @@ def reduce_mod(a, q: int, dtype=np.int64) -> np.ndarray:
     """
     if q - 1 > np.iinfo(dtype).max:
         raise OverflowError(f"residues mod {q} do not fit in {np.dtype(dtype)}")
-    a = _read(a)
-    if a.dtype.kind == "b":
-        a = a.view(np.uint8)
-    elif a.dtype.kind not in "iu":  # floats and objects: exact, one entry at a time
-        return np.array([_as_int(x) % q for x in a.ravel().tolist()], dtype=dtype).reshape(a.shape)
+    a = read_ints(a)
+    if a.dtype == object:
+        return np.array([x % q for x in a.ravel().tolist()], dtype=dtype).reshape(a.shape)
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
     if lo < 0:
         a = a.astype(np.int64) % q
@@ -366,7 +382,7 @@ def det_mod_d(mat, d: int) -> int:
     """
     if d < 2:
         raise ValueError(f"invalid modulus {d}")
-    a = [[_as_int(x) % d for x in row] for row in np.atleast_2d(_read(mat)).tolist()]
+    a = [[x % d for x in row] for row in np.atleast_2d(read_ints(mat)).tolist()]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
@@ -400,7 +416,7 @@ def count_linear_solutions(coeffs, d: int, target: int = 0) -> int:
     Closed form: with e = gcd of all coefficients and d, the count is
     e * d^(m-1) when e divides target and 0 otherwise.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = read_ints(coeffs).tolist()
     if not coeffs:
         raise ValueError("need at least one coefficient")
     if d < 2:

@@ -23,9 +23,8 @@ some |sigma_s(x)| >= 1, and sigma_(d-s) is the complex conjugate of
 sigma_s.  One dense float64 Gram matrix per unit s <= d/2 therefore
 decides every entry exactly once the rounding error is below 1/2, which
 _gram_exact proves for inner lengths d^(n-k) <= 2^24.  Each is formed from
-real BLAS products of at most 2^18 multiply-adds, which OpenBLAS keeps on
-the calling thread, so the check's time does not swing with the load on
-other cores.
+plain real BLAS products, which OpenBLAS may split over its own threads;
+the bound holds in any summation order.
 
 The histogram check serves every other state.  Once per verify_uniform
 call each ket is expanded into its nonzero cyclotomic terms c zeta^j (its
@@ -71,18 +70,13 @@ from math import comb
 import numpy as np
 
 from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
-from .modular import digits, from_digits
+from .modular import digits, from_digits, read_ints, reduce_mod
 
 DEFAULT_MAX_OPS = 10**9
 # Memory ceiling on the histogram check's tables.
 MAX_HISTOGRAM_BYTES = 2 * 2**30
 # Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact).
 _GRAM_MAX_INNER = 2**24
-# Multiply-adds per BLAS call in the Gram check.  OpenBLAS, the BLAS numpy
-# ships, runs a dgemm of at most 65536 x 4 of them on the calling thread;
-# larger ones it splits over its own threads, whose timing then swings with
-# the load on the other cores and which keep spinning after the call.
-_BLAS_CALL_MACS = 2**18
 
 
 class TooLargeError(RuntimeError):
@@ -113,12 +107,12 @@ class PureState:
     """
 
     def __init__(self, n: int, d: int, amplitudes: dict):
-        self._assign(n, d, np.array(list(amplitudes), dtype=np.int64), values=amplitudes.values())
+        self._assign(n, d, list(amplitudes), values=amplitudes.values())
 
     @classmethod
     def from_phases(cls, n: int, d: int, phases: dict) -> PureState:
         """State whose amplitudes are the roots zeta_d^e for e in phases."""
-        return cls._from_arrays(n, d, np.array(list(phases), dtype=np.int64), exponents=list(phases.values()))
+        return cls._from_arrays(n, d, list(phases), exponents=list(phases.values()))
 
     @classmethod
     def _from_arrays(cls, n, d, keys, exponents=None, values=None) -> PureState:
@@ -130,7 +124,7 @@ class PureState:
         """Validate and store: exactly one of exponents and values is given, aligned with keys."""
         if n < 1 or not 2 <= d <= 1 << 62:  # digits and packed words are int64
             raise ValueError(f"invalid shape n={n} d={d}")
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = read_ints(keys)
         if keys.size == 0:
             keys = keys.reshape(0, n)
         if keys.ndim != 2 or keys.shape[1] != n:
@@ -138,6 +132,7 @@ class PureState:
         outside = ((keys < 0) | (keys >= d)).any(axis=1)
         if outside.any():
             raise ValueError(f"basis string {tuple(keys[outside][0].tolist())} not in Z_{d}^{n}")
+        keys = keys.astype(np.int64, copy=False)
         if values is not None:
             values = tuple(values)
             for amp in values:
@@ -159,7 +154,7 @@ class PureState:
             raise ValueError(f"basis string {tuple(keys[1:][twice][0].tolist())} occurs twice")
         self.n, self.d, self.keys = n, d, keys
         self.keys.setflags(write=False)
-        self.exponents = None if exponents is None else (np.asarray(exponents) % d).astype(np.int64)[order]
+        self.exponents = None if exponents is None else reduce_mod(exponents, d)[order]
         self.values = None if values is None else tuple(values[i] for i in order.tolist())
 
     def _amplitudes(self):
@@ -197,15 +192,16 @@ class PureState:
 
     def relabel(self, perm) -> PureState:
         """Permute qudit positions: new position i holds old position perm[i]."""
-        perm = [int(p) for p in perm]
+        perm = read_ints(perm).tolist()
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"{perm} is not a permutation of range({self.n})")
         return PureState._from_arrays(self.n, self.d, self.keys[:, perm], self.exponents, self.values)
 
     def scale_phase(self, e: int) -> PureState:
         """Multiply every amplitude by zeta_d^e (a global phase)."""
+        e = int(reduce_mod(e, self.d))
         if self.exponents is not None:
-            return PureState._from_arrays(self.n, self.d, self.keys, exponents=self.exponents + e % self.d)
+            return PureState._from_arrays(self.n, self.d, self.keys, exponents=self.exponents + e)
         z = root_power(self.d, e)
         return PureState._from_arrays(self.n, self.d, self.keys, values=[amp * z for amp in self.values])
 
@@ -237,11 +233,11 @@ def marginal_sum(state: PureState, subset, ca, ca2) -> CycInt:
     Iterates only stored amplitudes, joined sparsely on their projection to
     the complementary positions.
     """
-    A = tuple(sorted(int(a) for a in subset))
+    A = tuple(sorted(read_ints(subset).tolist()))
     if len(set(A)) != len(A) or any(not 0 <= a < state.n for a in A):
         raise ValueError(f"bad subset {subset}")
-    ca = tuple(int(x) for x in ca)
-    ca2 = tuple(int(x) for x in ca2)
+    ca = tuple(read_ints(ca).tolist())
+    ca2 = tuple(read_ints(ca2).tolist())
     if len(ca) != len(A) or len(ca2) != len(A):
         raise ValueError("local strings must match the subset size")
     if any(not 0 <= x < state.d for x in ca + ca2):
@@ -381,22 +377,6 @@ def _conjugate_roots(d: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
     return tables
 
 
-def _product_t(W: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """W @ R.T in float64, as BLAS products of at most _BLAS_CALL_MACS multiply-adds each.
-
-    Row bands of W, and column chunks of both when one row is past the
-    limit; the chunks are summed in order.
-    """
-    cols, inner = R.shape
-    band = max(1, _BLAS_CALL_MACS // (cols * inner))
-    width = min(inner, max(1, _BLAS_CALL_MACS // (band * cols)))
-    out = np.zeros((W.shape[0], cols))
-    for r0 in range(0, W.shape[0], band):
-        for c0 in range(0, inner, width):
-            out[r0 : r0 + band] += W[r0 : r0 + band, c0 : c0 + width] @ R[:, c0 : c0 + width].T
-    return out
-
-
 def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=None):
     """Dense Gram check of one subset of a full-support single-root state; returns as _check_subset.
 
@@ -404,10 +384,10 @@ def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=Non
     exponents reshape to a d^k x d^(n-k) matrix E indexed by (cA, cB) with
     no sort.  For each pair of tables of _conjugate_roots (the default),
     M = cos[E] + i sin[E] and G = M M^H is the conjugate of rho_A, formed
-    from real products by _product_t; an entry fails when it is at least
-    1/2 away from [cA = cA2] d^(n-k) under any pair, which _gram_exact
-    shows is exact within its bound.  Every one of the d^(n-k)
-    groups of kets that agree off A holds d^k kets, so pairs = d^(n+k).
+    from real products; an entry fails when it is at least 1/2 away from
+    [cA = cA2] d^(n-k) under any pair, which _gram_exact shows is exact
+    within its bound.  Every one of the d^(n-k) groups of kets that agree
+    off A holds d^k kets, so pairs = d^(n+k).
     """
     n, d = state.n, state.d
     k = len(A)
@@ -420,14 +400,14 @@ def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=Non
     fail = np.zeros((dk, dk), dtype=bool)
     for cos, sin in _conjugate_roots(d) if roots is None else roots:
         X = cos[E]
-        G = _product_t(X, X)  # M = X + iY: the real part of M M^H is X X^T + Y Y^T
+        G = X @ X.T  # M = X + iY: the real part of M M^H is X X^T + Y Y^T
         if sin is not None:
             Y = sin[E]
-            G += _product_t(Y, Y)
+            G += Y @ Y.T
         G.flat[:: dk + 1] -= m
         G *= G
         if sin is not None:
-            T = _product_t(Y, X)  # and its imaginary part is Y X^T - X Y^T
+            T = Y @ X.T  # and its imaginary part is Y X^T - X Y^T
             G += (T - T.T) ** 2
         fail |= G >= 0.25
     fail = np.flatnonzero(fail)

@@ -102,6 +102,9 @@ def test_entropy():
     assert entropy(3, 2 / 3) == pytest.approx(1.0)  # maximum of H_3
     with pytest.raises(ValueError):
         entropy(2, 1.5)
+    for d in (1, 0):
+        with pytest.raises(ValueError, match="invalid alphabet size"):
+            entropy(d, 0.5)
 
 
 def test_lambda_existence_table():

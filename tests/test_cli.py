@@ -5,7 +5,9 @@ import pytest
 
 from kuniform import cli
 from kuniform.cli import main
-from kuniform.fileio import read_code, read_state, read_witness, write_state
+from kuniform.codes import dual_code, reed_solomon, same_code
+from kuniform.fields import get_field
+from kuniform.fileio import read_code, read_state, read_witness, write_code, write_state
 from kuniform.fixtures import fixture_path
 from kuniform.states import PureState
 
@@ -146,13 +148,14 @@ def test_search_prints_the_witness_and_appends_it(tmp_path, capsys):
     ["verify", "--state", "state.txt"],
     ["construct-code", "--code", "code.txt", "--out", "state.txt"],
 ])
-@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("workers", ["0", "-2", "x"])
 def test_workers_below_one_exit_2(tmp_path, monkeypatch, capsys, argv, workers):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--workers", workers) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"argument --workers: must be at least 1, got {workers}" in err
+    why = "invalid integer 'x'" if workers == "x" else f"must be at least 1, got {workers}"
+    assert f"argument --workers: {why}" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -245,10 +248,6 @@ def test_construct_code_hypothesis_failure(tmp_path, capsys):
 
 def test_concat_and_emit(tmp_path, capsys):
     # build an extension-field code file, expand it, then emit its state
-    from kuniform.codes import reed_solomon
-    from kuniform.fields import get_field
-    from kuniform.fileio import write_code
-
     rs = reed_solomon(get_field(2, 2), 4, 2)
     code_file = tmp_path / "rs42.txt"
     write_code(code_file, rs)
@@ -278,6 +277,27 @@ def test_out_of_range_code_digits_exit_2(tmp_path, capsys, command):
 
 def test_concat_rejects_prime_field(tmp_path):
     assert run("concat", "--code", str(fixture_path("code_8_4_4_binary.txt")), "--out", str(tmp_path / "x.txt")) == 2
+
+
+@pytest.mark.parametrize("command", ["construct-code", "emit-state"])
+def test_code_states_refuse_an_extension_field_code(tmp_path, capsys, command):
+    code_file = tmp_path / "rs42.txt"
+    write_code(code_file, reed_solomon(get_field(2, 2), 4, 2))
+    assert run(command, "--code", str(code_file), "--out", str(tmp_path / "x.txt")) == 2
+    assert "prime-field code" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_concat_writes_the_weighted_dual_expansion(tmp_path, capsys):
+    rs = tmp_path / "rs94.txt"
+    write_code(rs, reed_solomon(get_field(3, 2), 9, 4))
+    primal, dual = tmp_path / "primal.txt", tmp_path / "dual.txt"
+    assert run("concat", "--code", str(rs), "--out", str(primal), "--out-dual", str(dual)) == 0
+    assert f"weighted dual expansion -> {dual}" in capsys.readouterr().out
+    p, d = read_code(primal), read_code(dual)
+    assert (d.n, d.m, d.p) == (18, 10, 3)
+    assert not (p.generator @ d.generator.T % 3).any()
+    assert same_code(d, dual_code(p))
 
 
 def test_emit_state_needs_one_source(tmp_path):

@@ -65,6 +65,22 @@ def test_dual_examples(selfdual8):
     dual = dual_code(rep3)
     parity = LinearCode(F3, np.array([[1, 0, 2], [0, 1, 2]]))
     assert same_code(dual, parity)
+    # the dual of the zero code is the whole space
+    zero = LinearCode(F3, np.zeros((0, 4), dtype=np.int64))
+    assert same_code(dual_code(zero), LinearCode(F3, np.eye(4, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 2.7]], [["3", 1]], [[2**64, 1]], [[-1, 1]], [[5, 1]], [[float("nan"), 1]]])
+def test_generator_entries_must_be_field_elements(rows):
+    # read exactly: a fractional entry is never truncated to a field element
+    with pytest.raises(ValueError, match="not an integer|must be field elements"):
+        LinearCode(F5, rows)
+
+
+def test_integral_generator_entries_are_accepted():
+    for rows in ([[2.0, 1.0]], np.array([[2, 1]], dtype=np.uint64), np.array([[2, 1]], dtype=object)):
+        g = LinearCode(F5, rows).generator
+        assert g.dtype == np.int64 and g.tolist() == [[2, 1]]
 
 
 def test_min_distance_examples(selfdual8):
@@ -206,6 +222,14 @@ def test_expand_code_refuses_a_basis_that_is_not_trace_orthogonal():
         expand_code(reed_solomon(f8, 4, 2), basis, "dual")
 
 
+def test_expand_code_refuses_a_foreign_basis_and_an_unknown_side():
+    rs = reed_solomon(get_field(3, 2), 4, 2)
+    with pytest.raises(ValueError, match="basis is over"):
+        expand_code(rs, find_trace_orthogonal_basis(2, 2))
+    with pytest.raises(ValueError, match="unknown expansion"):
+        expand_code(rs, find_trace_orthogonal_basis(3, 2), "both")
+
+
 def test_expand_repetition_gf4():
     f4 = get_field(2, 2)
     basis = find_trace_orthogonal_basis(2, 2)
@@ -273,6 +297,9 @@ def test_reed_solomon_shapes():
     assert min_distance(full) == 1
     with pytest.raises(ValueError):
         reed_solomon(F5, 6, 2)
+    for m in (-1, 6):
+        with pytest.raises(ValueError, match="dimension"):
+            reed_solomon(F5, 5, m)
     # duals of evaluation codes are MDS too
     for m in (1, 2, 3):
         dual = dual_code(reed_solomon(F5, 5, m))

@@ -20,6 +20,29 @@ def test_root_power_basics():
     assert root_power(6, 0).coeffs == (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         root_power(1, 0)
+    with pytest.raises(ValueError, match="invalid level"):
+        from_int(1, 0)
+
+
+def test_malformed_values_are_refused():
+    for level in (1, 0, -2):
+        with pytest.raises(ValueError, match="invalid level"):
+            CycInt(level, (1,) * max(level, 0))
+    with pytest.raises(ValueError, match="need 3 coefficients"):
+        CycInt(3, (1, 0))
+    with pytest.raises(ValueError, match="invalid level"):
+        cyclotomic_polynomial(0)
+
+
+def test_coefficients_are_python_ints():
+    # an int64 coefficient would wrap when squared: (2^62)^2 = 0 mod 2^64
+    a = CycInt(3, (np.int64(2**62), 0, 0))
+    assert type(a.coeffs[0]) is int
+    assert (a * a).coeffs == (2**124, 0, 0) and not (a * a).is_zero()
+    assert CycInt(3, (1, 0, 0)).scale(np.int64(2**62)).scale(2**62).coeffs == (2**124, 0, 0)
+    for coeffs in ((1.5, 0), ("1", 0), (1.0, 0), (None, 0)):
+        with pytest.raises(ValueError, match="not all integers"):
+            CycInt(2, coeffs)
 
 
 def test_ring_ops():

@@ -40,9 +40,19 @@ def test_from_coeffs_refuses_non_elements(coeffs):
         get_field(2, 2).from_coeffs(coeffs)
 
 
+def test_from_coeffs_refuses_fractional_coefficients():
+    f = get_field(3, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        f.from_coeffs([1.5, 1])
+    assert f.from_coeffs([2.0, 1.0]) == f.from_coeffs([2, 1])
+
+
 def test_field_size_is_checked_before_the_power_is_formed():
     with pytest.raises(ValueError, match="exceeds enumeration budget"):
         GF(2, 10**5)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="invalid extension degree"):
+            GF(3, r)
 
 
 def test_field_axioms_random():
@@ -136,7 +146,7 @@ def test_trace_orthogonal_golden_through_pair_sums(p, r, basis, weights):
     assert (b.basis, b.weights) == (basis, weights)
 
 
-@pytest.mark.parametrize("bad", [9, 10, 100, -1, -9])
+@pytest.mark.parametrize("bad", [9, 10, 100, -1, -9, 2**64])
 def test_trace_orthogonal_verify_refuses_non_elements(bad):
     f9 = get_field(3, 2)
     good = find_trace_orthogonal_basis(3, 2)
@@ -144,6 +154,17 @@ def test_trace_orthogonal_verify_refuses_non_elements(bad):
     assert not basis.verify()
     with pytest.raises(ValueError, match="not a trace-orthogonal basis"):
         expand_code(reed_solomon(f9, 4, 2), basis)
+
+
+@pytest.mark.parametrize("basis", [(1.5, 3), (1, 3.5), ("1", 3), (1, float("nan"))])
+def test_trace_orthogonal_verify_refuses_non_integer_elements(basis):
+    # (1, 3) with weights (2, 1) is a trace-orthogonal basis of GF(9); these
+    # would read as it if truncated
+    f9 = get_field(3, 2)
+    assert TraceOrthBasis(f9, (1, 3), (2, 1)).verify() and TraceOrthBasis(f9, (1.0, 3.0), (2, 1)).verify()
+    assert not TraceOrthBasis(f9, basis, (2, 1)).verify()
+    with pytest.raises(ValueError, match="not a trace-orthogonal basis"):
+        expand_code(reed_solomon(f9, 4, 2), TraceOrthBasis(f9, basis, (2, 1)))
 
 
 def test_trace_orthogonal_deterministic():
@@ -207,3 +228,6 @@ def test_arithmetic_matches_galoistools_on_random_pairs(p, r):
 def test_inv_array_refuses_zero():
     with pytest.raises(ZeroDivisionError):
         get_field(2, 3).inv_array([1, 0])
+    for f in (get_field(5), get_field(2, 3)):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)

@@ -34,6 +34,14 @@ def test_quadratic_phase_examples():
     assert quadratic_phase(FLIP, (0, 0), 4) == 0
     with pytest.raises(ValueError):
         quadratic_phase(FLIP, (1, 1, 1), 4)
+    # c is read exactly: 1.7 would truncate to 1 and give phase 1
+    with pytest.raises(ValueError, match="not an integer"):
+        quadratic_phase(FLIP, (1.7, 1), 2)
+    assert quadratic_phase(FLIP, (1.0, 1.0), 4) == 1
+    # and so is H in the vectorized form: 1.5 would truncate to 1
+    with pytest.raises(ValueError, match="not an integer"):
+        all_phases([[0, 1.5], [1.5, 0]], 2, 3)
+    assert all_phases([[0, 4.0], [4.0, 0]], 2, 3)[1].tolist() == [0, 0, 0, 0, 1, 2, 0, 2, 1]
 
 
 def test_certificate_prime_examples():
@@ -59,6 +67,11 @@ def test_certificate_malformed():
         check_certificate_prime(FLIP, 4, 1)  # composite modulus on prime path
     with pytest.raises(ValueError):
         check_certificate_prime(FLIP, 2, 2)  # k > n/2
+    with pytest.raises(ValueError, match="must be square"):
+        check_certificate([[0, 1, 0], [1, 0, 0]], 2, 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            check_certificate_general(FLIP, 6, k)
 
 
 def test_prime_checkers_agree():
@@ -236,6 +249,11 @@ def test_certificate_permutation_invariance():
 def test_witness_validation():
     with pytest.raises(ValueError):
         SymWitness(n=4, d=2, H=np.zeros((4, 4), dtype=int), k=1)
+    with pytest.raises(ValueError, match="matrix size 2 != n=3"):
+        SymWitness(n=3, d=2, H=np.array(FLIP), k=1)
+    for entries in ((1,), (1, 0, 1, 1)):
+        with pytest.raises(ValueError, match="need 3 entries"):
+            upper_triangle_to_matrix(entries, 3, 2)
     w = SymWitness(n=2, d=6, H=np.array(FLIP), k=1, provenance=Provenance("fixture"))
     assert w.upper_triangle() == (1,)
 

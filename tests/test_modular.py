@@ -204,6 +204,10 @@ def test_count_linear_solutions_examples():
     assert count_linear_solutions([2], 4, 1) == 0
     with pytest.raises(ValueError):
         count_linear_solutions([], 4, 0)
+    # coefficients are read exactly: 1.5 would truncate to 1 and count 6 solutions
+    with pytest.raises(ValueError, match="not an integer"):
+        count_linear_solutions([1.5, 2], 6)
+    assert count_linear_solutions([2.0, 4.0], 6) == 12
 
 
 def test_count_linear_solutions_vs_enumeration():

@@ -51,6 +51,12 @@ def test_exhaustive_budget_invariant():
         SearchBudget(0, 0, "random")
     with pytest.raises(ValueError):
         SearchBudget(10, 0, "sideways")
+    for n, d, k in ((4, 2, 0), (4, 2, 3), (5, 2, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            search_witness(n, d, k, SearchBudget(10, 0))
+    for d in (1, 0):
+        with pytest.raises(ValueError, match="invalid level"):
+            search_witness(4, d, 1, SearchBudget(10, 0))
 
 
 @pytest.mark.parametrize("kwargs,name", [

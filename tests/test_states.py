@@ -119,6 +119,13 @@ def test_global_phase_invariance(five_qubit):
     base = verify_uniform(s, 1).uniform
     for e in range(4):
         assert verify_uniform(s.scale_phase(e), 1).uniform == base
+    # a state of general amplitudes multiplies each one by the root
+    general = PureState(2, 4, {(0, 0): CycInt(4, (2, 1, 0, 0)), (1, 1): from_int(4, 3)})
+    assert general.scale_phase(3).amps == {(0, 0): CycInt(4, (1, 0, 0, 2)), (1, 1): CycInt(4, (0, 0, 0, 3))}
+    assert general.scale_phase(-1.0).amps == general.scale_phase(3).amps
+    for state in (s, general):
+        with pytest.raises(ValueError, match="not an integer"):
+            state.scale_phase(1.5)
 
 
 def test_generic_path_agrees_with_phase_path(five_qubit):
@@ -206,14 +213,35 @@ def test_bad_inputs():
         PureState(2, 2, {(0, 0, 0): root_power(2, 0)})
     with pytest.raises(ValueError):
         PureState(2, 2, {(0, 0): root_power(3, 0)})
-    # distinct dict keys that are the same basis string once converted to ints
+    with pytest.raises(TypeError, match="not a CycInt"):
+        PureState(2, 2, {(0, 1): 1})
     with pytest.raises(ValueError, match="occurs twice"):
-        PureState(2, 2, {(0.5, 1): root_power(2, 0), (0, 1): root_power(2, 1)})
-    with pytest.raises(ValueError, match="occurs twice"):
+        PureState._from_arrays(2, 2, [[0, 1], [0, 1]], exponents=[0, 1])
+    # digits and exponents are read exactly, never truncated; integral floats stay accepted
+    with pytest.raises(ValueError, match="not an integer"):
+        PureState(2, 2, {(0.5, 1): root_power(2, 0), (1, 1): root_power(2, 1)})
+    with pytest.raises(ValueError, match="not an integer"):
         PureState.from_phases(2, 2, {(0.5, 1): 0, (0, 1): 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        PureState.from_phases(2, 2, {("1", 1): 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        PureState.from_phases(2, 2, {(0, 1): 1.5, (1, 1): 0})
+    assert PureState.from_phases(2, 2, {(1.0, 1): 3.0}).phase_map() == {(1, 1): 1}
     s = _ghz(2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        s.relabel([1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="not an integer"):
+        s.relabel([1.9, 0.2])
+    assert s.relabel([1.0, 0.0]).phase_map() == s.phase_map()
     with pytest.raises(ValueError):
         marginal_sum(s, (0,), (0, 1), (0,))
+    for subset in ((0, 0), (2,), (-1,)):
+        with pytest.raises(ValueError, match="bad subset"):
+            marginal_sum(s, subset, (0,) * len(subset), (0,) * len(subset))
+    with pytest.raises(ValueError, match="not an integer"):
+        marginal_sum(s, (0.7,), (0,), (0,))
+    with pytest.raises(ValueError, match="not an integer"):
+        marginal_sum(s, (0,), (0.5,), (0,))
     # local digits outside Z_2 match no ket and would sum to 0 unchecked
     for ca, ca2 in (((5,), (5,)), ((-1,), (-1,)), ((0,), (2,)), ((-1,), (0,))):
         with pytest.raises(ValueError, match="Z_2"):
@@ -440,24 +468,22 @@ def test_gram_check_needs_every_conjugate():
     assert _check_subset_gram(s, (0,)) == _check_subset_generic(s, (0,)) == (((0,), (1,)), 5**4)
 
 
-def test_products_are_cut_to_the_call_limit(monkeypatch):
-    # row bands of W, and column chunks once a single row is past the limit
-    rng = np.random.default_rng(1)
-    for rows, cols, inner in ((5, 4, 3), (9, 6, 40), (1, 7, 50), (12, 12, 1)):
-        W, R = rng.standard_normal((rows, inner)), rng.standard_normal((cols, inner))
-        for limit in (1, 7, 64, 10**6):
-            monkeypatch.setattr(states, "_BLAS_CALL_MACS", limit)
-            assert np.allclose(states._product_t(W, R), W @ R.T)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_perturbed_full_support())
-def test_gram_check_in_small_products_matches_the_reference(s):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(states, "_BLAS_CALL_MACS", 5)
-        for k in range(1, s.n // 2 + 1):
-            for A in itertools.combinations(range(s.n), k):
-                assert _check_subset_gram(s, A) == _check_subset_generic(s, A)
+@pytest.mark.parametrize("n,d,k", [(6, 5, 3), (5, 9, 2)])
+@pytest.mark.parametrize("moved", [False, True])
+def test_gram_check_matches_the_histogram_on_large_products(n, d, k, moved):
+    # each real product is d^k x d^k x d^(n-k) multiply-adds: 125 * 125 * 125
+    # = 1.95M at (6, 5, 3) and 81 * 81 * 729 = 4.78M at (5, 9, 2), far past the
+    # states the hypothesis test above draws
+    rng = random.Random(0)
+    H = upper_triangle_to_matrix([rng.randrange(d) for _ in range(comb(n, 2))], n, d)
+    strings, exps = all_phases(H, n, d)
+    if moved:
+        exps[rng.randrange(d**n)] += 1
+    s = PureState.from_phases(n, d, dict(zip(map(tuple, strings.tolist()), exps.tolist())))
+    for A in list(itertools.combinations(range(n), k))[:3]:
+        fail, pairs = _check_subset_gram(s, A)
+        assert (fail, pairs) == _check_subset(s, A)
+        assert (fail is None) != moved  # the first three subsets of this H pass
 
 
 def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
