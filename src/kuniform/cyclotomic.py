@@ -8,9 +8,11 @@ zero iff the polynomial sum(coeffs[j] * x^j) is divisible by the d-th
 cyclotomic polynomial over the integers.
 
 Coefficients are plain Python ints, so no overflow is possible anywhere in
-this module: a CycInt converts its coefficients with operator.index when it
-is built, so numpy integers become Python ints and floats and strings raise
-ValueError.  All values are immutable and safe to share between threads.
+this module: the CycInt constructor converts its coefficients with
+operator.index, so numpy integers become Python ints and floats and strings
+raise ValueError.  Ring results are formed from Python ints only, so they
+skip that conversion.  All values are immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -115,17 +117,26 @@ class CycInt:
             raise ValueError(f"coefficients {self.coeffs!r} are not all integers") from err
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _result(cls, level: int, coeffs: tuple[int, ...]) -> CycInt:
+        """A ring result, built without __post_init__: its level is already
+        checked and its coefficients are Python ints made from Python ints."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def _check(self, other: CycInt):
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} vs {other.level}")
 
     def __add__(self, other: CycInt) -> CycInt:
         self._check(other)
-        return CycInt(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt._result(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: CycInt) -> CycInt:
         self._check(other)
-        return CycInt(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt._result(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: CycInt) -> CycInt:
         self._check(other)
@@ -136,19 +147,19 @@ class CycInt:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[(i + j) % d] += a * b
-        return CycInt(d, tuple(out))
+        return CycInt._result(d, tuple(out))
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.level, tuple(-a for a in self.coeffs))
+        return CycInt._result(self.level, tuple(-a for a in self.coeffs))
 
     def scale(self, c: int) -> CycInt:
         c = operator.index(c)  # a numpy int would wrap in the products below
-        return CycInt(self.level, tuple(c * a for a in self.coeffs))
+        return CycInt._result(self.level, tuple(c * a for a in self.coeffs))
 
     def conjugate(self) -> CycInt:
         """Complex conjugation: zeta^j -> zeta^(-j)."""
         d = self.level
-        return CycInt(d, tuple(self.coeffs[(d - j) % d] for j in range(d)))
+        return CycInt._result(d, tuple(self.coeffs[(d - j) % d] for j in range(d)))
 
     def is_zero(self) -> bool:
         return zero_test(self)

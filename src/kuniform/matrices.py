@@ -36,7 +36,10 @@ per prime, into the narrowest unsigned dtype that holds its residues (uint8
 for p < 2^8), with one row per candidate, and gathers the blocks from those
 rows, so the stacks it hands to the elimination kernel are already narrow
 and in range.  Subsets are scanned in lexicographic order with early exit,
-so failure reports are reproducible.
+so failure reports are reproducible.  The search screens p = 2 by popcount
+instead (search._screen_level2) and hands this kernel only the odd primes,
+while check_certificate keeps the rank kernel at every prime as the
+reference that rechecks each survivor.
 """
 
 from __future__ import annotations

@@ -11,43 +11,53 @@ across runs).  Levels above 2^63 are refused.
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
-stream costs a small block while long scans still run on large ones.  One
-of two vectorized screens reads each chunk, chosen from (n, d) alone:
+stream costs a small block while long scans still run on large ones.  The
+screen of a chunk is chosen per prime of d, from (n, d) alone; for n <= 64
+each prime screens the survivors of the primes before it:
 
-- d = 2 and n <= 64: the bit screen, exact at every k, on the packed n-bit
-  row words of each H, which the level-2 stream _level2_words computes
-  straight from the candidate index.  The stream passes on only the
-  candidates whose every vertex has degree >= k.  That is the screen's
-  |S| = 1 test, so no passer is lost, and the tests with 2 <= |S| <= k run
-  on the words it returns.  In exhaustive mode the index bits are the
-  triangle entries, and the row words are GF(2)-linear in them: flipping
-  entry (i, j) XORs bit j into row i and bit i into row j, whatever the
-  other entries.  So words(hi*2^B + lo) = words(lo) ^ words(hi*2^B).  One
-  table of the 2^B low words, B = min(T, 15), is built by B doublings
-  W <- [W, W ^ P_t], where P_t is the word pattern of pair t, and a chunk
-  is at most two slices of it, each XORed with one constant column.  In
-  random mode vertex v's entries (v, j > v) are consecutive digits of the
-  stream; they are hashed, vertex by vertex, only for the candidates still
-  alive, and a candidate drops once a complete row has degree below k.  The
-  digit is splitmix64(...) & 1 as in _digits_batch, so both give the same
-  candidates.
-- every other (n, d): the digit table _digits_batch, where column i holds
-  the T digits of candidate i (in exhaustive mode modular.digits of i) in
-  the narrowest unsigned dtype that holds d - 1, read by the batched rank
-  kernel of matrices, the exact certificate at every level; only a prime
-  factor of d too large for the kernel's int64 arithmetic is left out of
-  it.  search_witness factors d once and hands the primes to every chunk.
+- p = 2 (d even): the bit screen, exact at every k, on the packed n-bit
+  row words of the digits mod 2.  For even d, (h mod d) mod 2 = h mod 2,
+  so the parity words of a level-d candidate are the words of the level-2
+  candidate with the same stream position.  At d = 2, and in random mode at
+  every even d, the level-2 stream _level2_words computes them straight
+  from the candidate index and the level-d stream base.  The stream passes
+  on only the candidates whose every vertex has degree >= k.  That is the
+  screen's |S| = 1 test, so no passer is lost, and the tests with
+  2 <= |S| <= k run on the words it returns.  In exhaustive mode at d = 2
+  the index bits are the triangle entries, and the row words are
+  GF(2)-linear in them: flipping entry (i, j) XORs bit j into row i and bit
+  i into row j, whatever the other entries.  So
+  words(hi*2^B + lo) = words(lo) ^ words(hi*2^B).  One table of the 2^B low
+  words, B = min(T, 15), is built by B doublings W <- [W, W ^ P_t], where
+  P_t is the word pattern of pair t, and a chunk is at most two slices of
+  it, each XORed with one constant column.  In random mode vertex v's
+  entries (v, j > v) are consecutive digits of the stream; they are hashed,
+  vertex by vertex, only for the candidates still alive, and a candidate
+  drops once a complete row has degree below k.  The digit is
+  splitmix64(...) & 1 as in _digits_batch, so both give the same
+  candidates.  In exhaustive mode at d > 2 the words are _row_words of the
+  digit table's parities.  At d = 2^e no rank kernel runs in the screen.
+- each odd p: the degree test mod p, which is the same |S| = 1 test on the
+  row words of the digits that are nonzero mod p, and then the batched rank
+  kernel of matrices on the candidates that pass it.  A prime too large for
+  the kernel's int64 arithmetic takes the degree test alone.
+
+The digit table _digits_batch holds in column i the T digits of candidate i
+(in exhaustive mode modular.digits of i) in the narrowest unsigned dtype
+that holds d - 1.  For n > 64 the rank kernel reads it at every prime that
+fits the kernel.  search_witness factors d once and hands the primes to
+every chunk.
 
 Chunks are scanned in index order on the calling thread, and the scan stops
 at the first chunk with a hit.  The screens return offsets only.  Each
 survivor, in index order, and the returned witness read their matrix from
-_digits_batch, the stream the replay pins are defined on.  check_certificate
-rechecks each survivor, and SymWitness checks the witness once more.  Both
-screens are exact when every prime of d fits the kernel, so a hit rechecks
-one survivor and a miss none; a larger prime is decided by the recheck
-alone.  A miss is only a proof of absence in exhaustive mode; in random
-mode it just means "not found within budget", and table scans report the
-two cases differently.
+_digits_batch, the stream the replay pins are defined on.  check_certificate,
+which keeps the rank kernel at p = 2 too, rechecks each survivor, and
+SymWitness checks the witness once more.  The screen is exact when every
+prime of d fits the kernel, so a hit rechecks one survivor and a miss none;
+a larger prime is decided by the recheck alone.  A miss is only a proof of
+absence in exhaustive mode; in random mode it just means "not found within
+budget", and table scans report the two cases differently.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ import numpy as np
 
 from .fileio import append_registry, read_registry
 from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
-from .modular import digits, prime_factors
+from .modular import digits, fits_kernel, prime_factors
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -107,7 +117,9 @@ def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) 
 
     Random digit t of candidate i is splitmix64((base + i*T + t) mod 2^64)
     mod d, hashed in blocks of about _HASH_BLOCK inputs; at a power of two
-    h & (d - 1) = h mod d.  Exhaustive digits are modular.digits of the index.
+    h & (d - 1) = h mod d, and at any other level h - (h // d)*d = h mod d,
+    which numpy forms without a hardware division (h % d takes one per
+    entry).  Exhaustive digits are modular.digits of the index.
     """
     out = np.empty((T, count), dtype=np.min_scalar_type(d - 1))
     if mode == "exhaustive":
@@ -123,8 +135,12 @@ def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) 
             h ^= h >> np.uint64(27)
             h *= np.uint64(0x94D049BB133111EB)
             h ^= h >> np.uint64(31)
+        if d & (d - 1):
+            h -= h // np.uint64(d) * np.uint64(d)
+        else:
+            h &= np.uint64(d - 1)
         h = h.reshape(-1, T).T
-        out[:, lo:lo + h.shape[1]] = h % np.uint64(d) if d & (d - 1) else h & np.uint64(d - 1)
+        out[:, lo:lo + h.shape[1]] = h
     return out
 
 
@@ -277,13 +293,52 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
     return offs, words
 
 
+def _degree_ok(words: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the (n, count) row words whose every row has at least k bits set.
+
+    With the words of H mod p this is the |S| = 1 test of _screen_level2,
+    and it holds at every prime: a vertex with fewer than k neighbours mod p
+    lies with them in a k-subset A whose block H[A x complement] has a zero
+    row mod p.
+    """
+    return np.flatnonzero((np.bitwise_count(words) >= k).all(axis=0))
+
+
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> np.ndarray:
-    """Offsets of the chunk's screen survivors; every true passer survives."""
-    if d == 2 and n <= 64:
-        offs, words = _level2_words(base, start, count, n, k, mode)
-        return offs[_subset_screen(words, k, 2)]
-    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    return np.flatnonzero(_rank_certificate(table, n, k, primes))
+    """Offsets of the chunk's screen survivors; every true passer survives.
+
+    For n <= 64 the primes of d screen in turn, each on the survivors of the
+    ones before it (module docstring): p = 2 by the bit screen on the
+    parities of the digits, each odd p by the degree test on the digits
+    nonzero mod p and then the rank kernel mod p.  For n > 64 the rank
+    kernel reads the whole digit table.
+    """
+    T = n * (n - 1) // 2
+    if n > 64:
+        return np.flatnonzero(_rank_certificate(_digits_batch(base, start, count, T, d, mode), n, k, primes))
+    odd = [p for p in primes if p != 2]
+    if d % 2:
+        offs, table = np.arange(count), _digits_batch(base, start, count, T, d, mode)
+    else:
+        table = None
+        if d == 2 or mode == "random":
+            offs, words = _level2_words(base, start, count, n, k, mode)
+        else:
+            table = _digits_batch(base, start, count, T, d, mode)
+            words = _row_words(table & 1, n)
+            offs = _degree_ok(words, k)
+            words = words[:, offs]
+        offs = offs[_subset_screen(words, k, 2)]
+        if not (odd and offs.size):
+            return offs
+        table = (_digits_batch(base, start, count, T, d, mode) if table is None else table)[:, offs]
+    for p in odd:
+        residues = table if p == d else table - table // p * p  # table % p takes a hardware division per entry
+        keep = _degree_ok(_row_words(residues != 0, n), k)
+        if fits_kernel(p):
+            keep = keep[_rank_certificate(residues[:, keep], n, k, [p])]
+        offs, table = offs[keep], table[:, keep]
+    return offs
 
 
 def _candidate(base: int, index: int, n: int, d: int, mode: str) -> np.ndarray:

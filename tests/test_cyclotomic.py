@@ -40,6 +40,12 @@ def test_coefficients_are_python_ints():
     assert type(a.coeffs[0]) is int
     assert (a * a).coeffs == (2**124, 0, 0) and not (a * a).is_zero()
     assert CycInt(3, (1, 0, 0)).scale(np.int64(2**62)).scale(2**62).coeffs == (2**124, 0, 0)
+    # ring results skip the constructor's conversion, so they must come out as Python ints already
+    b = CycInt(3, tuple(np.array([2**40, -5, 7], dtype=np.int64)))
+    for r in (a + b, a - b, a * b, -b, b.conjugate(), b.scale(np.int64(3)), b.scale(True)):
+        assert type(r) is CycInt and r.level == 3 and len(r.coeffs) == 3
+        assert all(type(c) is int for c in r.coeffs)
+    assert (b * b).coeffs == (2**80 - 70, 49 - 10 * 2**40, 25 + 14 * 2**40)
     for coeffs in ((1.5, 0), ("1", 0), (1.0, 0), (None, 0)):
         with pytest.raises(ValueError, match="not all integers"):
             CycInt(2, coeffs)

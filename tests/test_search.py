@@ -96,7 +96,9 @@ def test_random_stream_matches_scalar_splitmix64():
     block = _HASH_BLOCK // 64
     for base, start, count, T, d in ((_stream_base(7, 6, 2, 3), 0, 4, 6, 2), (12345, 1000, 4, 6, 5),
                                      (2**64 - 9, 0, 4, 6, 3), (2**64 - 1, 3, 4, 6, 7), (99, 2**61 + 5, 4, 6, 2),
-                                     (2**64 - 3, 2**58 - 1, block + 2, 64, 2), (7, 11, block + 2, 64, 3)):
+                                     (2**64 - 3, 2**58 - 1, block + 2, 64, 2), (7, 11, block + 2, 64, 3),
+                                     (12345, 1000, 4, 6, 6), (2**64 - 9, 0, 4, 6, 9), (7, 11, block + 2, 64, 10),
+                                     (2**64 - 1, 3, 4, 6, 2**63 - 25)):
         table = _digits_batch(base, start, count, T, d, "random")
         want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + count)]
         assert table.T.tolist() == want
@@ -212,7 +214,7 @@ def _assert_screen_agrees(n, d, k, base, start, count, mode):
     return want
 
 
-@pytest.mark.parametrize("n,d,k", [(5, 2, 2), (4, 3, 2), (4, 4, 1), (3, 6, 1), (2, 9, 1)])
+@pytest.mark.parametrize("n,d,k", [(5, 2, 2), (4, 3, 2), (4, 4, 1), (3, 6, 1), (2, 9, 1), (3, 8, 1), (3, 10, 1)])
 def test_screen_is_exact_on_whole_small_spaces(n, d, k):
     T = n * (n - 1) // 2
     assert _assert_screen_agrees(n, d, k, 0, 0, d**T, "exhaustive").any()
@@ -395,6 +397,47 @@ def test_level2_table_replays_are_pinned():
         assert got[8] == (3, "random", n8)
         assert cells[7].misses == [(3, "exhausted")]
         assert cells[8].misses == [(4, "budget")]
+
+
+def test_level4_table_replays_are_pinned():
+    # the d = 4 row of the qudit benchmark: exhaustive cells up to n = 5, the
+    # random n = 6 cell, and the random (7,4,3) miss
+    for seed, n6 in ((0, 144), (7777, 42)):
+        cells = table_scan(4, range(2, 7), max_candidates=10**7, seed=seed)
+        got = {n: (c.best_k, c.witness.provenance.method, c.witness.provenance.index) for n, c in cells.items()}
+        assert got == {2: (1, "exhaustive", 1), 3: (1, "exhaustive", 5), 4: (1, "exhaustive", 69),
+                       5: (2, "exhaustive", 21584), 6: (3, "random", n6)}
+        assert cells[4].misses == [(2, "exhausted")]
+        assert search_witness(7, 4, 3, SearchBudget(3 * 10**4, seed)) is None
+
+
+@pytest.mark.parametrize("n,d,k,mode,start,count", [
+    (4, 4, 2, "exhaustive", 0, 4**6), (6, 4, 3, "random", 0, 4096), (5, 8, 2, "random", 100, 2048),
+    (5, 16, 2, "exhaustive", 12345, 2048), (4, 6, 2, "exhaustive", 0, 6**6), (5, 6, 2, "random", 0, 4096),
+    (8, 6, 4, "random", 7, 4096), (5, 12, 2, "exhaustive", 5000, 2048), (6, 10, 3, "random", 0, 2048),
+])
+def test_even_levels_screen_the_prime_2_by_popcount(monkeypatch, n, d, k, mode, start, count):
+    # the rank kernel never sees p = 2 at an even level with n <= 64; an odd
+    # prime p sees exactly the candidates that pass the parity screen and
+    # have >= k entries nonzero mod p in every row, as residues mod p
+    calls = []
+
+    def spy(table, n, k, primes):
+        calls.append((np.array(table), list(primes)))
+        return _rank_certificate(table, n, k, primes)
+
+    monkeypatch.setattr(search, "_rank_certificate", spy)
+    base = _stream_base(0, n, d, k)
+    offs = _survivors(start, count, n, d, k, base, mode, modular.prime_factors(d))
+    table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
+    popcount = np.flatnonzero(_screen_level2(table & 1, n, k))
+    odd = [p for p in modular.prime_factors(d) if p != 2]
+    assert [primes for _, primes in calls] == [odd] * bool(odd and popcount.size)
+    if calls:
+        mats = [upper_triangle_to_matrix(table[:, i], n, d) for i in popcount]
+        want = [i for i, H in zip(popcount, mats) if ((H % odd[0] != 0).sum(axis=1) >= k).all()]
+        assert calls[0][0].shape[1] == len(want) > 0 and (calls[0][0] == table[:, want] % odd[0]).all()
+    assert set(offs.tolist()) <= set(popcount.tolist())
 
 
 def test_found_witnesses_pass_recheck_and_oracle():
