@@ -14,7 +14,8 @@ each refuses, with a ValueError naming the line, an empty file, a wrong token
 count, a non-integer token and a missing or extra row (an integer past int64
 may raise OverflowError).  The state reader also refuses a repeated basis
 string; the code reader an entry of neither 1 nor r digits or a digit
-outside 0..p-1; the registry reader a line of fewer than six fields.
+outside 0..p-1; the registry reader a line of fewer than six fields or
+whose witness SymWitness refuses.
 
 A state file is first read as one int64 table (np.loadtxt) whose rows are
 all compact or all coefficient rows; it takes only files the per-line walk
@@ -257,5 +258,8 @@ def read_registry(path) -> list[SymWitness]:
         n, d, k = _ints(line, head[:3], 3, "registry line")
         tri = _ints(line, line.tokens[6:], n * (n - 1) // 2, "upper triangle")
         prov = _provenance_from_tokens(line, *head[3:])
-        out.append(SymWitness(n=n, d=d, H=upper_triangle_to_matrix(tri, n, d), k=k, provenance=prov))
+        try:
+            out.append(SymWitness(n=n, d=d, H=upper_triangle_to_matrix(tri, n, d), k=k, provenance=prov))
+        except (ValueError, OverflowError) as exc:
+            raise line.error(str(exc)) from None
     return out

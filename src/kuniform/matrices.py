@@ -37,9 +37,10 @@ for p < 2^8), with one row per candidate, and gathers the blocks from those
 rows, so the stacks it hands to the elimination kernel are already narrow
 and in range.  Subsets are scanned in lexicographic order with early exit,
 so failure reports are reproducible.  The search screens p = 2 by popcount
-instead (search._screen_level2) and hands this kernel only the odd primes,
-while check_certificate keeps the rank kernel at every prime as the
-reference that rechecks each survivor.
+instead (search._screen_level2) for n <= 64 and hands this kernel one other
+prime at a time.  check_certificate keeps the rank kernel at every prime,
+so the SymWitness of a search hit is certified independently of that
+screen.
 """
 
 from __future__ import annotations

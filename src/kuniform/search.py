@@ -7,57 +7,48 @@ Random mode derives entry t of candidate i from a splitmix64 hash of
 (n, d, k); the same (n, d, k, seed) therefore always replays the same
 candidate sequence and any candidate is addressable directly.  The digit
 is the hash reduced mod d (the reduction bias is below 2^-60 and identical
-across runs).  Levels above 2^63 are refused.
+across runs).  Levels above 2^63 are refused.  One function, _stream,
+hashes the stream over arrays, for any run of digits of any gathered
+candidates; the digit table _digits_batch, the level-2 row words and the
+survivors' digits at odd primes all read it.
 
 Candidates are scanned in chunks whose sizes grow x4 from 2^10 to a fixed
 2^15 (the first three are 2^10, 2^12, 2^14), so a hit near the start of the
 stream costs a small block while long scans still run on large ones.  The
-screen of a chunk is chosen per prime of d, from (n, d) alone; for n <= 64
-each prime screens the survivors of the primes before it:
+primes of d screen a chunk in one loop, each on the survivors of the ones
+before it.  Each prime p first runs the degree test on the n-bit row words
+of the digits nonzero mod p (n <= 64): a vertex with fewer than k
+neighbours mod p lies with them in a k-subset whose block has a zero row.
+Then its exact test: at p = 2 with n <= 64 the popcount tests of
+_screen_level2 on the same words, and otherwise the batched rank kernel of
+matrices mod p.  A prime too large for the kernel's int64 arithmetic takes
+the degree test alone.
 
-- p = 2 (d even): the bit screen, exact at every k, on the packed n-bit
-  row words of the digits mod 2.  For even d, (h mod d) mod 2 = h mod 2,
-  so the parity words of a level-d candidate are the words of the level-2
-  candidate with the same stream position.  At d = 2, and in random mode at
-  every even d, the level-2 stream _level2_words computes them straight
-  from the candidate index and the level-d stream base.  The stream passes
-  on only the candidates whose every vertex has degree >= k.  That is the
-  screen's |S| = 1 test, so no passer is lost, and the tests with
-  2 <= |S| <= k run on the words it returns.  In exhaustive mode at d = 2
-  the index bits are the triangle entries, and the row words are
-  GF(2)-linear in them: flipping entry (i, j) XORs bit j into row i and bit
-  i into row j, whatever the other entries.  So
-  words(hi*2^B + lo) = words(lo) ^ words(hi*2^B).  One table of the 2^B low
-  words, B = min(T, 15), is built by B doublings W <- [W, W ^ P_t], where
-  P_t is the word pattern of pair t, and a chunk is at most two slices of
-  it, each XORed with one constant column.  In random mode vertex v's
-  entries (v, j > v) are consecutive digits of the stream; they are hashed,
-  vertex by vertex, only for the candidates still alive, and a candidate
-  drops once a complete row has degree below k.  The digit is
-  splitmix64(...) & 1 as in _digits_batch, so both give the same
-  candidates.  In exhaustive mode at d > 2 the words are _row_words of the
-  digit table's parities.  At d = 2^e no rank kernel runs in the screen.
-- each odd p: the degree test mod p, which is the same |S| = 1 test on the
-  row words of the digits that are nonzero mod p, and then the batched rank
-  kernel of matrices on the candidates that pass it.  A prime too large for
-  the kernel's int64 arithmetic takes the degree test alone.
+The words at p = 2 come from the level-2 stream _level2_words at d = 2, and
+in random mode at every even d: (h mod d) mod 2 = h mod 2 for even d, so
+the parity words of a level-d candidate are those of the level-2 candidate
+at the same stream position.  It passes on only the candidates of degree
+>= k, whose digits the odd primes then read.  In exhaustive mode at d = 2
+the index bits are the triangle entries, and the row words are
+GF(2)-linear in them: flipping entry (i, j) XORs bit j into row i and bit
+i into row j.  So words(hi*2^B + lo) = words(lo) ^ words(hi*2^B): one
+table of the 2^B low words, B = min(T, 15), is built by B doublings
+W <- [W, W ^ P_t], where P_t is the word pattern of pair t, and a chunk is
+at most two slices of it, each XORed with one constant column.  In random
+mode vertex v's entries (v, j > v) are consecutive digits of the stream;
+they are hashed, vertex by vertex, only for the candidates still alive,
+and a candidate drops once a complete row has degree below k.
 
-The digit table _digits_batch holds in column i the T digits of candidate i
-(in exhaustive mode modular.digits of i) in the narrowest unsigned dtype
-that holds d - 1.  For n > 64 the rank kernel reads it at every prime that
-fits the kernel.  search_witness factors d once and hands the primes to
-every chunk.
-
-Chunks are scanned in index order on the calling thread, and the scan stops
-at the first chunk with a hit.  The screens return offsets only.  Each
-survivor, in index order, and the returned witness read their matrix from
-_digits_batch, the stream the replay pins are defined on.  check_certificate,
-which keeps the rank kernel at p = 2 too, rechecks each survivor, and
-SymWitness checks the witness once more.  The screen is exact when every
-prime of d fits the kernel, so a hit rechecks one survivor and a miss none;
-a larger prime is decided by the recheck alone.  A miss is only a proof of
-absence in exhaustive mode; in random mode it just means "not found within
-budget", and table scans report the two cases differently.
+Chunks are scanned in index order on the calling thread, with the primes
+search_witness found once, and the scan stops at the first chunk with a
+hit.  When every prime of d fits the kernel the screen is exact, so the
+first survivor is the hit, and SymWitness certifies it once with the rank
+kernel at every prime, independently of the popcount screen.  At a level
+with a larger prime, check_certificate decides each survivor in index
+order.  The witness reads its matrix from _digits_batch, the stream the
+replay pins are defined on.  A miss is only a proof of absence in
+exhaustive mode; in random mode it just means "not found within budget",
+and table scans report the two cases differently.
 """
 
 from __future__ import annotations
@@ -111,37 +102,49 @@ class SearchBudget:
             raise ValueError("budget must allow at least one candidate")
 
 
-def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) -> np.ndarray:
-    """The digit table of candidates [start, start+count), shape (T, count) in
-    np.min_scalar_type(d - 1): column i holds the digits of candidate start + i.
+def _stream(base: int, start: int, offs: np.ndarray, T: int, t0: int, L: int, d: int) -> np.ndarray:
+    """Digits t0 .. t0+L-1 of candidates start + offs, shape (L, len(offs)) in np.min_scalar_type(d - 1).
 
-    Random digit t of candidate i is splitmix64((base + i*T + t) mod 2^64)
-    mod d, hashed in blocks of about _HASH_BLOCK inputs; at a power of two
-    h & (d - 1) = h mod d, and at any other level h - (h // d)*d = h mod d,
-    which numpy forms without a hardware division (h % d takes one per
-    entry).  Exhaustive digits are modular.digits of the index.
+    Digit t of candidate i is splitmix64((base + i*T + t) mod 2^64) mod d,
+    hashed in blocks of about _HASH_BLOCK inputs.  At a power of two
+    h & (d - 1) = h mod d, and elsewhere h - (h // d)*d = h mod d, which
+    numpy forms without a hardware division (h % d takes one per entry).
+    At d = 2 the digit is bit 0 ^ bit 31 of the second product, whose low
+    32 bits depend only on those of its factors, so it is taken mod 2^32.
     """
-    out = np.empty((T, count), dtype=np.min_scalar_type(d - 1))
-    if mode == "exhaustive":
-        out[...] = digits(np.arange(start, start + count), d, T).T
-        return out
-    step = max(1, _HASH_BLOCK // T)
-    for lo in range(0, count, step):
-        h = np.arange(min(step, count - lo) * T, dtype=np.uint64)
+    out = np.empty((L, len(offs)), dtype=np.min_scalar_type(d - 1))
+    step = max(1, _HASH_BLOCK // L)
+    for lo in range(0, len(offs), step):
         with np.errstate(over="ignore"):
-            h += np.uint64((base + (start + lo) * T + _GOLDEN) & _MASK)
+            # x, not h: the last block's h lives until the new one exists, so the allocator reuses it
+            x = offs[lo:lo + step].astype(np.uint64) * np.uint64(T) + np.uint64((base + start * T + t0 + _GOLDEN) & _MASK)
+            h = np.arange(L, dtype=np.uint64)[:, None] + x
             h ^= h >> np.uint64(30)
             h *= np.uint64(0xBF58476D1CE4E5B9)
             h ^= h >> np.uint64(27)
-            h *= np.uint64(0x94D049BB133111EB)
-            h ^= h >> np.uint64(31)
+            if d == 2:
+                h = h.astype(np.uint32)
+                h *= np.uint32(0x94D049BB133111EB & 0xFFFFFFFF)
+                h ^= h >> np.uint32(31)
+            else:
+                h *= np.uint64(0x94D049BB133111EB)
+                h ^= h >> np.uint64(31)
         if d & (d - 1):
             h -= h // np.uint64(d) * np.uint64(d)
         else:
-            h &= np.uint64(d - 1)
-        h = h.reshape(-1, T).T
-        out[:, lo:lo + h.shape[1]] = h
+            h &= h.dtype.type(d - 1)
+        out[:, lo:lo + step] = h
     return out
+
+
+def _digits_batch(base: int, start: int, count: int, T: int, d: int, mode: str) -> np.ndarray:
+    """The digit table of candidates [start, start+count), shape (T, count) in
+    np.min_scalar_type(d - 1): column i holds the digits of candidate start + i,
+    from _stream in random mode and modular.digits of the index in exhaustive mode.
+    """
+    if mode == "random":
+        return _stream(base, start, np.arange(count), T, 0, T, d)
+    return np.ascontiguousarray(digits(np.arange(start, start + count), d, T).T, dtype=np.min_scalar_type(d - 1))
 
 
 # --- screens: drop candidates that cannot pass, a whole chunk at a time -----
@@ -195,32 +198,6 @@ def _subset_screen(words: np.ndarray, k: int, first: int) -> np.ndarray:
 
 
 # --- the level-2 stream: row words straight from the candidate index --------
-
-def _hash_bits(first: np.ndarray, L: int) -> np.ndarray:
-    """splitmix64(x + t) & 1 for x in first and t < L, shape (L, len(first)) in uint32.
-
-    first holds stream positions (base + i*T + t0) mod 2^64, so this is the
-    digit of _digits_batch at d = 2.  The digit is bit 0 ^ bit 31 of the
-    second product, and the low 32 bits of a product mod 2^64 depend only on
-    the low 32 bits of its factors, so that product is taken mod 2^32.
-    """
-    h = np.arange(L, dtype=np.uint64)[:, None] + (first + np.uint64(_GOLDEN))
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        z = h.astype(np.uint32)
-        z *= np.uint32(0x94D049BB133111EB & 0xFFFFFFFF)
-    z ^= z >> np.uint32(31)
-    z &= np.uint32(1)
-    return z
-
-
-def _positions(base: int, start: int, offs: np.ndarray, T: int, t0: int) -> np.ndarray:
-    """Stream positions (base + (start + off)*T + t0) mod 2^64 of digit t0 of each candidate, in uint64."""
-    with np.errstate(over="ignore"):
-        return offs.astype(np.uint64) * np.uint64(T) + np.uint64((base + start * T + t0) & _MASK)
-
 
 @functools.lru_cache(maxsize=8)
 def _pair_patterns(n: int) -> np.ndarray:
@@ -279,9 +256,9 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
     for v in range(n):
         L = n - 1 - v
         if L:
-            first, step = _positions(base, start, offs, T, t), _HASH_BLOCK // L + 1
+            step = max(1, _HASH_BLOCK // L)
             for lo in range(0, offs.size, step):
-                bits = _hash_bits(first[lo:lo + step], L).astype(word)
+                bits = _stream(base, start, offs[lo:lo + step], T, t, L, 2).astype(word, copy=False)
                 words[v, lo:lo + step] |= np.bitwise_or.reduce(bits << shifts[v + 1:, None], axis=0)
                 words[v + 1:, lo:lo + step] |= bits << word(v)
             t += L
@@ -307,37 +284,34 @@ def _degree_ok(words: np.ndarray, k: int) -> np.ndarray:
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> np.ndarray:
     """Offsets of the chunk's screen survivors; every true passer survives.
 
-    For n <= 64 the primes of d screen in turn, each on the survivors of the
-    ones before it (module docstring): p = 2 by the bit screen on the
-    parities of the digits, each odd p by the degree test on the digits
-    nonzero mod p and then the rank kernel mod p.  For n > 64 the rank
-    kernel reads the whole digit table.
+    One loop over the primes of d, each on the survivors of the ones before
+    it: the degree test, then the popcount tests at p = 2 with n <= 64 and
+    the rank kernel mod p otherwise (module docstring).
     """
-    T = n * (n - 1) // 2
-    if n > 64:
-        return np.flatnonzero(_rank_certificate(_digits_batch(base, start, count, T, d, mode), n, k, primes))
-    odd = [p for p in primes if p != 2]
-    if d % 2:
-        offs, table = np.arange(count), _digits_batch(base, start, count, T, d, mode)
+    T, words, table = n * (n - 1) // 2, None, None
+    if n <= 64 and d % 2 == 0 and (d == 2 or mode == "random"):
+        offs, words = _level2_words(base, start, count, n, k, mode)
     else:
-        table = None
-        if d == 2 or mode == "random":
-            offs, words = _level2_words(base, start, count, n, k, mode)
-        else:
-            table = _digits_batch(base, start, count, T, d, mode)
-            words = _row_words(table & 1, n)
-            offs = _degree_ok(words, k)
-            words = words[:, offs]
-        offs = offs[_subset_screen(words, k, 2)]
-        if not (odd and offs.size):
-            return offs
-        table = (_digits_batch(base, start, count, T, d, mode) if table is None else table)[:, offs]
-    for p in odd:
-        residues = table if p == d else table - table // p * p  # table % p takes a hardware division per entry
-        keep = _degree_ok(_row_words(residues != 0, n), k)
-        if fits_kernel(p):
+        offs, table = np.arange(count), _digits_batch(base, start, count, T, d, mode)
+    for p in primes:
+        if not offs.size:
+            break
+        popcount = p == 2 and n <= 64
+        if words is None:  # every prime but a p = 2 from _level2_words reads the digit table
+            if table is None:
+                table = _stream(base, start, offs, T, 0, T, d)
+            residues = table if p == d else table - table // p * p  # table % p takes a hardware division per entry
+            keep = _degree_ok(words := _row_words(residues != 0, n), k) if n <= 64 else np.arange(offs.size)
+            words = words[:, keep] if popcount else None
+        else:  # _level2_words passes on only candidates of degree >= k
+            keep = np.arange(offs.size)
+        if popcount:
+            keep = keep[_subset_screen(words, k, 2)]
+        elif fits_kernel(p):
             keep = keep[_rank_certificate(residues[:, keep], n, k, [p])]
-        offs, table = offs[keep], table[:, keep]
+        offs, words = offs[keep], None
+        if table is not None:
+            table = table[:, keep]
     return offs
 
 
@@ -347,9 +321,15 @@ def _candidate(base: int, index: int, n: int, d: int, mode: str) -> np.ndarray:
 
 
 def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> int | None:
-    """Index of the first certificate-passing candidate in a chunk, if any."""
+    """Index of the first certificate-passing candidate in a chunk, if any.
+
+    The screen is exact when every prime of d fits the rank kernel, and
+    then the first survivor is the answer; SymWitness certifies it.  A
+    larger prime is decided by check_certificate on each survivor.
+    """
+    exact = all(fits_kernel(p) for p in primes)
     for index in (start + int(off) for off in _survivors(start, count, n, d, k, base, mode, primes)):
-        if check_certificate(_candidate(base, index, n, d, mode), d, k):
+        if exact or check_certificate(_candidate(base, index, n, d, mode), d, k):
             return index
     return None
 

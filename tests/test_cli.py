@@ -320,6 +320,13 @@ def test_table_porcelain(capsys, tmp_path):
     assert [ln[2] for ln in lines] == ["1", "1", "1", "2"]
 
 
+def test_table_from_registry_names_a_refused_line(tmp_path, capsys):
+    registry = tmp_path / "reg.txt"
+    registry.write_text("2 2 1 random 0 0 1\n4 2 2 random 0 0 0 0 0 0 0 0\n")
+    assert run("table", "--d", "2", "--n-max", "4", "--from-registry", str(registry)) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: matrix does not certify k=2 at level 2")
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--d", "2", "--n-max", "2", "--from-registry", "{missing}"],
     ["table", "--d", "2", "--n-max", "2", "--budget", "4", "--registry", "{missing}/r"],

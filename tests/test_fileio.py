@@ -193,6 +193,17 @@ def test_witness_reader_refusals(text, message):
         witness_from_text(text)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("4 2 2 random 0 0 0 0 0 0 0 0", "line 2: matrix does not certify k=2 at level 2: '4 2 2 "),
+    ("2 1180591620717411303424 1 random 0 0 1", "line 2: residues mod 1180591620717411303424 do not fit in int64"),
+])
+def test_registry_reader_names_the_line_of_a_refused_witness(tmp_path, line, message):
+    path = tmp_path / "reg.txt"
+    path.write_text(f"2 2 1 random 0 0 1\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        read_registry(path)
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

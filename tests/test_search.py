@@ -23,6 +23,7 @@ from kuniform.search import (
     _level2_words,
     _row_words,
     _screen_level2,
+    _stream,
     _stream_base,
     _survivors,
     search_witness,
@@ -102,6 +103,17 @@ def test_random_stream_matches_scalar_splitmix64():
         table = _digits_batch(base, start, count, T, d, "random")
         want = [[splitmix64((base + i * T + t) % 2**64) % d for t in range(T)] for i in range(start, start + count)]
         assert table.T.tolist() == want
+    # the stream itself: digits t0 .. t0 + L - 1 of gathered, unordered candidates,
+    # across a hash block (L = 66 hashes 992 candidates a block) and where the sum wraps
+    gathered = np.random.default_rng(1).choice(10**6, 1000, replace=False)
+    for d in (2, 3, 4, 6, 2**63 - 25):
+        for base, start, offs, T, t0, L in ((2**64 - 40, 3, gathered, 66, 0, 66),
+                                            (2**64 - 1, 2**60, gathered[:9], 15, 7, 5),
+                                            (12345, 0, np.array([7, 0, 7, 2]), 2016, 1000, 63)):
+            got = _stream(base, start, offs, T, t0, L, d)
+            want = [[splitmix64((base + (start + o) * T + t) % 2**64) % d for o in offs.tolist()]
+                    for t in range(t0, t0 + L)]
+            assert got.dtype == np.min_scalar_type(d - 1) and got.tolist() == want, (d, T, t0)
 
 
 def test_exhaustive_order_is_lexicographic():
@@ -199,6 +211,22 @@ def test_a_search_factors_the_level_once(monkeypatch):
     monkeypatch.setattr(search, "_chunks", lambda total: (chunks.append(c) or c for c in real_chunks(total)))
     assert search_witness(8, 3, 4, SearchBudget(3 * 10**4, seed=0)) is None
     assert len(chunks) >= 3 and calls == [3]
+
+
+def test_each_hit_is_certified_once(monkeypatch):
+    # the screen is exact at levels whose primes all fit the rank kernel, so
+    # SymWitness's check is the only certificate; a larger prime keeps the recheck
+    calls, real = [], matrices.check_certificate
+    spy = lambda H, d, k: calls.append(d) or real(H, d, k)
+    monkeypatch.setattr(matrices, "check_certificate", spy)
+    monkeypatch.setattr(search, "check_certificate", spy)
+    for (n, d, k), seed in (((12, 2, 4), 0), ((6, 3, 3), 9), ((5, 6, 2), 0)):
+        calls.clear()
+        assert search_witness(n, d, k, SearchBudget(10**7, seed)) is not None
+        assert calls == [d], (n, d, k)
+    calls.clear()
+    assert search_witness(2, 2 * (2**61 - 1), 1, SearchBudget(10, 0)) is not None
+    assert len(calls) >= 2
 
 
 def _assert_screen_agrees(n, d, k, base, start, count, mode):
