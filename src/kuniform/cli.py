@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: construct-matrix, construct-code, verify, search, table,
-bounds, concat, emit-state.  Exit codes are a stable contract:
+bounds, concat, emit-state.  construct-code turns a code file into a
+state, and emit-state renders a witness matrix to one.  Exit codes are a
+stable contract:
 
     0  success
     2  usage or parse error (including out-of-range parameters and
@@ -195,30 +197,12 @@ def cmd_concat(args) -> int:
 
 
 def cmd_emit_state(args) -> int:
-    if (args.witness is None) == (args.code is None):
-        raise ValueError("emit-state needs exactly one of --witness or --code")
-    if args.witness:
-        state = state_from_matrix(fileio.read_witness(args.witness))
-    else:
-        code = fileio.read_code(args.code)
-        if code.r != 1:
-            raise ValueError("emit-state needs a prime-field code")
-        best_k, _, _ = certified_k(code)
-        state = state_from_code(code, best_k)
+    if args.witness is None:
+        raise ValueError("emit-state needs --witness")
+    state = state_from_matrix(fileio.read_witness(args.witness))
     fileio.write_state(args.out, state)
     print(f"state with {len(state)} kets -> {args.out}")
     return 0
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 @functools.cache
@@ -227,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kuniform", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_workers(sp):
-        sp.add_argument("--workers", type=_positive_int, default=1, help="has no effect: every command runs on one thread")
-
     def add_search_flags(sp, with_out):
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--d", type=int, required=True)
@@ -237,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["exhaustive", "random"], default="random")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=10**7)
-        add_workers(sp)
         if with_out:
             sp.add_argument("--out", required=True)
 
@@ -256,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--budget", type=int, default=10**7)
     sp.add_argument("--seed", type=int, default=0)
-    add_workers(sp)
     sp.add_argument("--registry", default=None)
     sp.add_argument("--from-registry", default=None)
     sp.add_argument("--porcelain", action="store_true")
@@ -265,9 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check k-uniformity of a state file")
     sp.add_argument("--state", required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--method", choices=["oracle"], default="oracle")
     sp.add_argument("--max-ops", type=int, default=10**9)
-    add_workers(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bounds", help="evaluate count/threshold/asymptotic bounds")
@@ -281,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct-code", help="state from a code file, distances checked")
     sp.add_argument("--code", required=True)
     sp.add_argument("--k", type=int, default=None)
-    add_workers(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_construct_code)
 
@@ -292,9 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dual", default=None)
     sp.set_defaults(func=cmd_concat)
 
-    sp = sub.add_parser("emit-state", help="render a witness or code to a state file")
+    sp = sub.add_parser("emit-state", help="render a witness matrix to a state file")
     sp.add_argument("--witness", default=None)
-    sp.add_argument("--code", default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_emit_state)
     return p

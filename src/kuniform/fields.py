@@ -26,7 +26,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import digits, from_digits, is_prime, null_space_mod_p, prime_factors, rank_mod_p, read_ints, rref_mod_p
+from .modular import (
+    digits,
+    from_digits,
+    is_prime,
+    null_space_mod_p,
+    prime_factors,
+    rank_mod_p,
+    read_ints,
+    reduce_mod,
+    rref_mod_p,
+)
 
 _MAX_FIELD = 1 << 20
 _BLOCK = 1 << 15  # elements per vectorized step of the table builds
@@ -176,9 +186,13 @@ class GF:
         return from_digits(op(digits(a, p, r), digits(b, p, r)) % p, p).reshape(a.shape)
 
     def pow_array(self, a, e) -> np.ndarray:
-        """a^e elementwise, with 0^0 = 1 and 0^e = 0 otherwise."""
-        a, e = np.asarray(a), np.asarray(e)
-        return np.where(a == 0, e == 0, self._exp[self._log[a] * e % (self.q - 1)])
+        """a^e elementwise, with 0^0 = 1 and 0^e = 0 otherwise.
+
+        The exponents are read exactly, uint64 and Python ints past 2^64
+        included, and reduced mod q - 1 before they meet the logarithm.
+        """
+        a, e = np.asarray(a), read_ints(e)
+        return np.where(a == 0, e == 0, self._exp[self._log[a] * reduce_mod(e, self.q - 1) % (self.q - 1)])
 
     def trace_array(self, a) -> np.ndarray:
         return self._trace[a]

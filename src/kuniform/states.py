@@ -35,7 +35,9 @@ block, every term pair (u, v) of a group adds c_u c_v to the bin of
 (cA, cA2, j_v - j_u mod d), and the bins are tested for zero through one
 integer matrix product against the cyclotomic reduction matrix.  The
 diagonal bins summed over cA are the norm, so no separate norm enters.
-Its tables take 16 d^(2k+1) bytes, bounded by MAX_HISTOGRAM_BYTES.
+Its tables take 16 d^(2k+1) bytes, bounded by MAX_HISTOGRAM_BYTES.  So
+are the per-level tables of every route, 8 d phi(d) bytes: the reduction
+matrix, or the Gram check's pairs of conjugate root tables.
 
 The histogram check is exact under a bound proved once per call from S,
 the sum of |c| over all terms (see _term_table): every bin and partial sum
@@ -70,10 +72,10 @@ from math import comb
 import numpy as np
 
 from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
-from .modular import digits, from_digits, read_ints, reduce_mod
+from .modular import digits, from_digits, prime_factors, read_ints, reduce_mod
 
 DEFAULT_MAX_OPS = 10**9
-# Memory ceiling on the histogram check's tables.
+# Memory ceiling on the oracle's tables: the histogram check's, and each route's per-level tables.
 MAX_HISTOGRAM_BYTES = 2 * 2**30
 # Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact).
 _GRAM_MAX_INNER = 2**24
@@ -281,10 +283,11 @@ def verify_uniform(
     An instance whose per-subset table of d^(2k+1) pair-and-exponent
     entries, or whose sort and histogram work over all subsets, exceeds
     max_ops raises TooLargeError before starting, on every route; so does a
-    histogram route whose tables (16 d^(2k+1) bytes) would exceed
-    MAX_HISTOGRAM_BYTES.  The pairs within each group of kets are charged
-    as they are found (d^(n+k) per subset on a full-support state): each
-    check refuses against the running total before it builds any pairs.
+    histogram route whose tables (16 d^(2k+1) bytes), or any route whose
+    per-level tables (8 d phi(d) bytes), would exceed MAX_HISTOGRAM_BYTES.
+    The pairs within each group of kets are charged as they are found
+    (d^(n+k) per subset on a full-support state): each check refuses
+    against the running total before it builds any pairs.
     workers is accepted and has no effect.
     """
     n, d = state.n, state.d
@@ -299,6 +302,11 @@ def verify_uniform(
         refuse(spent + pairs, f"sort, histogram and pair entries through subset {A}")
 
     refuse(d ** (2 * k + 1), "histogram entries per subset")
+    phi = d
+    for p in prime_factors(d):
+        phi -= phi // p
+    # the d x phi(d) reduction matrix, or phi(d)/2 pairs of length-d root tables
+    refuse(8 * d * phi, "bytes of per-level tables", MAX_HISTOGRAM_BYTES)
     spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
     refuse(spent, "sort and histogram entries")
     norm = state.norm_value()

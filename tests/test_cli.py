@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import subprocess
 import sys
 
@@ -28,20 +30,36 @@ def test_verify_k_out_of_range():
 
 
 def test_verify_method_is_a_choice(capsys):
+    # the oracle is the only method, so verify takes no --method
     state = str(fixture_path("state_5qubit_d2.txt"))
-    assert run("verify", "--state", state, "--k", "1", "--method", "oracle") == 0
-    capsys.readouterr()
-    assert run("verify", "--state", state, "--k", "1", "--method", "bareiss") == 2
-    assert "invalid choice" in capsys.readouterr().err
+    for method in ("oracle", "bareiss"):
+        assert run("verify", "--state", state, "--k", "1", "--method", method) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: --method {method}" in err
+    assert run("verify", "--state", state, "--k", "1") == 0
 
 
 def test_parser_is_built_once_and_keeps_no_state():
     parser = cli._build_parser()
     assert cli._build_parser() is parser
-    first = parser.parse_args(["verify", "--state", "a.txt", "--k", "2", "--workers", "3"])
+    first = parser.parse_args(["verify", "--state", "a.txt", "--k", "2", "--max-ops", "3"])
     second = parser.parse_args(["verify", "--state", "b.txt"])
-    assert (first.k, first.workers) == (2, 3)
-    assert (second.state, second.k, second.workers, second.method) == ("b.txt", None, 1, "oracle")
+    assert (first.k, first.max_ops) == (2, 3)
+    assert (second.state, second.k, second.max_ops) == ("b.txt", None, 10**9)
+
+
+def test_every_option_is_read():
+    # an option no command reads would be accepted and do nothing
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    body = inspect.getsource(cli).replace(inspect.getsource(cli._build_parser), "")
+    unread = {
+        (name, action.dest)
+        for name, sp in commands.choices.items()
+        for action in sp._actions
+        if not isinstance(action, argparse._HelpAction) and f"args.{action.dest}" not in body
+    }
+    assert not unread
 
 
 def test_verify_missing_file():
@@ -150,12 +168,13 @@ def test_search_prints_the_witness_and_appends_it(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("workers", ["0", "-2", "x"])
 def test_workers_below_one_exit_2(tmp_path, monkeypatch, capsys, argv, workers):
+    # every command runs on one thread and takes no --workers, at any value
     monkeypatch.chdir(tmp_path)
-    assert run(*argv, "--workers", workers) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    why = "invalid integer 'x'" if workers == "x" else f"must be at least 1, got {workers}"
-    assert f"argument --workers: {why}" in err
+    for value in (workers, "2"):
+        assert run(*argv, "--workers", value) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: --workers {value}" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -247,7 +266,7 @@ def test_construct_code_hypothesis_failure(tmp_path, capsys):
 
 
 def test_concat_and_emit(tmp_path, capsys):
-    # build an extension-field code file, expand it, then emit its state
+    # build an extension-field code file, expand it, then build its state
     rs = reed_solomon(get_field(2, 2), 4, 2)
     code_file = tmp_path / "rs42.txt"
     write_code(code_file, rs)
@@ -260,7 +279,12 @@ def test_concat_and_emit(tmp_path, capsys):
     assert (c.n, c.m, c.p) == (8, 4, 2)
 
     state_file = tmp_path / "state.txt"
-    assert run("emit-state", "--code", str(expanded), "--out", str(state_file)) == 0
+    # emit-state renders witnesses only; construct-code turns a code into a state
+    assert run("emit-state", "--code", str(expanded), "--out", str(state_file)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: --code {expanded}" in err
+    assert not state_file.exists()
+    assert run("construct-code", "--code", str(expanded), "--out", str(state_file)) == 0
     assert run("emit-state", "--witness", str(fixture_path("witness_6x6_d2.txt")), "--out", str(state_file)) == 0
     state = read_state(state_file)
     assert len(state) == 64
@@ -279,7 +303,7 @@ def test_concat_rejects_prime_field(tmp_path):
     assert run("concat", "--code", str(fixture_path("code_8_4_4_binary.txt")), "--out", str(tmp_path / "x.txt")) == 2
 
 
-@pytest.mark.parametrize("command", ["construct-code", "emit-state"])
+@pytest.mark.parametrize("command", ["construct-code"])
 def test_code_states_refuse_an_extension_field_code(tmp_path, capsys, command):
     code_file = tmp_path / "rs42.txt"
     write_code(code_file, reed_solomon(get_field(2, 2), 4, 2))

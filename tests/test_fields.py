@@ -47,6 +47,22 @@ def test_from_coeffs_refuses_fractional_coefficients():
     assert f.from_coeffs([2.0, 1.0]) == f.from_coeffs([2, 1])
 
 
+_HUGE_EXPONENTS = [2**62 + 1, 2**63 - 1, 2**63 + 5, 2**64 + 3, -1, -(2**62) - 1]
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (2, 20)])
+def test_pow_array_reduces_huge_exponents_exactly(p, r):
+    # log(a) * e in int64 wraps for these e; the scalar pow works on Python ints
+    f = get_field(p, r)
+    elements = [0, 1, 3, f.generator, f.q - 1]
+    for e in _HUGE_EXPONENTS:
+        assert f.pow_array(elements, e).tolist() == [f.pow(a, e) for a in elements]
+    grid = f.pow_array(np.array(elements)[:, None], np.array(_HUGE_EXPONENTS, dtype=object))
+    assert grid.tolist() == [[f.pow(a, e) for e in _HUGE_EXPONENTS] for a in elements]
+    assert f.pow_array(3, np.uint64(2**63 + 5)) == f.pow(3, 2**63 + 5)
+    assert f.pow_array([0, 0, 2], [0, 5, 0]).tolist() == [1, 0, 1]
+
+
 def test_field_size_is_checked_before_the_power_is_formed():
     with pytest.raises(ValueError, match="exceeds enumeration budget"):
         GF(2, 10**5)

@@ -509,7 +509,7 @@ def test_the_search_starts_no_thread(monkeypatch, capsys):
     assert search_witness(8, 3, 4, SearchBudget(3 * 10**4, seed=0), workers=3) is None
     cells = table_scan(2, range(2, 7), max_candidates=2**15, workers=2)
     assert [cells[n].best_k for n in range(2, 7)] == [1, 1, 1, 2, 3] and cells[4].misses == [(2, "exhausted")]
-    search = ["search", "--workers", "4", "--n"]
+    search = ["search", "--n"]
     assert main([*search, "6", "--d", "3", "--k", "3", "--seed", "9", "--budget", "1000000"]) == 0
     assert main([*search, "7", "--d", "2", "--k", "3", "--mode", "exhaustive", "--budget", str(2**21)]) == 3
     capsys.readouterr()
@@ -566,6 +566,23 @@ def test_gram_exactness_gate(monkeypatch):
     gram.clear()
     assert verify_uniform(ring, 1).uniform
     assert (len(histogram), len(gram)) == (5, 0)
+
+
+def test_per_level_tables_count_against_the_memory_ceiling(monkeypatch):
+    # at k = 0 the operation ceiling allows any level up to max_ops, while the
+    # reduction matrix or the Gram root tables take 8 d phi(d) bytes
+    d = 1009
+    flat = PureState.from_phases(1, d, {(j,): 0 for j in range(d)})  # the Gram route
+    for s in (_ghz(2, d), flat):
+        assert verify_uniform(s, 0).uniform
+    monkeypatch.setattr(states, "MAX_HISTOGRAM_BYTES", 2**20)
+    # a table that was built would call None and raise TypeError, not TooLargeError
+    monkeypatch.setattr(states, "reduction_matrix", None)
+    monkeypatch.setattr(states, "_conjugate_roots", None)
+    for s in (_ghz(2, d), flat):
+        with pytest.raises(TooLargeError, match="bytes of per-level tables") as exc:
+            verify_uniform(s, 0)
+        assert (exc.value.estimate, exc.value.ceiling) == (8 * d * (d - 1), 2**20)
 
 
 def test_histogram_memory_ceiling(monkeypatch):
