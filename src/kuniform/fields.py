@@ -20,6 +20,7 @@ and pow read the same immutable tables.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -233,7 +234,9 @@ class GF:
         return int(self._exp[-self._log[a] % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        return int(e == 0) if a == 0 else int(self._exp[int(self._log[a]) * e % (self.q - 1)])
+        """a^e with 0^0 = 1; e is read as an exact integer (numpy integers included) and reduced mod q - 1."""
+        e = operator.index(e)
+        return int(e == 0) if a == 0 else int(self._exp[int(self._log[a]) * (e % (self.q - 1)) % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Trace down to F_p: sum of a^(p^i) for i < r, always in [0, p)."""

@@ -35,9 +35,14 @@ i into row j.  So words(hi*2^B + lo) = words(lo) ^ words(hi*2^B): one
 table of the 2^B low words, B = min(T, 15), is built by B doublings
 W <- [W, W ^ P_t], where P_t is the word pattern of pair t, and a chunk is
 at most two slices of it, each XORed with one constant column.  In random
-mode vertex v's entries (v, j > v) are consecutive digits of the stream;
-they are hashed, vertex by vertex, only for the candidates still alive,
-and a candidate drops once a complete row has degree below k.
+mode vertex v's entries (v, j > v) are consecutive digits of the stream.
+They are hashed vertex by vertex, only for the candidates still alive, and
+added into a uint8 count of ones for each row not yet tested (at most 63,
+as n <= 64).  Once vertex v's entries are in, its row is complete: a
+candidate whose count for v is below k drops, and row v leaves the counts.
+No row words are kept along the way; after the last vertex one hash of
+the survivors' whole triangles rebuilds their words (about 2% of an
+(8,2,4) chunk survives).
 
 Chunks are scanned in index order on the calling thread, with the primes
 search_witness found once, and the scan stops at the first chunk with a
@@ -68,7 +73,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK = 1 << 15
 _FIRST_CHUNK = 1 << 10
-_HASH_BLOCK = 1 << 16
+_HASH_BLOCK = 1 << 14
 
 
 def splitmix64(x: int) -> int:
@@ -105,35 +110,55 @@ class SearchBudget:
 def _stream(base: int, start: int, offs: np.ndarray, T: int, t0: int, L: int, d: int) -> np.ndarray:
     """Digits t0 .. t0+L-1 of candidates start + offs, shape (L, len(offs)) in np.min_scalar_type(d - 1).
 
-    Digit t of candidate i is splitmix64((base + i*T + t) mod 2^64) mod d,
-    hashed in blocks of about _HASH_BLOCK inputs.  At a power of two
+    Digit t of candidate i is splitmix64((base + i*T + t) mod 2^64) mod d.
+    The stream is hashed in blocks of at most _HASH_BLOCK inputs, through
+    buffers allocated once per call and rewritten by out= ufuncs: a block's
+    uint64 buffer holds at most 128 KB (for L <= _HASH_BLOCK), which stays
+    in cache and is not mapped and unmapped by the allocator block after
+    block.  At a power of two
     h & (d - 1) = h mod d, and elsewhere h - (h // d)*d = h mod d, which
     numpy forms without a hardware division (h % d takes one per entry).
-    At d = 2 the digit is bit 0 ^ bit 31 of the second product, whose low
-    32 bits depend only on those of its factors, so it is taken mod 2^32.
+
+    At d = 2 the digit is z_31 ^ z_0, where z = y*M mod 2^32 is the low word
+    of the second product (M = 0x94D049BB133111EB, y the value it
+    multiplies), which depends only on the low 32 bits of y and M.  One
+    multiply by C = M*(1 + 2^31) mod 2^32 and a shift give it:
+    y*C = z + (z << 31) mod 2^32, whose bits 0..30 are those of z; no carry
+    enters bit 31, so bit 31 is z_31 ^ z_0.
     """
     out = np.empty((L, len(offs)), dtype=np.min_scalar_type(d - 1))
     step = max(1, _HASH_BLOCK // L)
+    width = min(step, len(offs))
+    x = np.empty(width, dtype=np.uint64)
+    h, tmp = np.empty((L, width), dtype=np.uint64), np.empty((L, width), dtype=np.uint64)
+    low = np.empty((L, width), dtype=np.uint32) if d == 2 else None
+    rows = np.arange(L, dtype=np.uint64)[:, None] + np.uint64((base + start * T + t0 + _GOLDEN) & _MASK)
     for lo in range(0, len(offs), step):
+        w = min(step, len(offs) - lo)
+        hb, tb, ob = h[:, :w], tmp[:, :w], out[:, lo:lo + w]
         with np.errstate(over="ignore"):
-            # x, not h: the last block's h lives until the new one exists, so the allocator reuses it
-            x = offs[lo:lo + step].astype(np.uint64) * np.uint64(T) + np.uint64((base + start * T + t0 + _GOLDEN) & _MASK)
-            h = np.arange(L, dtype=np.uint64)[:, None] + x
-            h ^= h >> np.uint64(30)
-            h *= np.uint64(0xBF58476D1CE4E5B9)
-            h ^= h >> np.uint64(27)
+            np.multiply(offs[lo:lo + w], np.uint64(T), out=x[:w], dtype=np.uint64, casting="unsafe")
+            np.add(rows, x[:w], out=hb)
+            np.right_shift(hb, np.uint64(30), out=tb)
+            hb ^= tb
+            hb *= np.uint64(0xBF58476D1CE4E5B9)
+            np.right_shift(hb, np.uint64(27), out=tb)
             if d == 2:
-                h = h.astype(np.uint32)
-                h *= np.uint32(0x94D049BB133111EB & 0xFFFFFFFF)
-                h ^= h >> np.uint32(31)
+                lb = low[:, :w]
+                np.bitwise_xor(hb, tb, out=lb, casting="unsafe")
+                lb *= np.uint32(0x94D049BB133111EB * (1 + 2**31) & 0xFFFFFFFF)
+                np.right_shift(lb, np.uint32(31), out=ob, casting="unsafe")
             else:
-                h *= np.uint64(0x94D049BB133111EB)
-                h ^= h >> np.uint64(31)
-        if d & (d - 1):
-            h -= h // np.uint64(d) * np.uint64(d)
-        else:
-            h &= h.dtype.type(d - 1)
-        out[:, lo:lo + step] = h
+                hb ^= tb
+                hb *= np.uint64(0x94D049BB133111EB)
+                np.right_shift(hb, np.uint64(31), out=tb)
+                hb ^= tb
+                if d & (d - 1):
+                    np.floor_divide(hb, np.uint64(d), out=tb)
+                    tb *= np.uint64(d)
+                    np.subtract(hb, tb, out=ob, casting="unsafe")
+                else:
+                    np.bitwise_and(hb, np.uint64(d - 1), out=ob, casting="unsafe")
     return out
 
 
@@ -232,8 +257,10 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
     degree test is the s = 1 test of _screen_level2.  Exhaustive words are
     slices of _low_words XORed with the words of the index bits above them.
     Random mode hashes vertex v's new entries (v, j > v), digits
-    t_v .. t_v + n - 2 - v of the candidate, for the candidates still alive
-    and then tests the degree of v, whose row is complete.
+    t_v .. t_v + n - 2 - v of the candidate, for the candidates still alive,
+    adds them to the degree counts of rows v .. n - 1 and then tests the
+    count of v, whose row is complete; the survivors' words are rebuilt
+    from their digits at the end.
     """
     word = np.min_scalar_type((1 << n) - 1).type
     T = n * (n - 1) // 2
@@ -249,25 +276,19 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
         words = np.concatenate(parts, axis=1)
         offs = np.flatnonzero((np.bitwise_count(words) >= k).all(axis=0))
         return offs, words[:, offs]
-    shifts = np.arange(n, dtype=word)
-    offs, ok = np.arange(count), np.ones(count, dtype=bool)
-    words = np.zeros((n, count), dtype=word)
+    # deg[r] counts the ones hashed so far in row v + r
+    offs, deg = np.arange(count), np.zeros((n, count), dtype=np.uint8)
     t = 0
     for v in range(n):
         L = n - 1 - v
         if L:
-            step = max(1, _HASH_BLOCK // L)
-            for lo in range(0, offs.size, step):
-                bits = _stream(base, start, offs[lo:lo + step], T, t, L, 2).astype(word, copy=False)
-                words[v, lo:lo + step] |= np.bitwise_or.reduce(bits << shifts[v + 1:, None], axis=0)
-                words[v + 1:, lo:lo + step] |= bits << word(v)
+            bits = _stream(base, start, offs, T, t, L, 2)
+            deg[0] += np.add.reduce(bits, axis=0, dtype=np.uint8)
+            deg[1:] += bits
             t += L
-        ok &= np.bitwise_count(words[v]) >= k
-        # a dead column still costs its later hashes; gather the live ones once a quarter are dead
-        if v == n - 1 or 4 * np.count_nonzero(ok) <= 3 * ok.size:
-            live = np.flatnonzero(ok)
-            offs, words, ok = offs[live], words[:, live], ok[live]
-    return offs, words
+        live = np.flatnonzero(deg[0] >= k)
+        offs, deg = offs[live], np.take(deg[1:], live, axis=1)
+    return offs, _row_words(_stream(base, start, offs, T, 0, T, 2), n)
 
 
 def _degree_ok(words: np.ndarray, k: int) -> np.ndarray:

@@ -59,7 +59,8 @@ Work is charged against max_ops.  Each subset check returns its failing
 pair (or None) and its pair count, the sum of g^2 over the sizes g of its
 groups of kets, and refuses against the running total before it builds
 any pairs.  One scan loop runs the checks on the calling thread in
-lexicographic order and adds each pair count to that total.
+lexicographic order and adds each pair count to that total, times the
+number of conjugate passes on the Gram route.
 """
 
 from __future__ import annotations
@@ -286,7 +287,9 @@ def verify_uniform(
     histogram route whose tables (16 d^(2k+1) bytes), or any route whose
     per-level tables (8 d phi(d) bytes), would exceed MAX_HISTOGRAM_BYTES.
     The pairs within each group of kets are charged as they are found
-    (d^(n+k) per subset on a full-support state): each check refuses
+    (d^(n+k) per subset on a full-support state), and the Gram route
+    charges them once per conjugate pass, phi(d)/2 passes at d > 2 and one
+    at d = 2, so that max_ops bounds its time too: each check refuses
     against the running total before it builds any pairs.
     workers is accepted and has no effect.
     """
@@ -299,7 +302,7 @@ def verify_uniform(
             raise TooLargeError(f"{total} {what} exceed ceiling {ceiling}", estimate=total, ceiling=ceiling)
 
     def charge(A, pairs):  # reads the running total; only the scan loop below adds to it
-        refuse(spent + pairs, f"sort, histogram and pair entries through subset {A}")
+        refuse(spent + passes * pairs, f"sort, histogram and pair entries through subset {A}")
 
     refuse(d ** (2 * k + 1), "histogram entries per subset")
     phi = d
@@ -310,8 +313,10 @@ def verify_uniform(
     spent = comb(n, k) * (len(state) + d ** (2 * k + 1))
     refuse(spent, "sort and histogram entries")
     norm = state.norm_value()
+    passes = 1  # the Gram route forms each pair once per table of _conjugate_roots
     if state.exponents is not None and len(state) == d**n and _gram_exact(d, n, k):
-        check, extra = _check_subset_gram, (_conjugate_roots(d),)
+        roots = _conjugate_roots(d)
+        check, extra, passes = _check_subset_gram, (roots,), len(roots)
     elif (terms := _term_table(state, k)) is None:  # past the exactness bound only the reference is exact
         check, extra = _check_subset_generic, ()
     else:
@@ -320,7 +325,7 @@ def verify_uniform(
 
     for A in itertools.combinations(range(n), k):
         fail, pairs = check(state, A, functools.partial(charge, A), *extra)
-        spent += pairs
+        spent += passes * pairs
         if fail is not None:
             return UniformityReport(k, False, norm, A, fail)
     return UniformityReport(k, True, norm)

@@ -63,6 +63,19 @@ def test_pow_array_reduces_huge_exponents_exactly(p, r):
     assert f.pow_array([0, 0, 2], [0, 5, 0]).tolist() == [1, 0, 1]
 
 
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (2, 20)])
+def test_pow_reads_numpy_exponents_exactly(p, r):
+    # int(log a) * np.int64(e) is a numpy product and wraps; the Python-int exponent is the reference
+    f = get_field(p, r)
+    for a in (0, 1, 3, f.generator, f.q - 1):
+        for e in _HUGE_EXPONENTS + [0, 5]:
+            want = f.pow(a, e)
+            for kind in (np.int64, np.uint64):
+                if np.iinfo(kind).min <= e <= np.iinfo(kind).max:
+                    got = f.pow(a, kind(e))
+                    assert type(got) is int and got == want, (a, e, kind)
+
+
 def test_field_size_is_checked_before_the_power_is_formed():
     with pytest.raises(ValueError, match="exceeds enumeration budget"):
         GF(2, 10**5)

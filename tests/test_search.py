@@ -344,7 +344,8 @@ _STREAM_CASES = (
     + [(6, 3, "exhaustive", 0, 0, 2**15)]
     + [(n, k, "exhaustive", 0, start, 3000) for n, k in [(7, 2), (7, 3), (8, 3), (12, 4)]
        for start in (2**15 - 7, 3 * 2**15 + 11)]
-    + [(n, k, "random", seed, start, 1500) for n, k in [(5, 2), (8, 3), (8, 4), (12, 4), (20, 5), (33, 3), (64, 2)]
+    + [(n, k, "random", seed, start, 1500)
+       for n, k in [(5, 2), (8, 3), (8, 4), (12, 4), (20, 5), (33, 3), (64, 2), (64, 32)]
        for seed in (0, 7777) for start in (0, 2**20 + 5)]
 )
 
@@ -359,6 +360,35 @@ def test_level2_stream_matches_the_digit_table(n, k, mode, seed, start, count):
     assert words.dtype == ref.dtype and (words == ref[:, offs]).all()
     offs = _survivors(start, count, n, 2, k, base, mode, [2])
     assert offs.tolist() == np.flatnonzero(_screen_level2(table, n, k)).tolist()
+
+
+@pytest.mark.parametrize("n,k", [(8, 4), (12, 5)])
+@pytest.mark.parametrize("seed", [0, 7777])
+def test_chunked_level2_screen_matches_the_whole_digit_table(n, k, seed):
+    # the first 2^17 random candidates in the scan's chunks (2^10, 2^12, 2^14,
+    # then 2^15 and a partial one) cross every chunk size and many hash blocks
+    base, total = _stream_base(seed, n, 2, k), 2**17
+    sizes = [count for _, count in search._chunks(total)]
+    assert sizes[:4] == [2**10, 2**12, 2**14, 2**15] and sizes[-1] < 2**15
+    got = np.concatenate([start + _survivors(start, count, n, 2, k, base, "random", [2])
+                          for start, count in search._chunks(total)])
+    table = _digits_batch(base, 0, total, n * (n - 1) // 2, 2, "random")
+    assert got.tolist() == np.flatnonzero(_screen_level2(table, n, k)).tolist()
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
+def test_the_parity_is_bit_31_of_one_product(ys):
+    # z = y*M mod 2^32; y*M*(1 + 2^31) = z + (z << 31) mod 2^32 keeps bits 0..30
+    # of z and takes no carry into bit 31, so bit 31 is z_31 ^ z_0
+    M = 0x94D049BB133111EB
+    C = M * (1 + 2**31) % 2**32
+    y = np.array(ys + [0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+    z = y * np.uint32(M % 2**32)
+    assert ((y * np.uint32(C)) >> np.uint32(31)).tolist() == ((z ^ (z >> np.uint32(31))) & np.uint32(1)).tolist()
+    for v in y.tolist():
+        w = v * M % 2**32
+        assert v * C % 2**32 >> 31 == (w >> 31) ^ (w & 1)
 
 
 def _first_pass_reference(start, count, n, d, k, base, mode):

@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 import threading
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -389,8 +389,11 @@ def test_scan_matches_brute_force_at_every_worker_count(case):
     scanned = itertools.combinations(range(s.n), k)
     if subset is not None:
         scanned = itertools.takewhile(lambda A: A <= subset, scanned)
-    # sort and histogram entries up front, then the pairs of every subset scanned
-    total = comb(s.n, k) * (len(s) + s.d ** (2 * k + 1)) + sum(_pair_count(s, A) for A in scanned)
+    # sort and histogram entries up front, then the pairs of every subset
+    # scanned, once per unit u <= d/2 of Z_d on the Gram route (full support, single roots)
+    gram = s.exponents is not None and len(s) == s.d**s.n
+    passes = sum(gcd(u, s.d) == 1 for u in range(1, s.d // 2 + 1)) if gram else 1
+    total = comb(s.n, k) * (len(s) + s.d ** (2 * k + 1)) + passes * sum(_pair_count(s, A) for A in scanned)
     for workers in (1, 2, 3):
         r = verify_uniform(s, k, max_ops=total, workers=workers)
         assert (r.uniform, r.failing_subset, r.failing_pair) == (subset is None, subset, pair)
@@ -583,6 +586,19 @@ def test_per_level_tables_count_against_the_memory_ceiling(monkeypatch):
         with pytest.raises(TooLargeError, match="bytes of per-level tables") as exc:
             verify_uniform(s, 0)
         assert (exc.value.estimate, exc.value.ceiling) == (8 * d * (d - 1), 2**20)
+
+
+def test_the_gram_route_charges_every_conjugate_pass():
+    # one qudit of level 2053 holding every basis string, at k = 0: 2 * 2053
+    # sort and histogram entries up front, then the one subset's 2053 pairs,
+    # formed once in each of the 1026 passes of the Gram check
+    d = 2053
+    flat = PureState.from_phases(1, d, {(j,): 0 for j in range(d)})
+    assert len(states._conjugate_roots(d)) == 1026
+    assert verify_uniform(flat, 0, max_ops=2 * d + 1026 * d).uniform
+    with pytest.raises(TooLargeError) as exc:
+        verify_uniform(flat, 0, max_ops=2 * d + d)  # the pair count alone
+    assert exc.value.estimate == 2 * d + 1026 * d
 
 
 def test_histogram_memory_ceiling(monkeypatch):
