@@ -28,19 +28,17 @@ only sufficient.
 
 One batched kernel runs the rank test on a digit table whose columns are
 candidate upper triangles -- a search chunk, or a single matrix as one
-column -- for every prime p | d whose residue products fit int64,
-(p - 1)^2 < 2^63.  check_certificate decides a larger prime by the
-invertible-block test at level p, which is exact at a prime: rank k mod p
-iff some k x k minor is nonzero mod p.  The kernel reduces the table once
-per prime, into the narrowest unsigned dtype that holds its residues (uint8
-for p < 2^8), with one row per candidate, and gathers the blocks from those
-rows, so the stacks it hands to the elimination kernel are already narrow
-and in range.  Subsets are scanned in lexicographic order with early exit,
-so failure reports are reproducible.  The search screens p = 2 by popcount
-instead (search._screen_level2) for n <= 64 and hands this kernel one other
-prime at a time.  check_certificate keeps the rank kernel at every prime,
-so the SymWitness of a search hit is certified independently of that
-screen.
+column -- for every prime p | d; the elimination kernel decides every prime
+up to 2^63, so check_certificate is its verdict alone at every level.  The
+kernel reduces the table once per prime, into the narrowest unsigned dtype
+that holds its residues (uint8 for p < 2^8), with one row per candidate,
+and gathers the blocks from those rows, so the stacks it hands to the
+elimination kernel are already narrow and in range.  Subsets are scanned in
+lexicographic order with early exit, so failure reports are reproducible.
+The search screens p = 2 by popcount instead (search._screen_level2) for
+n <= 64 and hands this kernel one other prime at a time.  check_certificate
+keeps the rank kernel at every prime, so the SymWitness of a search hit is
+certified independently of that screen.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import digits, fits_kernel, invertible_mod_d, is_prime, prime_factors, rank_mod_p, read_ints, reduce_mod
+from .modular import digits, invertible_mod_d, is_prime, prime_factors, rank_mod_p, read_ints, reduce_mod
 from .states import PureState, TooLargeError
 
 DEFAULT_MAX_KETS = 10**6
@@ -89,9 +87,8 @@ def _rank_certificate(table, n: int, k: int, primes) -> np.ndarray:
     """Pass mask over candidate upper triangles, the columns of a digit table (T, N) in triu order.
 
     Column i passes iff for every prime p of primes, the prime factors of
-    the level, that fits the kernel and every k-subset A, its H[A x
-    complement] has rank k mod p; with no prime too large for the kernel,
-    that is the exact certificate.  Each prime reads the table reduced once
+    the level, and every k-subset A, its H[A x complement] has rank k mod
+    p: the exact certificate.  Each prime reads the table reduced once
     into np.min_scalar_type(p - 1) and transposed to rows, one per
     candidate, and gathers the blocks of the alive candidates as
     rows[alive][:, cols].  Subsets go in lexicographic blocks sized so those
@@ -101,10 +98,10 @@ def _rank_certificate(table, n: int, k: int, primes) -> np.ndarray:
     pos = np.zeros((n, n), dtype=np.int64)
     pos[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
     pos += pos.T
-    tables = [(p, reduce_mod(table, p, np.min_scalar_type(p - 1)).T.copy()) for p in primes if fits_kernel(p)]
+    tables = [(p, reduce_mod(table, p, np.min_scalar_type(p - 1)).T.copy()) for p in primes]
     alive = np.arange(np.shape(table)[1])
     subsets = itertools.combinations(range(n), k)
-    while tables and alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
+    while alive.size and (block := list(itertools.islice(subsets, max(1, _STACK_CAP // (alive.size * k * (n - k)))))):
         A = np.array(block)
         outside = np.ones((len(A), n), dtype=bool)
         outside[np.arange(len(A))[:, None], A] = False
@@ -129,7 +126,8 @@ def check_certificate_general(H, d: int, k: int) -> bool:
 
     Sufficient at every level and exact at prime powers; at levels with two
     or more distinct primes it rejects some k-uniform witnesses, which
-    check_certificate accepts.
+    check_certificate accepts.  It shares no code with the rank kernel, so
+    the tests hold check_certificate to it at every prime.
     """
     m = _validated(H, d)
     n = m.shape[0]
@@ -146,19 +144,14 @@ def check_certificate_general(H, d: int, k: int) -> bool:
 
 def check_certificate(H, d: int, k: int) -> bool:
     """Whether H gives a k-uniform state at level d: every H[A x complement]
-    has rank k mod every prime p | d, exact by the module docstring's lemma.
-
-    The rank kernel decides every prime it can hold; a prime with
-    (p - 1)^2 >= 2^63 is decided by check_certificate_general at level p.
+    has rank k mod every prime p | d, exact by the module docstring's lemma,
+    decided by the rank kernel at every prime.
     """
     m = _validated(H, d)
     n = m.shape[0]
     if not 1 <= 2 * k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    primes = prime_factors(d)
-    return bool(_rank_certificate(m[np.triu_indices(n, 1)][:, None], n, k, primes)[0]) and all(
-        check_certificate_general(m, p, k) for p in primes if not fits_kernel(p)
-    )
+    return bool(_rank_certificate(m[np.triu_indices(n, 1)][:, None], n, k, prime_factors(d))[0])
 
 
 @dataclass(frozen=True)

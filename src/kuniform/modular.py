@@ -17,11 +17,12 @@ N matrices on the last axis, so every step is a whole-stack array operation
 and none gathers from the stack.  The residues live in the narrowest form
 that is exact, picked from (p, field) by _arithmetic: uint8 for p < 2^8,
 with products reduced by a Barrett shift-multiply proved exact below p^2
-(_barrett); int64 with % up to the largest p with (p-1)^2 < 2^63, beyond
-which products of residues could wrap and OverflowError is raised; and
+(_barrett); int64 with % while (p-1)^2 < 2^63, and Python ints in an object
+array above that, where products of residues would wrap in int64; and
 over GF(p^r), r > 1, the field's int64 encodings and its array forms
 (mul_array, sub_array, inv_array) -- this module holds no extension-field
-arithmetic and does not import fields.  rank_mod_p, rref_mod_p,
+arithmetic and does not import fields.  So the kernel decides every prime
+up to 2^63, whose residues its int64 output holds.  rank_mod_p, rref_mod_p,
 null_space_mod_p and their field-level forms are thin layers over it.
 
 Over composite moduli the one determinant, det_mod_d, uses fraction-free
@@ -193,9 +194,10 @@ def reduce_mod(a, q: int, dtype=np.int64) -> np.ndarray:
     ValueError.  Integer input that already lies in [0, q) is only cast, and
     other nonnegative input is reduced in the narrowest unsigned dtype that
     holds it.  A modulus whose residues dtype cannot hold, q - 1 above its
-    maximum, raises OverflowError instead of wrapping.
+    maximum, raises OverflowError instead of wrapping; dtype object holds
+    Python ints and so every modulus.
     """
-    if q - 1 > np.iinfo(dtype).max:
+    if dtype is not object and q - 1 > np.iinfo(dtype).max:
         raise OverflowError(f"residues mod {q} do not fit in {np.dtype(dtype)}")
     a = read_ints(a)
     if a.dtype == object:
@@ -234,8 +236,10 @@ def _arithmetic(p: int, field):
     of each nonzero entry.  Three forms: p < 2^8 keeps residues in uint8,
     forms w - f t as w + f (p - t) < p^2 in a wider dtype and reduces it by
     one Barrett step (_barrett), and inverts by a p-entry table; larger p
-    uses int64 with %, and inverts by square and multiply; GF(p^r) calls the
-    field's array forms on its int64 encodings.
+    uses % and inverts by square and multiply, in int64 while (p - 1)^2 <
+    2^63 and on Python ints in an object array above that (mul lifts its
+    operands, which may be int64); GF(p^r) calls the field's array forms on
+    its int64 encodings.
     """
     if field is not None and field.r > 1:
         def eliminate(w, f, t):
@@ -275,12 +279,9 @@ def _arithmetic(p: int, field):
             a, e = a * a % p, e >> 1
         return out
 
-    return p, np.int64, lambda a, b: a * b % p, eliminate, inv
-
-
-def fits_kernel(p: int) -> bool:
-    """Whether row_reduce works mod the prime p: products of residues stay below 2^63."""
-    return (p - 1) ** 2 < 1 << 63
+    if (p - 1) ** 2 < 1 << 63:
+        return p, np.int64, lambda a, b: a * b % p, eliminate, inv
+    return p, object, lambda a, b: np.asarray(a, dtype=object) * b % p, eliminate, inv
 
 
 def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +289,11 @@ def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the reduced row echelon forms, as int64 in the input's shape,
     and the rank of each matrix, in shape (...).  Over GF(p) (field None, or
-    of degree 1) p must satisfy (p-1)^2 < 2^63 or OverflowError is raised;
-    over a field GF(p^r), r > 1, entries are its integer-encoded elements.
-    Entries are reduced by reduce_mod, so non-integral ones raise ValueError.
+    of degree 1) p must be at most 2^63, whose residues the int64 output
+    holds, or OverflowError is raised; over a field GF(p^r), r > 1, entries
+    are its integer-encoded elements, and a field whose characteristic is
+    not p raises ValueError.  Entries are reduced by reduce_mod, so
+    non-integral ones raise ValueError.
 
     The stack is worked on as one contiguous (R, C, N) array, the N matrices
     on the last axis, in the dtype _arithmetic picks.  Column c takes the
@@ -301,8 +304,10 @@ def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:
     gathers from the stack, and columns left of c are not touched: they are
     zero below the rank.
     """
-    if not fits_kernel(p):
-        raise OverflowError(f"modulus {p} is too large: products of residues would wrap in int64")
+    if field is not None and field.p != p:
+        raise ValueError(f"field {field} has characteristic {field.p}, not {p}")
+    if p > 1 << 63:
+        raise OverflowError(f"modulus {p} is above 2^63: its residues do not fit the int64 output")
     if not is_prime(p):
         raise ValueError(f"elimination needs a prime modulus, got {p}; use the determinant path")
     q, dtype, mul, eliminate, inv = _arithmetic(p, field)

@@ -21,8 +21,7 @@ of the digits nonzero mod p (n <= 64): a vertex with fewer than k
 neighbours mod p lies with them in a k-subset whose block has a zero row.
 Then its exact test: at p = 2 with n <= 64 the popcount tests of
 _screen_level2 on the same words, and otherwise the batched rank kernel of
-matrices mod p.  A prime too large for the kernel's int64 arithmetic takes
-the degree test alone.
+matrices mod p, which decides every prime of a level up to 2^63.
 
 The words at p = 2 come from the level-2 stream _level2_words at d = 2, and
 in random mode at every even d: (h mod d) mod 2 = h mod 2 for even d, so
@@ -46,14 +45,12 @@ the survivors' whole triangles rebuilds their words (about 2% of an
 
 Chunks are scanned in index order on the calling thread, with the primes
 search_witness found once, and the scan stops at the first chunk with a
-hit.  When every prime of d fits the kernel the screen is exact, so the
-first survivor is the hit, and SymWitness certifies it once with the rank
-kernel at every prime, independently of the popcount screen.  At a level
-with a larger prime, check_certificate decides each survivor in index
-order.  The witness reads its matrix from _digits_batch, the stream the
-replay pins are defined on.  A miss is only a proof of absence in
-exhaustive mode; in random mode it just means "not found within budget",
-and table scans report the two cases differently.
+hit.  The screen is exact, so the first survivor is the hit, and
+SymWitness certifies it once with the rank kernel at every prime,
+independently of the popcount screen.  The witness reads its matrix from
+_digits_batch, the stream the replay pins are defined on.  A miss is only
+a proof of absence in exhaustive mode; in random mode it just means "not
+found within budget", and table scans report the two cases differently.
 """
 
 from __future__ import annotations
@@ -66,8 +63,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import append_registry, read_registry
-from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, check_certificate, upper_triangle_to_matrix
-from .modular import digits, fits_kernel, prime_factors
+from .matrices import _STACK_CAP, Provenance, SymWitness, _rank_certificate, upper_triangle_to_matrix
+from .matrices import check_certificate  # noqa: F401 -- unused here; kbench traces search.check_certificate
+from .modular import digits, prime_factors
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -274,7 +272,7 @@ def _level2_words(base: int, start: int, count: int, n: int, k: int, mode: str):
             lo, stop = max(start - hi * size, 0), min(start + count - hi * size, size)
             parts.append(W[:, lo:stop] ^ np.bitwise_xor.reduce(lead, axis=0, initial=word(0))[:, None])
         words = np.concatenate(parts, axis=1)
-        offs = np.flatnonzero((np.bitwise_count(words) >= k).all(axis=0))
+        offs = _degree_ok(words, k)
         return offs, words[:, offs]
     # deg[r] counts the ones hashed so far in row v + r
     offs, deg = np.arange(count), np.zeros((n, count), dtype=np.uint8)
@@ -303,7 +301,7 @@ def _degree_ok(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> np.ndarray:
-    """Offsets of the chunk's screen survivors; every true passer survives.
+    """Offsets of the chunk's certificate passers, ascending.
 
     One loop over the primes of d, each on the survivors of the ones before
     it: the degree test, then the popcount tests at p = 2 with n <= 64 and
@@ -328,7 +326,7 @@ def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: 
             keep = np.arange(offs.size)
         if popcount:
             keep = keep[_subset_screen(words, k, 2)]
-        elif fits_kernel(p):
+        else:
             keep = keep[_rank_certificate(residues[:, keep], n, k, [p])]
         offs, words = offs[keep], None
         if table is not None:
@@ -339,20 +337,6 @@ def _survivors(start: int, count: int, n: int, d: int, k: int, base: int, mode: 
 def _candidate(base: int, index: int, n: int, d: int, mode: str) -> np.ndarray:
     """The matrix of candidate index, read from the digit stream _digits_batch."""
     return upper_triangle_to_matrix(_digits_batch(base, index, 1, n * (n - 1) // 2, d, mode)[:, 0], n, d)
-
-
-def _first_pass_in_chunk(start: int, count: int, n: int, d: int, k: int, base: int, mode: str, primes) -> int | None:
-    """Index of the first certificate-passing candidate in a chunk, if any.
-
-    The screen is exact when every prime of d fits the rank kernel, and
-    then the first survivor is the answer; SymWitness certifies it.  A
-    larger prime is decided by check_certificate on each survivor.
-    """
-    exact = all(fits_kernel(p) for p in primes)
-    for index in (start + int(off) for off in _survivors(start, count, n, d, k, base, mode, primes)):
-        if exact or check_certificate(_candidate(base, index, n, d, mode), d, k):
-            return index
-    return None
 
 
 def _chunks(total: int):
@@ -393,8 +377,9 @@ def search_witness(
     base = _stream_base(budget.seed, n, d, k)
     primes = prime_factors(d)
     for start, count in _chunks(total):
-        hit = _first_pass_in_chunk(start, count, n, d, k, base, budget.mode, primes)
-        if hit is not None:
+        offs = _survivors(start, count, n, d, k, base, budget.mode, primes)
+        if offs.size:
+            hit = start + int(offs[0])
             H = _candidate(base, hit, n, d, budget.mode)
             return SymWitness(n=n, d=d, H=H, k=k, provenance=Provenance(budget.mode, budget.seed, hit))
     return None

@@ -447,11 +447,11 @@ _HUGE_PRIME = str(2**61 - 1)
 @pytest.mark.parametrize("argv,want", [
     (["emit-state", "--witness", "{file}", "--out", "{out}"], 2),
     (["bounds", "--p", _HUGE_PRIME, "--n", "8", "--k", "3"], 0),
-    # the kernel leaves 2^61 - 1 to the invertible-minor test, exact at a prime
+    # the rank kernel decides 2^61 - 1, its residues kept as Python ints
     (["search", "--n", "2", "--d", _HUGE_PRIME, "--k", "1", "--budget", "10"], 0),
     # the level (2^31 - 1)^2 has no small factor and no prime cofactor
     (["search", "--n", "2", "--d", str((2**31 - 1) ** 2), "--k", "1", "--budget", "10"], 0),
-    # 2(2^61 - 1): the rank kernel decides mod 2 and the minors mod 2^61 - 1
+    # 2(2^61 - 1): the popcount screen decides mod 2 and the rank kernel mod 2^61 - 1
     (["search", "--n", "2", "--d", str(2 * (2**61 - 1)), "--k", "1", "--budget", "10"], 0),
 ])
 def test_huge_prime_levels_answer_promptly(tmp_path, argv, want):

@@ -113,26 +113,48 @@ def test_prime_checkers_agree():
     assert np.flatnonzero(rank_mod_p(np.array(blocks), 2) < k).tolist() == [comb(n, k) - 1]
 
 
-def test_rank_kernel_skips_a_huge_prime_and_the_minors_decide():
-    # (p - 1)^2 >= 2^63 for p = 2^61 - 1: the kernel screens the other primes
-    # of d alone, and check_certificate decides p by its k x k minors, which
-    # is exact at a prime
+def test_rank_kernel_decides_a_huge_prime(monkeypatch):
+    # (p - 1)^2 >= 2^63 for p = 2^61 - 1: the kernel keeps its residues as
+    # Python ints, and no minor is taken
+    monkeypatch.setattr(matrices, "invertible_mod_d", lambda *args: pytest.fail("a minor was taken"))
     p = 2**61 - 1
     table = np.array([[1, 2, p]])
-    assert _rank_certificate(table, 2, 1, prime_factors(2 * p)).tolist() == [True, False, True]
-    assert _rank_certificate(table, 2, 1, prime_factors(p)).tolist() == [True, True, True]
+    assert _rank_certificate(table, 2, 1, prime_factors(2 * p)).tolist() == [True, False, False]
+    assert _rank_certificate(table, 2, 1, prime_factors(p)).tolist() == [True, True, False]
     for d, want in ((2 * p, [True, False, False]), (p, [True, True, False])):
         assert [check_certificate([[0, h], [h, 0]], d, 1) for h in (1, 2, p)] == want, d
-        w = search_witness(2, d, 1, SearchBudget(10, seed=0))
-        assert w is not None and check_certificate_general(w.H, d, 1)
+        assert search_witness(2, d, 1, SearchBudget(10, seed=0)) is not None
     # n = 4, k = 2: H[{0, 1} x {2, 3}] = [[1, 2], [3, 6 + p]] has determinant p,
     # singular mod p and not mod 5
     H = np.array([[0, 5, 1, 2], [5, 0, 3, 6 + p], [1, 3, 0, 7], [2, 6 + p, 7, 0]], dtype=object)
     assert not check_certificate(H, p, 2) and check_certificate(H, 5, 2)
     H[1, 3] = H[3, 1] = 7
     assert check_certificate(H, p, 2)
-    with pytest.raises(OverflowError, match="too large"):
-        rank_mod_p([[1]], p)
+    assert rank_mod_p([[1, 2], [3, 6 + p]], p) == 1 and rank_mod_p([[1, 2], [3, 7]], p) == 2
+
+
+@pytest.mark.parametrize("q", [3_037_000_507, 2**61 - 1])
+def test_certificate_agrees_with_the_minors_at_huge_primes(q):
+    # the invertible-minor certificate is exact at a prime and shares no code
+    # with the rank kernel; half the matrices get one block of rank below k:
+    # a row of H[A x complement] set to c times another (zero at k = 1)
+    rng = random.Random(q)
+    verdicts = set()
+    for n in range(2, 9):
+        for k in range(1, n // 2 + 1):
+            for planted in (False, False, True, True):
+                H = upper_triangle_to_matrix([rng.randrange(q) for _ in range(n * (n - 1) // 2)], n, q)
+                if planted:
+                    A = rng.sample(range(n), k)
+                    rest = [j for j in range(n) if j not in A]
+                    c = rng.randrange(q)
+                    for j in rest:
+                        H[A[0], j] = H[j, A[0]] = c * int(H[A[-1], j]) % q if k > 1 else 0
+                got = check_certificate(H, q, k)
+                assert got == check_certificate_general(H, q, k), (n, k, H.tolist())
+                assert not (planted and got), (n, k)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_certificate_factors_the_level_once(monkeypatch):

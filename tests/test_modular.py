@@ -23,6 +23,7 @@ from kuniform.modular import (
     prime_factors,
     rank_mod_p,
     row_reduce,
+    rref_mod_p,
 )
 
 SIX = [
@@ -267,22 +268,32 @@ def _rank_two(p, rng):
     return [a, b, [(x + y) % p for x, y in zip(a, b)]]
 
 
-def test_elimination_refuses_primes_whose_products_wrap():
-    # (p-1)^2 >= 2^63: a product of two residues would wrap in int64
+def test_elimination_answers_at_every_prime_up_to_2_63():
+    # (p-1)^2 >= 2^63 from 3,037,000,507 on: the kernel keeps those residues
+    # as Python ints, and each answer is checked in Python ints here
     rng = random.Random(8)
-    for _ in range(20):
-        m = _rank_two(4_294_967_311, rng)
-        with pytest.raises(OverflowError):
-            rank_mod_p(m, 4_294_967_311)
-        with pytest.raises(OverflowError):
-            null_space_mod_p(m, 4_294_967_311)
-    # the largest prime below the bound is exact
-    p = 3_037_000_493
-    for _ in range(20):
-        m = _rank_two(p, rng)
-        assert rank_mod_p(m, p) == 2
-        (x,) = null_space_mod_p(m, p).tolist()
-        assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m)
+    for p in (3_037_000_493, 3_037_000_507, 4_294_967_311, 2**61 - 1, 2**63 - 25):
+        for _ in range(20):
+            m = _rank_two(p, rng)
+            assert rank_mod_p(m, p) == 2
+            (x,) = null_space_mod_p(m, p).tolist()
+            assert any(x) and all(0 <= v < p for v in x)
+            assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m)
+        assert rank_mod_p([[1, 2], [3, 7]], p) == 2 and rank_mod_p([[1, 2], [3, 6 + p]], p) == 1
+    # past 2^63 the residues do not fit the int64 output
+    for call in (rank_mod_p, null_space_mod_p):
+        with pytest.raises(OverflowError, match="above 2\\^63"):
+            call([[1, 2], [3, 4]], 2**64 - 59)
+
+
+def test_a_field_of_another_characteristic_is_refused():
+    # GF(4) mod 5 would index past its tables, and GF(9) mod 2 would negate
+    # by p - 1 = 1; rank_mod_p takes no field and reaches the same row_reduce
+    for p, f in ((5, get_field(2, 2)), (2, get_field(3, 2)), (3, get_field(2, 1))):
+        for call in (row_reduce, rref_mod_p, null_space_mod_p):
+            with pytest.raises(ValueError, match="characteristic"):
+                call([[1, 2, 3]], p, f)
+        assert rank_mod_p([[1, 2, 3]], p) == 1
 
 
 def test_rank_of_a_stack_is_the_rank_of_each_matrix():
@@ -394,6 +405,7 @@ class _PrimeField:
 
 
 _KERNEL_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 251, 65521, 3_037_000_493)] + [(2, 2), (3, 2)]
+_KERNEL_FIELDS += [(p, 1) for p in (3_037_000_507, 2**61 - 1, 2**63 - 25)]  # residues kept as Python ints
 _INPUT_RANGES = {  # entry range of each input form; "list" goes past every fixed width
     "int8": (-(1 << 7), (1 << 7) - 1),
     "int32": (-(1 << 31), (1 << 31) - 1),

@@ -19,7 +19,6 @@ from kuniform.search import (
     _HASH_BLOCK,
     SearchBudget,
     _digits_batch,
-    _first_pass_in_chunk,
     _level2_words,
     _row_words,
     _screen_level2,
@@ -214,19 +213,16 @@ def test_a_search_factors_the_level_once(monkeypatch):
 
 
 def test_each_hit_is_certified_once(monkeypatch):
-    # the screen is exact at levels whose primes all fit the rank kernel, so
-    # SymWitness's check is the only certificate; a larger prime keeps the recheck
+    # the screen is exact at every level, so SymWitness's check is the only
+    # certificate, also at a prime whose residues the kernel keeps as Python ints
     calls, real = [], matrices.check_certificate
     spy = lambda H, d, k: calls.append(d) or real(H, d, k)
     monkeypatch.setattr(matrices, "check_certificate", spy)
     monkeypatch.setattr(search, "check_certificate", spy)
-    for (n, d, k), seed in (((12, 2, 4), 0), ((6, 3, 3), 9), ((5, 6, 2), 0)):
+    for (n, d, k), seed in (((12, 2, 4), 0), ((6, 3, 3), 9), ((5, 6, 2), 0), ((2, 2 * (2**61 - 1), 1), 0)):
         calls.clear()
         assert search_witness(n, d, k, SearchBudget(10**7, seed)) is not None
         assert calls == [d], (n, d, k)
-    calls.clear()
-    assert search_witness(2, 2 * (2**61 - 1), 1, SearchBudget(10, 0)) is not None
-    assert len(calls) >= 2
 
 
 def _assert_screen_agrees(n, d, k, base, start, count, mode):
@@ -391,13 +387,10 @@ def test_the_parity_is_bit_31_of_one_product(ys):
         assert v * C % 2**32 >> 31 == (w >> 31) ^ (w & 1)
 
 
-def _first_pass_reference(start, count, n, d, k, base, mode):
-    """The rank screen over the whole digit table, then the certificate on each survivor."""
+def _passers_reference(start, count, n, d, k, base, mode):
+    """Offsets of the chunk's certificate passers, by the rank kernel over the whole digit table."""
     table = _digits_batch(base, start, count, n * (n - 1) // 2, d, mode)
-    for off in np.flatnonzero(_rank_certificate(table, n, k, modular.prime_factors(d))):
-        if check_certificate(upper_triangle_to_matrix(table[:, off], n, d), d, k):
-            return start + int(off)
-    return None
+    return np.flatnonzero(_rank_certificate(table, n, k, modular.prime_factors(d))).tolist()
 
 
 @pytest.mark.parametrize("n,k,mode,seed,start,count", [
@@ -413,8 +406,8 @@ def _first_pass_reference(start, count, n, d, k, base, mode):
 ])
 def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, count):
     base = _stream_base(seed, n, 2, k)
-    want = _first_pass_reference(start, count, n, 2, k, base, mode)
-    assert _first_pass_in_chunk(start, count, n, 2, k, base, mode, [2]) == want
+    want = _passers_reference(start, count, n, 2, k, base, mode)
+    assert _survivors(start, count, n, 2, k, base, mode, [2]).tolist() == want
 
 
 @pytest.mark.parametrize("n,k,seed,start,count", [
@@ -425,8 +418,8 @@ def test_first_pass_matches_rank_screen_and_recheck(n, k, mode, seed, start, cou
 ])
 def test_first_pass_matches_the_reference_past_k_4(n, k, seed, start, count):
     base = _stream_base(seed, n, 2, k)
-    want = _first_pass_reference(start, count, n, 2, k, base, "random")
-    assert _first_pass_in_chunk(start, count, n, 2, k, base, "random", [2]) == want
+    want = _passers_reference(start, count, n, 2, k, base, "random")
+    assert _survivors(start, count, n, 2, k, base, "random", [2]).tolist() == want
 
 
 def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
@@ -440,7 +433,7 @@ def test_bit_screen_keeps_passers_wider_than_a_word(monkeypatch):
     row = H[np.triu_indices(n, 1)]
     assert _rank_certificate(row[:, None], n, 1, [2]).all()
     monkeypatch.setattr(search, "_digits_batch", lambda *args: row[:, None].copy())
-    assert _first_pass_in_chunk(0, 1, n, 2, 1, 0, "exhaustive", [2]) == 0
+    assert _survivors(0, 1, n, 2, 1, 0, "exhaustive", [2]).tolist() == [0]
 
 
 def test_level2_table_replays_are_pinned():
