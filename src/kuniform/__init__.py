@@ -22,6 +22,7 @@ from .states import PureState, TooLargeError, UniformityReport, marginal_sum, ma
 from .matrices import (
     Provenance,
     SymWitness,
+    cauchy_witness,
     check_certificate,
     check_certificate_general,
     check_certificate_prime,
@@ -76,6 +77,7 @@ __all__ = [
     "verify_uniform",
     "Provenance",
     "SymWitness",
+    "cauchy_witness",
     "check_certificate",
     "check_certificate_general",
     "check_certificate_prime",

@@ -156,7 +156,7 @@ def check_certificate(H, d: int, k: int) -> bool:
 
 @dataclass(frozen=True)
 class Provenance:
-    method: str  # "exhaustive" | "random" | "fixture"
+    method: str  # "exhaustive" | "random" | "fixture" | "cauchy"
     seed: int | None = None
     index: int | None = None
 
@@ -183,6 +183,33 @@ class SymWitness:
     def upper_triangle(self) -> tuple[int, ...]:
         """Strict upper-triangle entries in row-major (lexicographic pair) order."""
         return tuple(self.H[np.triu_indices(self.n, 1)].tolist())
+
+
+def cauchy_witness(n: int, p: int, xs=None) -> SymWitness:
+    """The symmetric Cauchy witness H_ij = (x_i + x_j)^-1 mod p, H_ii = 0, at k = n // 2.
+
+    A block H[A x complement] never meets the diagonal: it is the Cauchy
+    matrix 1 / (x_a - y_b) on the disjoint sets x_A and y = -x off A, and
+    every square submatrix of a Cauchy matrix is nonsingular (Roth and
+    Seroussi, IEEE Trans. Inf. Theory 31, 1985), so the block has rank
+    min(|A|, n - |A|) mod p and the state is absolutely maximally
+    entangled.  xs defaults to 0..n-1, valid at every prime p >= 2n - 1.
+    A composite p, len(xs) != n, xs that repeat mod p or a pair i != j with
+    x_i + x_j = 0 mod p raise ValueError.  SymWitness still checks the
+    certificate, so the lemma is never trusted.
+    """
+    if not is_prime(p):
+        raise ValueError(f"the Cauchy witness needs a prime level, got {p}")
+    xs = reduce_mod(range(n) if xs is None else xs, p, object)
+    if xs.shape != (n,):
+        raise ValueError(f"need {n} points, got an array of shape {xs.shape}")
+    xs = xs.tolist()
+    if len(set(xs)) != n:
+        raise ValueError(f"points {xs} repeat mod {p}")
+    if any((x + y) % p == 0 for x, y in itertools.combinations(xs, 2)):
+        raise ValueError(f"two points of {xs} sum to 0 mod {p}")
+    H = [[0 if i == j else pow(x + y, -1, p) for j, y in enumerate(xs)] for i, x in enumerate(xs)]
+    return SymWitness(n, p, H, n // 2, Provenance("cauchy"))
 
 
 def upper_triangle_to_matrix(entries, n: int, d: int) -> np.ndarray:

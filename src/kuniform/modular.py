@@ -236,10 +236,10 @@ def _arithmetic(p: int, field):
     of each nonzero entry.  Three forms: p < 2^8 keeps residues in uint8,
     forms w - f t as w + f (p - t) < p^2 in a wider dtype and reduces it by
     one Barrett step (_barrett), and inverts by a p-entry table; larger p
-    uses % and inverts by square and multiply, in int64 while (p - 1)^2 <
-    2^63 and on Python ints in an object array above that (mul lifts its
-    operands, which may be int64); GF(p^r) calls the field's array forms on
-    its int64 encodings.
+    uses %, in int64 while (p - 1)^2 < 2^63, inverting by square and
+    multiply, and on Python ints in an object array above that, inverting
+    entry by entry with pow(x, -1, p) (mul lifts its operands, which may be
+    int64); GF(p^r) calls the field's array forms on its int64 encodings.
     """
     if field is not None and field.r > 1:
         def eliminate(w, f, t):
@@ -281,7 +281,8 @@ def _arithmetic(p: int, field):
 
     if (p - 1) ** 2 < 1 << 63:
         return p, np.int64, lambda a, b: a * b % p, eliminate, inv
-    return p, object, lambda a, b: np.asarray(a, dtype=object) * b % p, eliminate, inv
+    inv_object = np.frompyfunc(lambda x: pow(int(x), -1, p), 1, 1)
+    return p, object, lambda a, b: np.asarray(a, dtype=object) * b % p, eliminate, inv_object
 
 
 def row_reduce(stack, p: int, field=None) -> tuple[np.ndarray, np.ndarray]:

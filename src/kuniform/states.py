@@ -20,9 +20,10 @@ M = zeta^E up to conjugation.  Each entry x of M M^H minus d^(n-k) on the
 diagonal lies in Z[zeta_d]; if x != 0 its norm, the product of its Galois
 conjugates sigma_s(x) over the units s of Z_d, is a nonzero integer, so
 some |sigma_s(x)| >= 1, and sigma_(d-s) is the complex conjugate of
-sigma_s.  One dense float64 Gram matrix per unit s <= d/2 therefore
-decides every entry exactly once the rounding error is below 1/2, which
-_gram_exact proves for inner lengths d^(n-k) <= 2^24.  Each is formed from
+sigma_s.  One dense Gram matrix per unit s <= d/2 therefore decides every
+entry exactly once the rounding error is below 1/4, which _gram_exact
+proves in float32 for inner lengths d^(n-k) <= 2^10 and in float64 up to
+2^24; _conjugate_roots picks the dtype from d^(n-k).  Each is formed from
 plain real BLAS products, which OpenBLAS may split over its own threads;
 the bound holds in any summation order.
 
@@ -78,8 +79,10 @@ from .modular import digits, from_digits, prime_factors, read_ints, reduce_mod
 DEFAULT_MAX_OPS = 10**9
 # Memory ceiling on the oracle's tables: the histogram check's, and each route's per-level tables.
 MAX_HISTOGRAM_BYTES = 2 * 2**30
-# Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact).
+# Largest inner length d^(n-k) at which the Gram check is exact (see _gram_exact),
+# and the largest at which it is exact in float32.
 _GRAM_MAX_INNER = 2**24
+_GRAM_F32_MAX_INNER = 2**10
 
 
 class TooLargeError(RuntimeError):
@@ -143,9 +146,10 @@ class PureState:
                     raise TypeError(f"amplitude {amp!r} is not a CycInt")
                 if amp.level != d:
                     raise ValueError(f"amplitude level {amp.level} != state level {d}")
-            keep = np.array([amp.root_exponent() is not None or not amp.is_zero() for amp in values], dtype=bool)
-            keys, values = keys[keep], tuple(amp for amp, kept in zip(values, keep) if kept)
             roots = [amp.root_exponent() for amp in values]
+            keep = [e is not None or not amp.is_zero() for amp, e in zip(values, roots)]
+            keys = keys[np.array(keep, dtype=bool)]
+            values, roots = tuple(itertools.compress(values, keep)), list(itertools.compress(roots, keep))
             if None not in roots:
                 exponents, values = roots, None
         if not len(keys):
@@ -178,14 +182,36 @@ class PureState:
             return None
         return dict(zip(map(tuple, self.keys.tolist()), self.exponents.tolist()))
 
+    @functools.cached_property
+    def _coefficients(self) -> tuple[np.ndarray, int, int]:
+        """(C, S, Q) of a values state, built once.
+
+        C is the (kets, d) table of the amplitudes' coefficients, S the sum
+        of |c| over all of them and Q the sum over kets of the squared sum of
+        |c| over the ket.  Every product of two coefficients, and every
+        partial sum of such products over kets, is at most Q in absolute
+        value, so C is int64 while Q < 2^63 and holds Python ints in an
+        object array above that.
+        """
+        C = np.array([amp.coeffs for amp in self.values], dtype=object)
+        per_ket = np.abs(C).sum(axis=1)
+        S, Q = int(per_ket.sum()), int(per_ket @ per_ket)
+        if Q < 1 << 63:
+            C = C.astype(np.int64)
+        C.setflags(write=False)
+        return C, S, Q
+
     def norm(self) -> CycInt:
-        """Exact  <state|state>  as a cyclotomic integer."""
+        """Exact  <state|state>  as a cyclotomic integer.
+
+        Coefficient t of conj(a) a is the sum over i of c_i c_(i+t mod d),
+        so the norm of a values state is one pass over its coefficient
+        table per t, exact in its dtype (see _coefficients).
+        """
         if self.exponents is not None:
             return from_int(self.d, len(self))
-        total = from_int(self.d, 0)
-        for amp in self.values:
-            total = total + amp.conjugate() * amp
-        return total
+        C = self._coefficients[0]
+        return CycInt(self.d, tuple((C * np.roll(C, -t, axis=1)).sum() for t in range(self.d)))
 
     def norm_value(self) -> int | CycInt:
         """The norm as a plain integer when it is one (it usually is)."""
@@ -274,10 +300,10 @@ def verify_uniform(
     call takes one of three routes, all with the same report:
       * a full-support state of single roots, within the bound of
         _gram_exact, runs the dense Gram check: rho_A = M M^H for its
-        amplitudes M as a d^k x d^(n-k) matrix, in float64 once per Galois
-        conjugate, which decides each entry exactly because a nonzero
-        cyclotomic integer has a conjugate of modulus at least 1 (its norm
-        is a nonzero integer);
+        amplitudes M as a d^k x d^(n-k) matrix, once per Galois conjugate,
+        in float32 when d^(n-k) <= 2^10 and in float64 above; that decides
+        each entry exactly because a nonzero cyclotomic integer has a
+        conjugate of modulus at least 1 (its norm is a nonzero integer);
       * any other state within the bound of _term_table runs the histogram
         check on its term table, built once;
       * a state past that bound runs the reference check, subset by subset.
@@ -315,7 +341,7 @@ def verify_uniform(
     norm = state.norm_value()
     passes = 1  # the Gram route forms each pair once per table of _conjugate_roots
     if state.exponents is not None and len(state) == d**n and _gram_exact(d, n, k):
-        roots = _conjugate_roots(d)
+        roots = _conjugate_roots(d, d ** (n - k))
         check, extra, passes = _check_subset_gram, (roots,), len(roots)
     elif (terms := _term_table(state, k)) is None:  # past the exactness bound only the reference is exact
         check, extra = _check_subset_generic, ()
@@ -346,10 +372,12 @@ def max_uniformity(state: PureState, max_ops: int = DEFAULT_MAX_OPS, workers: in
 def _gram_exact(d: int, n: int, k: int) -> bool:
     """Whether the Gram check decides every k-subset of a full-support state exactly.
 
-    Let m = d^(n-k), u = 2^-53, and x = G[a, a'] - [a = a'] m for an entry
-    of the exact Gram matrix G = M M^H; x lies in Z[zeta_d].  The check
-    computes sigma_s(x), for each unit s of Z_d with s <= d/2, in float64,
-    and calls x nonzero when some computed squared modulus is at least 1/4.
+    Let m = d^(n-k) and x = G[a, a'] - [a = a'] m for an entry of the exact
+    Gram matrix G = M M^H; x lies in Z[zeta_d].  The check computes
+    sigma_s(x), for each unit s of Z_d with s <= d/2, in the dtype of
+    _conjugate_roots(d, m), with unit roundoff u: float32, u = 2^-24, for
+    m <= 2^10, and float64, u = 2^-53, for m <= 2^24.  It calls x nonzero
+    when some computed squared modulus is at least 1/4.
     That is exact when every computed value is within 1/4 of the true one
     and the squared modulus is formed to a relative 1/8:
       * x = 0: every sigma_s(x) is 0, so every computed modulus is below 1/4;
@@ -357,36 +385,48 @@ def _gram_exact(d: int, n: int, k: int) -> bool:
         is a nonzero rational integer, so some |sigma_s(x)| >= 1; since
         sigma_(d-s)(x) is the complex conjugate of sigma_s(x), some such s
         is at most d/2, and its computed modulus is above 3/4.
-    The error of an entry, for m <= 2^24:
-      * a root cos t + i sin t with t = (2 pi / d) j, 0 <= j < d, has t
-        within 3.01u relative (so 19u absolute) and, with cos and sin within
-        1 ulp, lies within eps = 2^-48 of zeta^j; a product of two computed
-        roots is then within 3 eps of the exact one, and m of them move
-        the entry by at most 3 m eps <= 3 * 2^-24;
+    The error of an entry:
+      * a float64 root cos t + i sin t with t = (2 pi / d) j, 0 <= j < d,
+        has t within 3.01 * 2^-53 relative (so 19 * 2^-53 absolute) and,
+        with cos and sin within 1 ulp, lies within 2^-48 of zeta^j; a
+        float32 root is that one rounded once more, each part by a relative
+        2^-24, so within eps = 2^-24 + 2^-48 of zeta^j (eps = 2^-48 in
+        float64).  A product of two computed roots is then within 3 eps of
+        the exact one, and m of them move the entry by at most 3 m eps:
+        3 * 2^-24 in float64 and under 2^-12 in float32;
       * the real and the imaginary part of an inner product of length m
         are each a real inner product of length 2m, so in any summation
         order (blocked, split into X X^T + Y Y^T and T - T^T for T = Y X^T,
         with fused multiply-adds or not) each is within
-        gamma_2m sum |x_i||y_i| <= 2mu (1 + 2^-27) m (1 + eps)^2 of its
-        value, together within 2 sqrt(2) m^2 u (1 + 2^-26) < 0.09;
-      * subtracting m, which float64 holds exactly, adds at most
-        u (2m + 1) < 2^-28.
-    That is under 0.1 < 1/4, and squaring and adding the two parts is off
-    by a relative 4u < 1/8.  Past m = 2^24 the histogram check runs.
+        gamma_2m sum |x_i||y_i| <= 2mu (1 + 4mu) m (1 + eps)^2 of its
+        value, together within 2 sqrt(2) m^2 u (1 + 2^-11): under 0.09 in
+        float64 (m <= 2^24) and under 0.177 in float32 (m <= 2^10, where
+        2 sqrt(2) m^2 u = sqrt(2) / 8);
+      * subtracting m, which both dtypes hold exactly, adds at most
+        u (2m + 1): under 2^-27 in float64 and under 2^-12 in float32.
+    That is under 0.1 in float64 and under 0.18 in float32, both below
+    1/4, and squaring and adding the two parts is off by a relative
+    4u < 1/8.  Past m = 2^24 the histogram check runs.
     """
     return d ** (n - k) <= _GRAM_MAX_INNER
 
 
-def _conjugate_roots(d: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def _conjugate_roots(d: int, m: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """(cos, sin) of 2 pi s j / d for j in Z_d, for each unit s of Z_d with s <= d/2.
 
-    At d = 2 the roots are real, so the sine table is None.
+    The tables are float32 when the inner length m is at most
+    _GRAM_F32_MAX_INNER and float64 otherwise, where _gram_exact proves
+    the Gram check exact.  Each is computed in float64 and rounded once,
+    table by table, so they never take more than 8 d phi(d) bytes.  At
+    d = 2 the roots are real, so the sine table is None.
     """
+    dtype = np.float32 if m <= _GRAM_F32_MAX_INNER else np.float64
     tables = []
     for s in range(1, d // 2 + 1):
         if np.gcd(s, d) == 1:
             t = (2 * np.pi / d) * (s * np.arange(d) % d)
-            tables.append((np.cos(t), None if d == 2 else np.sin(t)))
+            sin = None if d == 2 else np.sin(t).astype(dtype, copy=False)
+            tables.append((np.cos(t).astype(dtype, copy=False), sin))
     return tables
 
 
@@ -395,11 +435,11 @@ def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=Non
 
     The sorted keys of a full-support state are the row-major grid, so the
     exponents reshape to a d^k x d^(n-k) matrix E indexed by (cA, cB) with
-    no sort.  For each pair of tables of _conjugate_roots (the default),
-    M = cos[E] + i sin[E] and G = M M^H is the conjugate of rho_A, formed
-    from real products; an entry fails when it is at least 1/2 away from
-    [cA = cA2] d^(n-k) under any pair, which _gram_exact shows is exact
-    within its bound.  Every one of the d^(n-k) groups of kets that agree
+    no sort.  For each pair of tables of _conjugate_roots(d, d^(n-k)) (the
+    default), M = cos[E] + i sin[E] and G = M M^H is the conjugate of
+    rho_A, formed from real products; an entry fails when it is at least
+    1/2 away from [cA = cA2] d^(n-k) under any pair, which _gram_exact
+    shows is exact within its bound.  Every one of the d^(n-k) groups of kets that agree
     off A holds d^k kets, so pairs = d^(n+k).
     """
     n, d = state.n, state.d
@@ -411,7 +451,7 @@ def _check_subset_gram(state: PureState, A, charge=lambda pairs: None, roots=Non
     B = [i for i in range(n) if i not in aset]
     E = state.exponents.reshape((d,) * n).transpose(list(A) + B).reshape(dk, m)
     fail = np.zeros((dk, dk), dtype=bool)
-    for cos, sin in _conjugate_roots(d) if roots is None else roots:
+    for cos, sin in _conjugate_roots(d, m) if roots is None else roots:
         X = cos[E]
         G = X @ X.T  # M = X + iY: the real part of M M^H is X X^T + Y Y^T
         if sin is not None:
@@ -459,21 +499,19 @@ def _term_table(state: PureState, k: int) -> _Terms | None:
         and the norm's (at most r Q);
       * S^2 <= 2^53 unless every amplitude is a single root: the bincount
         weights c_u c_v and their float64 running sums are then integers
-        of at most S^2, so exact.  (Each |c| <= S < 2^32 also fits the
-        int64 coefficient table.)
+        of at most S^2, so exact.  (The second bound gives Q < 2^63, so
+        the state's coefficient table, _coefficients, is int64.)
     """
     d = state.d
     if state.exponents is not None:
         S = Q = len(state)
     else:
-        per_ket = [sum(map(abs, amp.coeffs)) for amp in state.values]
-        S, Q = sum(per_ket), sum(t * t for t in per_ket)
+        C, S, Q = state._coefficients
     r = int(np.abs(reduction_matrix(d)).max())
     if r * S * S >= 1 << 63 or r * (d**k + 1) * Q >= 1 << 63 or (state.values is not None and S * S > 1 << 53):
         return None
     if state.exponents is not None:
         return _Terms(None, state.exponents, None)
-    C = np.array([amp.coeffs for amp in state.values], dtype=np.int64)
     rows, exps = np.nonzero(C)
     coeffs = C[rows, exps]
     first = np.concatenate(([0], np.cumsum(np.count_nonzero(C, axis=1))))

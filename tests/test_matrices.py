@@ -4,17 +4,20 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuniform import matrices
 from kuniform.fileio import read_state, read_witness
 from kuniform.fixtures import fixture_path
-from kuniform.modular import digits, prime_factors, rank_mod_p, reduce_mod
+from kuniform.modular import digits, is_prime, prime_factors, rank_mod_p, reduce_mod
 from kuniform.matrices import (
     _STACK_CAP,
     Provenance,
     _rank_certificate,
     SymWitness,
     all_phases,
+    cauchy_witness,
     check_certificate,
     check_certificate_general,
     check_certificate_prime,
@@ -155,6 +158,64 @@ def test_certificate_agrees_with_the_minors_at_huge_primes(q):
                 assert not (planted and got), (n, k)
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _primes_from(lo, count):
+    return list(itertools.islice((p for p in itertools.count(lo) if is_prime(p)), count))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_cauchy_witness_is_ame_at_the_first_two_primes(n):
+    for p in _primes_from(2 * n - 1, 2):
+        w = cauchy_witness(n, p)
+        assert (w.n, w.d, w.k, w.provenance) == (n, p, n // 2, Provenance("cauchy"))
+        i, j = np.triu_indices(n, 1)
+        assert (w.H[i, j] * (i + j) % p == 1).all()
+        assert check_certificate_general(w.H, p, n // 2)
+
+
+@st.composite
+def _cauchy_points(draw):
+    """(n, p, xs): n points mod a prime p >= 2n - 1, no two equal and no two summing to 0."""
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from(_primes_from(2 * n - 1, 6)))
+    classes = draw(st.lists(st.integers(0, (p - 1) // 2), min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    lifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return n, p, [s * c + t * p for c, s, t in zip(classes, signs, lifts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cauchy_points())
+def test_cauchy_witness_is_ame_for_any_valid_points(case):
+    n, p, xs = case
+    w = cauchy_witness(n, p, xs)
+    assert w.k == n // 2 and check_certificate_general(w.H, p, n // 2)
+
+
+def test_cauchy_witness_refusals():
+    with pytest.raises(ValueError, match="prime"):
+        cauchy_witness(3, 9)
+    with pytest.raises(ValueError, match="need 3 points, got an array of shape \\(2,\\)"):
+        cauchy_witness(3, 7, [0, 1])
+    with pytest.raises(ValueError, match="shape"):
+        cauchy_witness(2, 7, [[0, 1]])
+    with pytest.raises(ValueError, match="repeat"):
+        cauchy_witness(3, 7, [1, 2, 8])
+    with pytest.raises(ValueError, match="sum to 0"):
+        cauchy_witness(3, 7, [0, 3, 4])
+    # below 2n - 1 the default points 0..n-1 have a pair summing to 0 mod p
+    for n in range(3, 9):
+        for p in (q for q in range(2, 2 * n - 1) if is_prime(q)):
+            with pytest.raises(ValueError):
+                cauchy_witness(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (4, 7), (5, 11)])
+def test_the_oracle_verifies_cauchy_states(n, p):
+    state = state_from_matrix(cauchy_witness(n, p))
+    assert len(state) == p**n
+    assert verify_uniform(state, n // 2).uniform
 
 
 def test_certificate_factors_the_level_once(monkeypatch):

@@ -463,6 +463,31 @@ def test_narrow_arithmetic_is_exact_for_every_residue(p):
     assert (nonzero.astype(np.int64) * inv(nonzero) % p == 1).all()
 
 
+def _fermat_inverse(x, p):
+    """x^(p-2) mod p by square and multiply."""
+    out, e = 1, p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p", [3_037_000_507, 2**61 - 1])
+def test_object_arithmetic_inverts_entry_by_entry(p):
+    # (p - 1)^2 >= 2^63: residues are Python ints, inverted one by one with
+    # pow(x, -1, p); the pivots may reach it as int64 or Python ints
+    q, dtype, mul, eliminate, inv = _arithmetic(p, None)
+    assert (q, dtype) == (p, object)
+    rng = random.Random(p)
+    a = [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(300)]
+    want = [_fermat_inverse(x, p) for x in a]
+    for given_ in (np.array(a, dtype=object), np.array(a, dtype=np.int64)):
+        got = inv(given_)
+        assert got.dtype == object and got.tolist() == want
+    assert all(x * y % p == 1 for x, y in zip(a, want))
+
+
 def test_wide_unsigned_entries_are_reduced_exactly():
     # 2^64 - 1 = 0 mod 3, and as an int64 it would read -1
     assert rank_mod_p(np.full((2, 2), 2**64 - 1, dtype=np.uint64), 3) == 0

@@ -225,6 +225,13 @@ def test_each_hit_is_certified_once(monkeypatch):
         assert calls == [d], (n, d, k)
 
 
+def test_a_search_at_a_huge_prime_hits_its_first_candidate():
+    # (p - 1)^2 >= 2^63 at p = 3,037,000,507: the rank kernel works on Python
+    # ints there, and its first 1,024-candidate chunk is ranked whole
+    w = search_witness(6, 3_037_000_507, 3, SearchBudget(10**4, 0))
+    assert (w.provenance.method, w.provenance.seed, w.provenance.index) == ("random", 0, 0)
+
+
 def _assert_screen_agrees(n, d, k, base, start, count, mode):
     """The scan's screen on a chunk against the determinant certificate mod
     each prime of d: equal at every level."""

@@ -4,11 +4,11 @@ import itertools
 import random
 import sys
 import threading
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kuniform import states
@@ -456,6 +456,7 @@ def _perturbed_full_support(draw):
 @given(_perturbed_full_support())
 def test_gram_check_matches_both_references_on_full_support(s):
     for k in range(s.n // 2 + 1):
+        assert states._conjugate_roots(s.d, s.d ** (s.n - k))[0][0].dtype == np.float32  # d^(n-k) <= 2^10
         for A in itertools.combinations(range(s.n), k):
             assert _check_subset_gram(s, A) == _check_subset(s, A) == _check_subset_generic(s, A)
 
@@ -468,6 +469,7 @@ def test_gram_check_needs_every_conjugate():
     row = [0] * 2 + [1] * 8 + [2] * 3 + [3] * 5 + [4] * 7
     s = PureState.from_phases(3, 5, {(a, b // 5, b % 5): row[b] if a == 0 else 0 for a in range(5) for b in range(25)})
     assert abs(sum(cmath.exp(2j * cmath.pi * e / 5) for e in row)) < 0.5
+    assert all(t.dtype == np.float32 for pair in states._conjugate_roots(5, 5**2) for t in pair)
     assert _check_subset_gram(s, (0,)) == _check_subset_generic(s, (0,)) == (((0,), (1,)), 5**4)
 
 
@@ -487,6 +489,65 @@ def test_gram_check_matches_the_histogram_on_large_products(n, d, k, moved):
         fail, pairs = _check_subset_gram(s, A)
         assert (fail, pairs) == _check_subset(s, A)
         assert (fail is None) != moved  # the first three subsets of this H pass
+
+
+@pytest.mark.parametrize("n,d,k", [(12, 2, 2), (6, 4, 1), (3, 32, 1), (13, 2, 2)])
+def test_gram_check_matches_the_histogram_at_the_float32_edge(n, d, k):
+    # the inner length d^(n-k) is 2^10, the largest at which the root tables
+    # are float32, and 2^11 at (13, 2, 2), where they are float64
+    m = d ** (n - k)
+    assert states._conjugate_roots(d, m)[0][0].dtype == (np.float32 if m <= 2**10 else np.float64)
+    strings, exps = all_phases(search_witness(n, d, k, SearchBudget(10**5, seed=0)).H, n, d)
+    rng = random.Random(m + d)
+    verdicts = set()
+    for moved in (False, True):  # a k-uniform witness's state, then one exponent moved
+        if moved:
+            exps[rng.randrange(d**n)] += rng.randrange(1, d)
+        s = PureState.from_phases(n, d, dict(zip(map(tuple, strings.tolist()), exps.tolist())))
+        for A in itertools.combinations(range(n), k):
+            fail, pairs = _check_subset_gram(s, A)
+            assert (fail, pairs) == _check_subset(s, A), A
+            verdicts.add(fail is None)
+    assert verdicts == {True, False}
+
+
+def _norm_reference(s):
+    """<s|s> of a values state as the sum of conj(a) a, one CycInt product at a time."""
+    total = from_int(s.d, 0)
+    for amp in s.values:
+        total = total + amp.conjugate() * amp
+    return total
+
+
+@st.composite
+def _values_state(draw):
+    """A state of general amplitudes whose coefficients reach up to 2^bits."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    bits = draw(st.sampled_from([2, 16, 31, 32, 40, 70]))
+    coeff = st.integers(-(2**bits), 2**bits)
+    ket = st.tuples(*[st.integers(0, d - 1)] * n)
+    amps = draw(st.dictionaries(ket, st.builds(CycInt, st.just(d), st.tuples(*[coeff] * d)), min_size=1, max_size=12))
+    assume(not all(amp.is_zero() or amp.root_exponent() is not None for amp in amps.values()))
+    return PureState(n, d, amps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values_state())
+def test_norm_matches_the_cyclotomic_loop(s):
+    C, S, Q = s._coefficients
+    assert C.dtype == (np.int64 if Q < 2**63 else object)
+    assert s.norm().coeffs == _norm_reference(s).coeffs
+
+
+@pytest.mark.parametrize("past,dtype", [(0, np.int64), (1, object)])
+def test_norm_past_the_int64_bound(past, dtype):
+    # two kets whose coefficients sum to L and 1 in absolute value, so
+    # Q = L^2 + 1, which is below 2^63 at the first L and above it at L + 1
+    L = isqrt(2**63 - 2) + past
+    s = PureState(1, 3, {(0,): CycInt(3, (L - 1, -1, 0)), (1,): CycInt(3, (0, 0, -1))})
+    C, S, Q = s._coefficients
+    assert (S, Q, C.dtype) == (L + 1, L * L + 1, dtype)
+    assert s.norm().coeffs == _norm_reference(s).coeffs == ((L - 1) ** 2 + 2, 1 - L, 1 - L)
 
 
 def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
@@ -594,7 +655,7 @@ def test_the_gram_route_charges_every_conjugate_pass():
     # formed once in each of the 1026 passes of the Gram check
     d = 2053
     flat = PureState.from_phases(1, d, {(j,): 0 for j in range(d)})
-    assert len(states._conjugate_roots(d)) == 1026
+    assert len(states._conjugate_roots(d, d)) == 1026
     assert verify_uniform(flat, 0, max_ops=2 * d + 1026 * d).uniform
     with pytest.raises(TooLargeError) as exc:
         verify_uniform(flat, 0, max_ops=2 * d + d)  # the pair count alone
