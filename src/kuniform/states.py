@@ -27,15 +27,20 @@ proves in float32 for inner lengths d^(n-k) <= 2^10 and in float64 up to
 plain real BLAS products, which OpenBLAS may split over its own threads;
 the bound holds in any summation order.
 
-The histogram check serves every other state.  Once per verify_uniform
-call each ket is expanded into its nonzero cyclotomic terms c zeta^j (its
-row, j and the integer c); an exponent state is the case of one term per
-ket with c = 1.  For each subset the kets are grouped by their
-complementary strings, the term groups of each size are gathered into one
-block, every term pair (u, v) of a group adds c_u c_v to the bin of
-(cA, cA2, j_v - j_u mod d), and the bins are tested for zero through one
-integer matrix product against the cyclotomic reduction matrix.  The
-diagonal bins summed over cA are the norm, so no separate norm enters.
+The histogram check serves every other state.  Each state packs its kets
+into int64 words once, when it is built, to sort them, and keeps those
+words in row order.  Once per verify_uniform call each ket is expanded
+into its nonzero cyclotomic terms c zeta^j (its row, j and the integer c);
+an exponent state is the case of one term per ket with c = 1.  For each
+subset A the kets are grouped by their complementary strings: from the
+kept words, each ket's digit at i times d^place is subtracted for each i
+in A, in only the words that hold A's positions, so A's digits read as a
+constant 0 and the words sort in the order of the complementary strings.
+The term groups of each size are gathered into one block, every term pair
+(u, v) of a group adds c_u c_v to the bin of (cA, cA2, j_v - j_u mod d),
+and the bins are tested for zero through one integer matrix product
+against the cyclotomic reduction matrix.  The diagonal bins summed over cA
+are the norm, so no separate norm enters.
 Its tables take 16 d^(2k+1) bytes, bounded by MAX_HISTOGRAM_BYTES.  So
 are the per-level tables of every route, 8 d phi(d) bytes: the reduction
 matrix, or the Gram check's pairs of conjugate root tables.
@@ -50,11 +55,13 @@ CycInt products pair by pair; that reference is the only path for such a
 state, and the differential tests hold both fast checks to it.
 
 Every int64 packing is bounded where it is made.  A local string cA is
-packed whole: d^k <= d^(2k+1), and verify_uniform refuses with
-TooLargeError unless d^(2k+1) <= max_ops, which also bounds the histogram
-index (cA, cA2, exponent).  The complementary strings, which can be far
-longer than 63 bits, are packed into words of at most w digits with
-d^w <= 2^62 and sorted word by word, so they never wrap.
+packed whole, by Horner's rule over A's columns: d^k <= d^(2k+1), and
+verify_uniform refuses with TooLargeError unless d^(2k+1) <= max_ops,
+which also bounds the histogram index (cA, cA2, exponent).  A basis
+string, which can be far longer than 63 bits, is packed once per state
+into words of at most w digits with d^w <= 2^62 and sorted word by word.
+Subtracting A's digits only lowers a word, to no less than 0, so no word
+of a complementary string ever exceeds 2^62 and none wraps.
 
 Work is charged against max_ops.  Each subset check returns its failing
 pair (or None) and its pair count, the sum of g^2 over the sizes g of its
@@ -73,7 +80,7 @@ from math import comb
 
 import numpy as np
 
-from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
+from .cyclotomic import CycInt, cyclotomic_polynomial, from_int, reduction_matrix, root_power
 from .modular import digits, from_digits, prime_factors, read_ints, reduce_mod
 
 DEFAULT_MAX_OPS = 10**9
@@ -94,16 +101,49 @@ class TooLargeError(RuntimeError):
         self.ceiling = ceiling
 
 
+def _word_width(d: int) -> int:
+    """The largest w with d^w <= 2^62: the digits in each packed word but the last."""
+    return next(w for w in range(62, 0, -1) if d**w <= 1 << 62)
+
+
 def _words(cols: np.ndarray, d: int) -> list[np.ndarray]:
     """Digit columns packed into int64 words of at most w digits (d^w <= 2^62), leading word first."""
-    w = next(w for w in range(62, 0, -1) if d**w <= 1 << 62)
+    w = _word_width(d)
     return [from_digits(cols[:, s : s + w], d) for s in range(0, cols.shape[1], w)]
+
+
+def _nonzero(values, roots, d: int) -> np.ndarray:
+    """Mask of the amplitudes that are not zero; roots[i] is values[i].root_exponent().
+
+    A single root is nonzero.  The rest are tested at once when the d x
+    phi(d) reduction matrix R is no larger than their (rows, d)
+    coefficient table: a row c is zero iff c @ R is, and that int64
+    product is exact while r * sum |c| < 2^63 for every row, with r the
+    largest |entry| of R (checked in Python ints).  Otherwise, or past that
+    bound, each is tested by CycInt.is_zero.
+    """
+    keep = np.array([e is not None for e in roots], dtype=bool)
+    rest = np.flatnonzero(~keep).tolist()
+    coeffs = [values[i].coeffs for i in rest]
+    if rest and len(rest) >= len(cyclotomic_polynomial(d)) - 1:
+        R = reduction_matrix(d)
+        r = int(np.abs(R).max())
+        if r * max(sum(map(abs, c)) for c in coeffs) < 1 << 63:
+            keep[rest] = (np.array(coeffs, dtype=np.int64) @ R).any(axis=1)
+            return keep
+    keep[rest] = [not values[i].is_zero() for i in rest]
+    return keep
 
 
 class PureState:
     """Unnormalized pure state on n qudits of level d, held as arrays.
 
     keys       (support, n) int64 basis strings, lexsorted, no duplicates.
+    words      the keys packed once by _words, a tuple of int64 vectors
+               aligned with the rows, leading word first: word j holds
+               digits j w .. (j + 1) w - 1 of each string, w = _word_width(d).
+               The sort and the duplicate check ran on them, and the
+               histogram check derives each subset's grouping from them.
     exponents  int64 vector with amplitude zeta_d^e for each row when every
                amplitude is a single root of unity, else None.
     values     tuple of CycInt amplitudes aligned with the rows otherwise,
@@ -147,20 +187,24 @@ class PureState:
                 if amp.level != d:
                     raise ValueError(f"amplitude level {amp.level} != state level {d}")
             roots = [amp.root_exponent() for amp in values]
-            keep = [e is not None or not amp.is_zero() for amp, e in zip(values, roots)]
-            keys = keys[np.array(keep, dtype=bool)]
+            keep = _nonzero(values, roots, d)
+            keys = keys[keep]
             values, roots = tuple(itertools.compress(values, keep)), list(itertools.compress(roots, keep))
             if None not in roots:
                 exponents, values = roots, None
         if not len(keys):
             raise ValueError("state has no nonzero amplitude")
-        order = np.lexsort(_words(keys, d)[::-1])
-        keys = keys[order]
-        twice = (keys[1:] == keys[:-1]).all(axis=1)
+        words = _words(keys, d)
+        order = np.lexsort(words[::-1])
+        keys, words = keys[order], tuple(word[order] for word in words)
+        twice = np.ones(len(keys) - 1, dtype=bool)
+        for word in words:
+            twice &= word[1:] == word[:-1]
         if twice.any():
             raise ValueError(f"basis string {tuple(keys[1:][twice][0].tolist())} occurs twice")
-        self.n, self.d, self.keys = n, d, keys
-        self.keys.setflags(write=False)
+        for a in (keys, *words):
+            a.setflags(write=False)
+        self.n, self.d, self.keys, self.words = n, d, keys, words
         self.exponents = None if exponents is None else reduce_mod(exponents, d)[order]
         self.values = None if values is None else tuple(values[i] for i in order.tolist())
 
@@ -521,6 +565,13 @@ def _term_table(state: PureState, k: int) -> _Terms | None:
 def _check_subset(state: PureState, A, charge=lambda pairs: None, terms: _Terms | None = None):
     """Histogram check of one subset over the state's term table.
 
+    The kets are grouped by their complementary strings without repacking
+    them: for each i in A, K[:, i] d^place is subtracted from the one kept
+    word of state.words that holds position i, at i's place in it, and
+    the same loop packs the local strings cA by Horner's rule.  With A's
+    digits a constant 0, the words sort in the order of the complementary
+    strings, and the stable lexsort keeps ties in row order.
+
     Returns (None, pairs) when the subset passes, else (the first failing
     pair (cA, cA2) in lexicographic order, pairs), where pairs is the sum of
     g^2 over the sizes g of the groups of kets that agree off A; charge(pairs)
@@ -532,14 +583,20 @@ def _check_subset(state: PureState, A, charge=lambda pairs: None, terms: _Terms 
     dk = d**k
     if terms is None and (terms := _term_table(state, k)) is None:
         raise OverflowError("the histogram check could wrap on this state; use the reference check")
-    K = state.keys
-    aset = set(A)
-    B = [i for i in range(n) if i not in aset]
+    K, words = state.keys, list(state.words)
 
-    # group the kets by their complementary strings
-    words = _words(K[:, B], d)
+    # group the kets by their complementary strings (see the docstring)
+    w = _word_width(d)
+    a_s = np.zeros(len(K), dtype=np.int64)
+    for i in A:
+        col = K[:, i]
+        j = i // w
+        place = min(w, n - j * w) - 1 - (i - j * w)  # i's place in word j, counted from the last digit
+        words[j] = words[j] - col * d**place
+        a_s *= d
+        a_s += col
     order = np.lexsort(words[::-1])
-    a_s = from_digits(K[:, list(A)], d)[order]
+    a_s = a_s[order]
     edge = np.ones(len(K) + 1, dtype=bool)  # edge[i]: a group starts at i, or i is the end
     edge[1:-1] = False
     for word in words:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from kuniform import states
 from kuniform.cli import main
-from kuniform.cyclotomic import CycInt, from_int, root_power
-from kuniform.fileio import read_state, read_witness
+from kuniform.codes import state_from_code
+from kuniform.cyclotomic import CycInt, cyclotomic_polynomial, from_int, reduction_matrix, root_power, zero_test
+from kuniform.fileio import read_code, read_state, read_witness
 from kuniform.fixtures import fixture_path
 from kuniform.matrices import all_phases, state_from_matrix, upper_triangle_to_matrix
 from kuniform.search import SearchBudget, search_witness, table_scan
@@ -343,6 +344,69 @@ def test_phase_path_matches_generic_on_sparse_states(case):
     assert _check_subset(s, A) == _check_subset_generic(s, A)
 
 
+def _reference_scan(s, k):
+    """(subset, pair) of the first subset the reference check fails, in scan order, or (None, None)."""
+    for A in itertools.combinations(range(s.n), k):
+        fail = _check_subset_generic(s, A)[0]
+        if fail is not None:
+            return A, fail
+    return None, None
+
+
+def _copies(s, rng):
+    """The state, a relabeled copy and a phase-scaled copy, each packing its own keys."""
+    copies = [s, s.relabel(rng.sample(range(s.n), s.n)), s.scale_phase(1)]
+    for t in copies:
+        assert [w.tolist() for w in t.words] == [w.tolist() for w in states._words(t.keys, t.d)]
+    return copies
+
+
+def test_histogram_check_across_packed_words():
+    # 100 qutrits pack into words of w = 39, 39 and 22 digits
+    d, n, w = 3, 100, 39
+    assert states._word_width(d) == w and len(states._words(np.zeros((1, n), np.int64), d)) == 3
+    rng = random.Random(3)
+    # the code state of a 4 x 100 generator over Z_3 whose columns 0 and 1 are
+    # e1 and e2, whose columns 2..77 lie off their span, and whose column 78 is
+    # e1 + e2: the scan at k = 3 passes every (0, 1, j) up to j = 77 and
+    # fails at (0, 1, 78), the first position of the third word
+    off = [c for c in itertools.product(range(d), repeat=4) if c[2:] != (0, 0)]
+    cols = [(1, 0, 0, 0), (0, 1, 0, 0), *rng.choices(off, k=76), (1, 1, 0, 0)]
+    cols += [tuple(rng.randrange(d) for _ in range(4)) for _ in range(n - len(cols))]
+    G = np.array(cols).T
+    code = {tuple((np.array(m) @ G % d).tolist()): rng.randrange(d) for m in itertools.product(range(d), repeat=4)}
+    code_state = PureState.from_phases(n, d, code)
+    for s in _copies(code_state, rng):
+        report = verify_uniform(s, 3)
+        assert (report.failing_subset, report.failing_pair) == _reference_scan(s, 3)
+    assert verify_uniform(code_state, 3).failing_subset == (0, 1, 78)
+    # kets that agree off a few positions around the word boundaries, so the
+    # groups of a subset of those positions come in mixed sizes
+    near = [w - 2, w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, n - 1]
+    phases = {}
+    for key in rng.sample(sorted(code), 12):
+        for _ in range(5):
+            ket = list(key)
+            for i in rng.sample(near, rng.randrange(1, 4)):
+                ket[i] = rng.randrange(d)
+            phases[tuple(ket)] = rng.randrange(d)
+    sparse = PureState.from_phases(n, d, phases)
+    general = PureState(n, d, {key: root_power(d, e) * CycInt(d, (1, rng.randrange(-2, 3), 1)) for key, e in phases.items()})
+    subsets = list(itertools.combinations(near, 3)) + [(0, w - 1, w), (0, w, 2 * w), (w - 1, 2 * w, n - 1)]
+    for base in (sparse, general):
+        for s in _copies(base, rng):
+            for A in subsets:
+                assert _check_subset(s, A) == _check_subset_generic(s, A), A
+
+
+def test_histogram_check_on_every_subset_of_the_bundled_code_state():
+    s = state_from_code(read_code(fixture_path("code_8_4_4_binary.txt")), 3)
+    assert (s.n, len(s)) == (8, 16)
+    for k in (1, 2, 3):
+        for A in itertools.combinations(range(s.n), k):
+            assert _check_subset(s, A) == _check_subset_generic(s, A) == (None, 16), A
+
+
 @st.composite
 def _scan_case(draw):
     """(state, k): full-support quadratic phases, sparse phases, or general amplitudes."""
@@ -548,6 +612,72 @@ def test_norm_past_the_int64_bound(past, dtype):
     C, S, Q = s._coefficients
     assert (S, Q, C.dtype) == (L + 1, L * L + 1, dtype)
     assert s.norm().coeffs == _norm_reference(s).coeffs == ((L - 1) ** 2 + 2, 1 - L, 1 - L)
+
+
+@st.composite
+def _amplitude_rows(draw):
+    """(d, amplitudes): multiples of shifted Phi_d, which are zero, some moved by 1, near r sum |c| = 2^63."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 15]))
+    phi = cyclotomic_polynomial(d)
+    r = int(np.abs(reduction_matrix(d)).max())
+    amps = []
+    for _ in range(draw(st.integers(1, 20))):
+        j = draw(st.integers(0, d - len(phi)))
+        row = [0] * j + list(phi) + [0] * (d - j - len(phi))
+        limit = ((1 << 63) - 1) // (r * sum(map(abs, row)))  # the largest multiple within the bound
+        t = draw(st.one_of(st.integers(-3, 3), st.integers(limit - 2, limit + 2), st.integers(-limit - 2, -limit + 2)))
+        row = [t * c for c in row]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1, 1]))
+        amps.append(CycInt(d, tuple(row)) if draw(st.integers(0, 4)) else root_power(d, draw(st.integers(0, d - 1))))
+    return d, amps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_amplitude_rows())
+def test_zero_amplitudes_match_the_polynomial_division(case):
+    d, amps = case
+    roots = [amp.root_exponent() for amp in amps]
+    assert states._nonzero(amps, roots, d).tolist() == [not zero_test(amp) for amp in amps]
+
+
+@pytest.mark.parametrize("rows,past,tested", [(48, 0, 0), (48, 1, 48), (47, 0, 47)])
+def test_zero_amplitudes_are_tested_in_one_product_within_the_bound(monkeypatch, rows, past, tested):
+    # at d = 105 the reduction matrix has entries up to r = 2 and phi(105) = 48
+    # columns; the last amplitude, the integer M, reaches r M < 2^63 or, one
+    # past, r M >= 2^63.  With fewer rows than phi(d) the matrix would be
+    # larger than the table, so each amplitude is tested on its own
+    d, phi = 105, cyclotomic_polynomial(105)
+    r = int(np.abs(reduction_matrix(d)).max())
+    assert (r, len(phi) - 1) == (2, 48)
+    rng = random.Random(rows + past)
+    amps = []
+    for i in range(rows - 1):
+        j = i % (d - len(phi) + 1)
+        t = rng.randrange(-5, 6)
+        row = [0] * j + [t * c for c in phi] + [0] * (d - j - len(phi))
+        row[rng.randrange(d)] += rng.choice([0, 0, 1])
+        amps.append(CycInt(d, tuple(row)))
+    M = ((1 << 63) - 1) // r + past
+    amps.append(from_int(d, M))
+    expected = [not zero_test(amp) for amp in amps]
+    assert 0 < sum(expected) < rows
+    calls = []
+    is_zero = CycInt.is_zero
+    monkeypatch.setattr(CycInt, "is_zero", lambda amp: calls.append(amp) or is_zero(amp))
+    assert states._nonzero(amps, [None] * rows, d).tolist() == expected
+    assert len(calls) == tested
+    s = PureState(8, d, {tuple(map(int, f"{i:08b}")): amp for i, amp in enumerate(amps)})
+    assert len(s) == sum(expected) and s.values is not None
+
+
+def test_past_the_bound_a_wrapped_product_would_read_zero():
+    # c = 2^62 (1, 1, -1, -1, -1, 1) at d = 6 is not zero, yet its product
+    # with R is (2^64, 0), which int64 wraps to (0, 0)
+    c = tuple(2**62 * x for x in (1, 1, -1, -1, -1, 1))
+    assert not (np.array(c, dtype=np.int64) @ reduction_matrix(6)).any() and not zero_test(CycInt(6, c))
+    amps = [CycInt(6, c), CycInt(6, (1, -1, 0, 0, 0, 0))]  # as many rows as phi(6) = 2
+    assert states._nonzero(amps, [None, None], 6).tolist() == [True, True]
 
 
 def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
