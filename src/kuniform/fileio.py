@@ -21,8 +21,10 @@ A state file is first read as one int64 table (np.loadtxt) whose rows are
 all compact or all coefficient rows; it takes only files the per-line walk
 would accept, and returns the same state.  Anything else -- a comment, a
 mixed file, an irregular caret, any refusal -- goes to the walk, so every
-message is the walk's, unchanged.  The writer renders each distinct digit
-and exponent to a string once.
+message is the walk's, unchanged.  Either reader hands PureState its
+exponents or one table of coefficient rows, a compact row e there being
+the root zeta^e.  The writer renders each distinct digit and exponent to
+a string once, and a coefficient row of a single root as "^e".
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import LinearCode
-from .cyclotomic import CycInt, root_power
 from .fields import get_field
 from .matrices import Provenance, SymWitness, upper_triangle_to_matrix
 from .modular import digits, from_digits
-from .states import PureState
+from .states import PureState, _root_exponents
 
 
 class _Line(NamedTuple):
@@ -98,8 +99,8 @@ def state_to_text(state: PureState) -> str:
         amps = np.array([f"^{e}\n" for e in exps.tolist()], dtype=object)[inv]
     else:
         amps = np.array([
-            (" ".join(map(str, amp.coeffs)) if (e := amp.root_exponent()) is None else f"^{e}") + "\n"
-            for amp in state.values
+            (" ".join(map(str, c)) if e < 0 else f"^{e}") + "\n"
+            for c, e in zip(state.coeffs.tolist(), _root_exponents(state.coeffs).tolist())
         ], dtype=object)
     # one string per distinct digit, each token carrying the separator that follows it
     vals, inv = np.unique(state.keys, return_inverse=True)
@@ -136,7 +137,7 @@ def _state_table(text: str) -> PureState | None:
             return PureState._from_arrays(n, d, keys, exponents=table[:, n])
         # zero amplitudes are dropped before PureState looks for a repeated basis string
         if carets == 0 and cols == n + d and len(np.unique(keys, axis=0)) == rows:
-            return PureState._from_arrays(n, d, keys, values=[CycInt(d, tuple(c)) for c in table[:, n:].tolist()])
+            return PureState._from_arrays(n, d, keys, coeffs=table[:, n:])
     except (ValueError, OverflowError):
         pass
     return None
@@ -150,14 +151,15 @@ def _state_walk(text: str) -> PureState:
         *front, last = line.tokens
         compact = last.startswith("^")  # n digits and "^e", else n digits and d coefficients
         values = _ints(line, [*front, last.removeprefix("^")], n + (1 if compact else d), "amplitude line")
-        amp = values[n] if compact else CycInt(d, tuple(values[n:]))
+        if not compact and d < 2:
+            raise ValueError(f"invalid level {d}")  # the level a row of d coefficients needs
         if (key := tuple(values[:n])) in amps:
             raise line.error("basis string repeated")
-        amps[key] = amp
+        amps[key] = values[n] if compact else values[n:]
     if all(isinstance(e, int) for e in amps.values()):
         return PureState._from_arrays(n, d, list(amps), exponents=list(amps.values()))
-    values = [root_power(d, e) if isinstance(e, int) else e for e in amps.values()]
-    return PureState._from_arrays(n, d, list(amps), values=values)
+    rows = [[int(j == amp % d) for j in range(d)] if isinstance(amp, int) else amp for amp in amps.values()]
+    return PureState._from_arrays(n, d, list(amps), coeffs=np.array(rows, dtype=object))
 
 
 def state_from_text(text: str) -> PureState:

@@ -2,13 +2,13 @@
 
 A state is a sorted int64 table of basis strings in Z_d^n with, per row,
 either an exponent e (amplitude zeta_d^e) when every amplitude is a single
-root of unity, or a cyclotomic-integer amplitude (absent strings have
-amplitude zero; normalization is never applied, since the uniformity
-criterion is scale-invariant).  The oracle checks, for every k-subset A of
-positions and every pair of local strings (cA, cA2), the overlap sum over
-the complementary positions: off-diagonal pairs must vanish exactly and
-diagonal pairs must all equal norm / d^k exactly.  It knows nothing about
-how a state was constructed.
+root of unity, or else d integer coefficients c (amplitude sum_j c[j]
+zeta_d^j) in one table; only its views build CycInt objects.  Absent
+strings have amplitude zero, and normalization is never applied, since
+the uniformity criterion is scale-invariant.  The oracle checks, for every
+k-subset A and every pair of local strings (cA, cA2), the overlap sum over
+the complement: off-diagonal pairs must vanish exactly and diagonal pairs
+must all equal norm / d^k exactly, whatever built the state.
 
 A verify_uniform call takes one of three routes, each with the same report.
 
@@ -29,13 +29,14 @@ the bound holds in any summation order.
 
 The histogram check serves every other state.  Each state packs its kets
 into int64 words once, when it is built, to sort them, and keeps those
-words in row order.  Once per verify_uniform call each ket is expanded
-into its nonzero cyclotomic terms c zeta^j (its row, j and the integer c);
-an exponent state is the case of one term per ket with c = 1.  For each
-subset A the kets are grouped by their complementary strings: from the
-kept words, each ket's digit at i times d^place is subtracted for each i
-in A, in only the words that hold A's positions, so A's digits read as a
-constant 0 and the words sort in the order of the complementary strings.
+words in row order.  Once per verify_uniform call the nonzero entries of
+the state's coefficient table become its term table, each term c zeta^j
+held as its ket's row, j and the integer c; an exponent state is the case
+of one term per ket with c = 1.  For each subset A the kets are grouped
+by their complementary strings: from the kept words, each ket's digit at
+i times d^place is subtracted for each i in A, in only the words that
+hold A's positions, so A's digits read as a constant 0 and the words sort
+in the order of the complementary strings.
 The term groups of each size are gathered into one block, every term pair
 (u, v) of a group adds c_u c_v to the bin of (cA, cA2, j_v - j_u mod d),
 and the bins are tested for zero through one integer matrix product
@@ -80,7 +81,7 @@ from math import comb
 
 import numpy as np
 
-from .cyclotomic import CycInt, cyclotomic_polynomial, from_int, reduction_matrix, root_power
+from .cyclotomic import CycInt, from_int, reduction_matrix, root_power
 from .modular import digits, from_digits, prime_factors, read_ints, reduce_mod
 
 DEFAULT_MAX_OPS = 10**9
@@ -112,27 +113,40 @@ def _words(cols: np.ndarray, d: int) -> list[np.ndarray]:
     return [from_digits(cols[:, s : s + w], d) for s in range(0, cols.shape[1], w)]
 
 
-def _nonzero(values, roots, d: int) -> np.ndarray:
-    """Mask of the amplitudes that are not zero; roots[i] is values[i].root_exponent().
+def _nonzero(table: np.ndarray, d: int) -> np.ndarray:
+    """Mask of the rows of a (rows, d) coefficient table that are not zero in Z[zeta_d].
 
-    A single root is nonzero.  The rest are tested at once when the d x
-    phi(d) reduction matrix R is no larger than their (rows, d)
-    coefficient table: a row c is zero iff c @ R is, and that int64
-    product is exact while r * sum |c| < 2^63 for every row, with r the
-    largest |entry| of R (checked in Python ints).  Otherwise, or past that
-    bound, each is tested by CycInt.is_zero.
+    A row c is zero iff c @ R is, for the d x phi(d) reduction matrix R; the
+    product runs in int64 when r * sum |c| < 2^63 for every row, r = max |R|,
+    else on Python ints.  The bound is taken on Python ints: an int64 sum could wrap.
     """
-    keep = np.array([e is not None for e in roots], dtype=bool)
-    rest = np.flatnonzero(~keep).tolist()
-    coeffs = [values[i].coeffs for i in rest]
-    if rest and len(rest) >= len(cyclotomic_polynomial(d)) - 1:
-        R = reduction_matrix(d)
-        r = int(np.abs(R).max())
-        if r * max(sum(map(abs, c)) for c in coeffs) < 1 << 63:
-            keep[rest] = (np.array(coeffs, dtype=np.int64) @ R).any(axis=1)
-            return keep
-    keep[rest] = [not values[i].is_zero() for i in rest]
-    return keep
+    R = reduction_matrix(d)
+    exact = table.astype(object)
+    if int(np.abs(R).max()) * max(np.abs(exact).sum(axis=1), default=0) < 1 << 63:
+        return (table.astype(np.int64) @ R).any(axis=1)
+    return (exact @ R).any(axis=1)
+
+
+def _root_exponents(table: np.ndarray) -> np.ndarray:
+    """Per row of a coefficient table, e when the row is exactly zeta^e (one coefficient 1, the rest 0), else -1."""
+    nonzero = table != 0
+    root = (nonzero.sum(axis=1) == 1) & (table == 1).any(axis=1)
+    return np.where(root, nonzero.argmax(axis=1), -1)
+
+
+def _read_keys(n: int, d: int, keys) -> np.ndarray:
+    """The basis strings as a (rows, n) int64 table, each checked to lie in Z_d^n."""
+    if n < 1 or not 2 <= d <= 1 << 62:  # digits and packed words are int64
+        raise ValueError(f"invalid shape n={n} d={d}")
+    keys = read_ints(keys)
+    if keys.size == 0:
+        keys = keys.reshape(0, n)
+    if keys.ndim != 2 or keys.shape[1] != n:
+        raise ValueError(f"basis strings must have {n} digits")
+    outside = ((keys < 0) | (keys >= d)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"basis string {tuple(keys[outside][0].tolist())} not in Z_{d}^{n}")
+    return keys.astype(np.int64, copy=False)
 
 
 class PureState:
@@ -146,14 +160,25 @@ class PureState:
                histogram check derives each subset's grouping from them.
     exponents  int64 vector with amplitude zeta_d^e for each row when every
                amplitude is a single root of unity, else None.
-    values     tuple of CycInt amplitudes aligned with the rows otherwise,
-               else None.
+    coeffs     otherwise the (support, d) table of the amplitudes, row c
+               for sum_j c[j] zeta_d^j, else None; no row is zero and some
+               row is not a single root.  Q, the sum over rows of
+               (sum |c|)^2, bounds every product of two coefficients and
+               every partial sum of such products over rows, so the table
+               is int64 while Q < 2^63 and holds Python ints above that.
 
-    amps and phase_map() are dict views built from these arrays on demand.
+    values (a tuple of CycInt aligned with the rows, or None), amps and
+    phase_map() are views built from these arrays on each access.
     """
 
     def __init__(self, n: int, d: int, amplitudes: dict):
-        self._assign(n, d, list(amplitudes), values=amplitudes.values())
+        keys = _read_keys(n, d, list(amplitudes))
+        for amp in amplitudes.values():
+            if not isinstance(amp, CycInt):
+                raise TypeError(f"amplitude {amp!r} is not a CycInt")
+            if amp.level != d:
+                raise ValueError(f"amplitude level {amp.level} != state level {d}")
+        self._assign(n, d, keys, coeffs=np.array([a.coeffs for a in amplitudes.values()], dtype=object).reshape(-1, d))
 
     @classmethod
     def from_phases(cls, n: int, d: int, phases: dict) -> PureState:
@@ -161,37 +186,21 @@ class PureState:
         return cls._from_arrays(n, d, list(phases), exponents=list(phases.values()))
 
     @classmethod
-    def _from_arrays(cls, n, d, keys, exponents=None, values=None) -> PureState:
+    def _from_arrays(cls, n, d, keys, exponents=None, coeffs=None) -> PureState:
         state = cls.__new__(cls)
-        state._assign(n, d, keys, exponents, values)
+        state._assign(n, d, _read_keys(n, d, keys), exponents, coeffs)
         return state
 
-    def _assign(self, n, d, keys, exponents=None, values=None):
-        """Validate and store: exactly one of exponents and values is given, aligned with keys."""
-        if n < 1 or not 2 <= d <= 1 << 62:  # digits and packed words are int64
-            raise ValueError(f"invalid shape n={n} d={d}")
-        keys = read_ints(keys)
-        if keys.size == 0:
-            keys = keys.reshape(0, n)
-        if keys.ndim != 2 or keys.shape[1] != n:
-            raise ValueError(f"basis strings must have {n} digits")
-        outside = ((keys < 0) | (keys >= d)).any(axis=1)
-        if outside.any():
-            raise ValueError(f"basis string {tuple(keys[outside][0].tolist())} not in Z_{d}^{n}")
-        keys = keys.astype(np.int64, copy=False)
-        if values is not None:
-            values = tuple(values)
-            for amp in values:
-                if not isinstance(amp, CycInt):
-                    raise TypeError(f"amplitude {amp!r} is not a CycInt")
-                if amp.level != d:
-                    raise ValueError(f"amplitude level {amp.level} != state level {d}")
-            roots = [amp.root_exponent() for amp in values]
-            keep = _nonzero(values, roots, d)
-            keys = keys[keep]
-            values, roots = tuple(itertools.compress(values, keep)), list(itertools.compress(roots, keep))
-            if None not in roots:
-                exponents, values = roots, None
+    def _assign(self, n, d, keys, exponents=None, coeffs=None):
+        """Store keys from _read_keys with exactly one of exponents and an aligned coefficient table."""
+        if coeffs is not None:
+            keep = _nonzero(coeffs, d)
+            keys, coeffs = keys[keep], coeffs[keep]
+            if ((roots := _root_exponents(coeffs)) >= 0).all():
+                exponents, coeffs = roots, None
+            else:
+                per_row = np.abs(coeffs.astype(object)).sum(axis=1)
+                coeffs = coeffs.astype(np.int64 if per_row @ per_row < 1 << 63 else object, copy=False)
         if not len(keys):
             raise ValueError("state has no nonzero amplitude")
         words = _words(keys, d)
@@ -202,15 +211,21 @@ class PureState:
             twice &= word[1:] == word[:-1]
         if twice.any():
             raise ValueError(f"basis string {tuple(keys[1:][twice][0].tolist())} occurs twice")
-        for a in (keys, *words):
-            a.setflags(write=False)
-        self.n, self.d, self.keys, self.words = n, d, keys, words
         self.exponents = None if exponents is None else reduce_mod(exponents, d)[order]
-        self.values = None if values is None else tuple(values[i] for i in order.tolist())
+        self.coeffs = None if coeffs is None else coeffs[order]
+        for a in (keys, *words, self.coeffs):
+            if a is not None:
+                a.setflags(write=False)
+        self.n, self.d, self.keys, self.words = n, d, keys, words
+
+    @property
+    def values(self) -> tuple[CycInt, ...] | None:
+        """The CycInt amplitudes aligned with the rows when coeffs is set, else None."""
+        return None if self.coeffs is None else tuple(CycInt(self.d, tuple(c)) for c in self.coeffs.tolist())
 
     def _amplitudes(self):
         """The CycInt amplitudes aligned with the rows of keys."""
-        if self.values is not None:
+        if self.coeffs is not None:
             return self.values
         roots = [root_power(self.d, e) for e in range(self.d)]
         return [roots[e] for e in self.exponents.tolist()]
@@ -226,35 +241,16 @@ class PureState:
             return None
         return dict(zip(map(tuple, self.keys.tolist()), self.exponents.tolist()))
 
-    @functools.cached_property
-    def _coefficients(self) -> tuple[np.ndarray, int, int]:
-        """(C, S, Q) of a values state, built once.
-
-        C is the (kets, d) table of the amplitudes' coefficients, S the sum
-        of |c| over all of them and Q the sum over kets of the squared sum of
-        |c| over the ket.  Every product of two coefficients, and every
-        partial sum of such products over kets, is at most Q in absolute
-        value, so C is int64 while Q < 2^63 and holds Python ints in an
-        object array above that.
-        """
-        C = np.array([amp.coeffs for amp in self.values], dtype=object)
-        per_ket = np.abs(C).sum(axis=1)
-        S, Q = int(per_ket.sum()), int(per_ket @ per_ket)
-        if Q < 1 << 63:
-            C = C.astype(np.int64)
-        C.setflags(write=False)
-        return C, S, Q
-
     def norm(self) -> CycInt:
         """Exact  <state|state>  as a cyclotomic integer.
 
         Coefficient t of conj(a) a is the sum over i of c_i c_(i+t mod d),
-        so the norm of a values state is one pass over its coefficient
-        table per t, exact in its dtype (see _coefficients).
+        so the norm of a coeffs state is one pass over its table per t,
+        exact in the table's dtype.
         """
         if self.exponents is not None:
             return from_int(self.d, len(self))
-        C = self._coefficients[0]
+        C = self.coeffs
         return CycInt(self.d, tuple((C * np.roll(C, -t, axis=1)).sum() for t in range(self.d)))
 
     def norm_value(self) -> int | CycInt:
@@ -268,15 +264,14 @@ class PureState:
         perm = read_ints(perm).tolist()
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"{perm} is not a permutation of range({self.n})")
-        return PureState._from_arrays(self.n, self.d, self.keys[:, perm], self.exponents, self.values)
+        return PureState._from_arrays(self.n, self.d, self.keys[:, perm], self.exponents, self.coeffs)
 
     def scale_phase(self, e: int) -> PureState:
         """Multiply every amplitude by zeta_d^e (a global phase)."""
         e = int(reduce_mod(e, self.d))
         if self.exponents is not None:
             return PureState._from_arrays(self.n, self.d, self.keys, exponents=self.exponents + e)
-        z = root_power(self.d, e)
-        return PureState._from_arrays(self.n, self.d, self.keys, values=[amp * z for amp in self.values])
+        return PureState._from_arrays(self.n, self.d, self.keys, coeffs=np.roll(self.coeffs, e, axis=1))
 
     def __len__(self):
         return len(self.keys)
@@ -533,28 +528,30 @@ def _term_table(state: PureState, k: int) -> _Terms | None:
     """The state's term table, or None when the histogram check at this k
     could wrap.
 
-    With S the sum of |c| over all terms and Q the sum over kets of the
-    squared sum of |c| over the ket's terms, every histogram bin and every
-    partial sum of one is at most S^2 in absolute value, the diagonal bins
-    of all local strings together hold at most Q, and the reduction matrix
-    R has entries at most r.  The table is given only when
+    S is the sum of |c| over all terms and Q the sum over kets of the
+    squared sum of |c| over the ket's terms, read from state.coeffs (an
+    exponent state has one term c = 1 per ket: S = Q = kets).  Every bin and
+    partial sum of the histogram is at most S^2 in absolute value, the
+    diagonal bins of all local strings together hold at most Q, and the
+    reduction matrix R has entries at most r.  The table is given only when
       * r S^2 < 2^63: the int64 histogram and its product with R;
       * r (d^k + 1) Q < 2^63: the diagonal's product with R scaled by d^k,
         and the norm's (at most r Q);
       * S^2 <= 2^53 unless every amplitude is a single root: the bincount
         weights c_u c_v and their float64 running sums are then integers
-        of at most S^2, so exact.  (The second bound gives Q < 2^63, so
-        the state's coefficient table, _coefficients, is int64.)
+        of at most S^2, so exact.
+    coeffs is int64 only while Q < 2^63, where S and Q are exact in int64.
     """
-    d = state.d
-    if state.exponents is not None:
+    d, C = state.d, state.coeffs
+    if C is None:
         S = Q = len(state)
     else:
-        C, S, Q = state._coefficients
+        per_ket = np.abs(C).sum(axis=1)
+        S, Q = int(per_ket.sum()), int(per_ket @ per_ket)
     r = int(np.abs(reduction_matrix(d)).max())
-    if r * S * S >= 1 << 63 or r * (d**k + 1) * Q >= 1 << 63 or (state.values is not None and S * S > 1 << 53):
+    if r * S * S >= 1 << 63 or r * (d**k + 1) * Q >= 1 << 63 or (C is not None and S * S > 1 << 53):
         return None
-    if state.exponents is not None:
+    if C is None:
         return _Terms(None, state.exponents, None)
     rows, exps = np.nonzero(C)
     coeffs = C[rows, exps]

@@ -584,22 +584,26 @@ def _norm_reference(s):
 
 
 @st.composite
-def _values_state(draw):
-    """A state of general amplitudes whose coefficients reach up to 2^bits."""
+def _values_amplitudes(draw):
+    """(n, d, amplitudes) of general amplitudes whose coefficients reach up to 2^bits, some of them zero."""
     n, d = draw(st.integers(1, 3)), draw(st.integers(2, 9))
     bits = draw(st.sampled_from([2, 16, 31, 32, 40, 70]))
     coeff = st.integers(-(2**bits), 2**bits)
+    phi = cyclotomic_polynomial(d)
+    zero = st.builds(lambda t, j: CycInt(d, tuple([0] * j + [t * c for c in phi] + [0] * (d - j - len(phi)))),
+                     coeff, st.integers(0, d - len(phi)))
+    amp = st.one_of(st.builds(CycInt, st.just(d), st.tuples(*[coeff] * d)), zero)
     ket = st.tuples(*[st.integers(0, d - 1)] * n)
-    amps = draw(st.dictionaries(ket, st.builds(CycInt, st.just(d), st.tuples(*[coeff] * d)), min_size=1, max_size=12))
+    amps = draw(st.dictionaries(ket, amp, min_size=1, max_size=12))
     assume(not all(amp.is_zero() or amp.root_exponent() is not None for amp in amps.values()))
-    return PureState(n, d, amps)
+    return n, d, amps
 
 
 @settings(max_examples=150, deadline=None)
-@given(_values_state())
+@given(_values_amplitudes().map(lambda case: PureState(*case)))
 def test_norm_matches_the_cyclotomic_loop(s):
-    C, S, Q = s._coefficients
-    assert C.dtype == (np.int64 if Q < 2**63 else object)
+    per_ket = [sum(map(abs, amp.coeffs)) for amp in s.values]
+    assert s.coeffs.dtype == (np.int64 if sum(x * x for x in per_ket) < 2**63 else object)
     assert s.norm().coeffs == _norm_reference(s).coeffs
 
 
@@ -609,9 +613,24 @@ def test_norm_past_the_int64_bound(past, dtype):
     # Q = L^2 + 1, which is below 2^63 at the first L and above it at L + 1
     L = isqrt(2**63 - 2) + past
     s = PureState(1, 3, {(0,): CycInt(3, (L - 1, -1, 0)), (1,): CycInt(3, (0, 0, -1))})
-    C, S, Q = s._coefficients
-    assert (S, Q, C.dtype) == (L + 1, L * L + 1, dtype)
+    per_ket = np.abs(s.coeffs).sum(axis=1)
+    assert (int(per_ket.sum()), int(per_ket @ per_ket), s.coeffs.dtype) == (L + 1, L * L + 1, dtype)
     assert s.norm().coeffs == _norm_reference(s).coeffs == ((L - 1) ** 2 + 2, 1 - L, 1 - L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values_amplitudes(), st.integers(-20, 20))
+def test_scale_phase_multiplies_each_amplitude_by_the_root(case, e):
+    s = PureState(*case)
+    z = root_power(s.d, e)
+    assert s.scale_phase(e).values == tuple(amp * z for amp in s.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values_amplitudes())
+def test_values_are_the_nonzero_amplitudes_in_key_order(case):
+    n, d, amps = case
+    assert PureState(n, d, amps).values == tuple(amps[key] for key in sorted(amps) if not zero_test(amps[key]))
 
 
 @st.composite
@@ -637,16 +656,19 @@ def _amplitude_rows(draw):
 @given(_amplitude_rows())
 def test_zero_amplitudes_match_the_polynomial_division(case):
     d, amps = case
-    roots = [amp.root_exponent() for amp in amps]
-    assert states._nonzero(amps, roots, d).tolist() == [not zero_test(amp) for amp in amps]
+    table = np.array([amp.coeffs for amp in amps], dtype=object)
+    expected = [not zero_test(amp) for amp in amps]
+    assert states._nonzero(table, d).tolist() == expected
+    if all(-(2**63) <= c < 2**63 for amp in amps for c in amp.coeffs):  # as the int64 table of a state file
+        assert states._nonzero(table.astype(np.int64), d).tolist() == expected
 
 
-@pytest.mark.parametrize("rows,past,tested", [(48, 0, 0), (48, 1, 48), (47, 0, 47)])
-def test_zero_amplitudes_are_tested_in_one_product_within_the_bound(monkeypatch, rows, past, tested):
+@pytest.mark.parametrize("rows,past", [(48, 0), (48, 1), (47, 0)])
+def test_zero_amplitudes_are_tested_in_one_product_within_the_bound(monkeypatch, rows, past):
     # at d = 105 the reduction matrix has entries up to r = 2 and phi(105) = 48
     # columns; the last amplitude, the integer M, reaches r M < 2^63 or, one
-    # past, r M >= 2^63.  With fewer rows than phi(d) the matrix would be
-    # larger than the table, so each amplitude is tested on its own
+    # past, r M >= 2^63.  Below, at and past the bound, and with fewer rows
+    # than phi(d), no amplitude is tested on its own
     d, phi = 105, cyclotomic_polynomial(105)
     r = int(np.abs(reduction_matrix(d)).max())
     assert (r, len(phi) - 1) == (2, 48)
@@ -665,19 +687,21 @@ def test_zero_amplitudes_are_tested_in_one_product_within_the_bound(monkeypatch,
     calls = []
     is_zero = CycInt.is_zero
     monkeypatch.setattr(CycInt, "is_zero", lambda amp: calls.append(amp) or is_zero(amp))
-    assert states._nonzero(amps, [None] * rows, d).tolist() == expected
-    assert len(calls) == tested
+    assert states._nonzero(np.array([amp.coeffs for amp in amps], dtype=object), d).tolist() == expected
     s = PureState(8, d, {tuple(map(int, f"{i:08b}")): amp for i, amp in enumerate(amps)})
-    assert len(s) == sum(expected) and s.values is not None
+    assert calls == []
+    assert len(s) == sum(expected) and s.coeffs is not None
 
 
 def test_past_the_bound_a_wrapped_product_would_read_zero():
     # c = 2^62 (1, 1, -1, -1, -1, 1) at d = 6 is not zero, yet its product
-    # with R is (2^64, 0), which int64 wraps to (0, 0)
+    # with R is (2^64, 0), which int64 wraps to (0, 0); so would the int64
+    # sum of its |c|, 6 * 2^62, were the bound taken on it
     c = tuple(2**62 * x for x in (1, 1, -1, -1, -1, 1))
     assert not (np.array(c, dtype=np.int64) @ reduction_matrix(6)).any() and not zero_test(CycInt(6, c))
-    amps = [CycInt(6, c), CycInt(6, (1, -1, 0, 0, 0, 0))]  # as many rows as phi(6) = 2
-    assert states._nonzero(amps, [None, None], 6).tolist() == [True, True]
+    rows = [c, (1, -1, 0, 0, 0, 0)]
+    for dtype in (object, np.int64):
+        assert states._nonzero(np.array(rows, dtype=dtype), 6).tolist() == [True, True]
 
 
 def test_the_oracle_starts_no_thread(monkeypatch, five_qubit):
